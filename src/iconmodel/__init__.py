@@ -12,7 +12,7 @@ from .graph import (BlankNode, Graph, GraphError, Iri, Literal, Term, Triple,
 from .turtle_io import (ParseError, ParseResult, parse_turtle, serialize_turtle)
 from .vocab import (Axiom, AxiomKind, NAMESPACES, PathSpec, TermRegistry,
                     VocabTerm, axioms_graph, build_registry, curie_to_iri)
-from .reasoner import (ClosureGraph, Derivation, RuleSet, close, entails,
+from .reasoner import (ClosureGraph, Derivation, RuleSet, close,
                        expand_shortcut)
 from .shapes import (Severity, Shape, ValidationEntry, ValidationReport,
                      default_shapes, validate)
@@ -33,7 +33,7 @@ __all__ = [
     "Shape", "Solution", "Term", "TermRegistry", "Triple", "ValidationEntry",
     "ValidationReport", "Var", "VocabTerm", "axioms_graph", "build_registry",
     "case_meta", "close", "cq_catalog", "curie_to_iri", "default_shapes",
-    "entails", "evaluate", "expand_shortcut", "find_cq", "isomorphic",
+    "evaluate", "expand_shortcut", "find_cq", "isomorphic",
     "level_of", "list_cases", "load_case", "load_golden", "parse_turtle",
     "path_match", "path_pairs", "pattern_from_json", "run_cq",
     "serialize_turtle", "solutions_to_json", "union", "validate",

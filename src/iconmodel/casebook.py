@@ -19,7 +19,7 @@ from importlib import resources
 from .graph import Graph, Iri, Term
 from .reasoner import ClosureGraph
 from .turtle_io import RDF_TYPE, parse_turtle
-from .vocab import DATA_NAMESPACE, curie_to_iri
+from .vocab import Direction, build_registry, curie_to_iri, data_iri
 
 
 class CasebookError(Exception):
@@ -50,23 +50,19 @@ class CaseStudy:
     cited_works: tuple[Iri, ...]
 
 
-def _d(case_id: str, slug: str) -> Iri:
-    return Iri(f"{DATA_NAMESPACE}{case_id}/{slug}")
-
-
 _CASES = [
     CaseStudy("hercules-salvation", 4,
               "Hercules and the Erymanthian Boar / Allegory of Salvation",
               ()),
     CaseStudy("laocoon", 2,
               "Laocoon and His Sons, illumination and statue",
-              (_d("laocoon", "aeneid-text"),)),
+              (data_iri("laocoon", "aeneid-text"),)),
     CaseStudy("neptune", 3,
               "Giambologna's Neptune and Raimondi's Quos Ego",
-              (_d("neptune", "aeneid-text"),)),
+              (data_iri("neptune", "aeneid-text"),)),
     CaseStudy("vermeer-balance", 1,
               "Vermeer, Woman Holding a Balance",
-              (_d("vermeer-balance", "liedtke-2010"),)),
+              (data_iri("vermeer-balance", "liedtke-2010"),)),
 ]
 
 
@@ -96,48 +92,52 @@ def load_case(case_id: str) -> tuple[Graph, CaseStudy]:
     return result.graph, meta
 
 
-_LEV2_CLASSES = ("vir:IC9_Representation", "vir:IC10_Attribute",
-                 "vir:IC11_Personification", "vir:IC16_Character",
-                 "vir:IC12_Visual_Recognition")
+_LEV2_CLASSES = tuple(curie_to_iri(c) for c in (
+    "vir:IC9_Representation", "vir:IC10_Attribute", "vir:IC11_Personification",
+    "vir:IC16_Character", "vir:IC12_Visual_Recognition"))
+_E28 = curie_to_iri("crm:E28_Conceptual_Object")
+_PHENOMENON = curie_to_iri("icon:CulturalPhenomenon")
+_ATOM = curie_to_iri("vir:IC1_Iconographical_Atom")
+
+# (through class, predicate, direction) of the last step of every shortcut
+# path: the step from an interpretation act to its meaning
+_MEANING_STEPS = frozenset((spec.through_class,) + spec.steps[-1]
+                           for _, spec in build_registry().shortcuts())
+
+
+def _ends(g: Graph, node: Term, p: Iri, forward: bool) -> set[Term]:
+    if forward:
+        return {t.object for t in g.match(s=node, p=p)}
+    return {t.subject for t in g.match(p=p, o=node)}
 
 
 def level_of(closure: ClosureGraph, node: Term) -> InterpretationLevel:
     """Classify a node into an interpretation level over a closure.
 
-    Highest matching level wins. Raises NodeAbsentError when the node
-    occurs nowhere in the closed graph.
+    Highest matching level wins. A node of a shortcut's through class
+    takes the highest Lev3/Lev4 level among the meanings its path's last
+    step reaches. Raises NodeAbsentError when the node occurs nowhere in
+    the closed graph.
     """
     g = closure.graph()
     if node not in g.terms():
         raise NodeAbsentError(f"node {node!r} does not occur in the graph")
 
-    types = {t.object for t in g.match(s=node, p=RDF_TYPE)}
-    phenomenon = curie_to_iri("icon:CulturalPhenomenon")
-    recognition = curie_to_iri("icon:IconologicalRecognition")
-    assigned = curie_to_iri("icon:assigned")
+    def types_of(n: Term) -> set[Term]:
+        return {t.object for t in g.match(s=n, p=RDF_TYPE)}
 
-    def assigned_objects(r: Term) -> set[Term]:
-        return {t.object for t in g.match(s=r, p=assigned)}
-
-    def is_phenomenon(m: Term) -> bool:
-        return any(t.object == phenomenon for t in g.match(s=m, p=RDF_TYPE))
-
-    if phenomenon in types:
+    types = types_of(node)
+    meaning_types = [types_of(m) for through, p, d in _MEANING_STEPS
+                     if through in types
+                     for m in _ends(g, node, p, d is Direction.FORWARD)]
+    is_meaning = any(_ends(g, node, p, d is not Direction.FORWARD)
+                     for _, p, d in _MEANING_STEPS)
+    if any(_PHENOMENON in ts for ts in [types, *meaning_types]):
         return InterpretationLevel.LEV4
-    if recognition in types and any(is_phenomenon(m) for m in assigned_objects(node)):
-        return InterpretationLevel.LEV4
-
-    e28 = curie_to_iri("crm:E28_Conceptual_Object")
-    is_assigned_object = any(True for _ in g.match(p=assigned, o=node))
-    if e28 in types and is_assigned_object:
+    if (_E28 in types and is_meaning) or any(_E28 in ts for ts in meaning_types):
         return InterpretationLevel.LEV3
-    if recognition in types and any(
-            not is_phenomenon(m) and e28 in {t.object for t in g.match(s=m, p=RDF_TYPE)}
-            for m in assigned_objects(node)):
-        return InterpretationLevel.LEV3
-
-    if any(curie_to_iri(c) in types for c in _LEV2_CLASSES):
+    if any(c in types for c in _LEV2_CLASSES):
         return InterpretationLevel.LEV2
-    if curie_to_iri("vir:IC1_Iconographical_Atom") in types:
+    if _ATOM in types:
         return InterpretationLevel.LEV1
     return InterpretationLevel.UNCLASSIFIED

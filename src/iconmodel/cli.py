@@ -17,9 +17,9 @@ from typing import Optional
 
 from .casebook import UnknownCaseError, case_document, list_cases, load_case
 from .query import (QueryError, UnknownQuestionError, cq_catalog, evaluate,
-                    find_cq, load_golden, pattern_from_json, solutions_to_json)
+                    find_cq, pattern_from_json, run_cq, solutions_to_json)
 from .reasoner import RuleSet, close
-from .shapes import default_shapes, validate
+from .shapes import default_shapes, focus_str, validate
 from .turtle_io import ParseError, parse_turtle, serialize_turtle
 from .vocab import NAMESPACES, build_registry
 
@@ -51,18 +51,21 @@ def _err(message: str):
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text("utf-8")
+    """Read a UTF-8 document or exit with status 2."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text("utf-8")
+    except OSError as exc:
+        _err(str(exc))
+    except UnicodeDecodeError as exc:
+        _err(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    raise SystemExit(EXIT_ERROR)
 
 
 def _parse_source(path: str):
     """Parse a Turtle document or exit with status 2."""
-    try:
-        text = _read_source(path)
-    except OSError as exc:
-        _err(str(exc))
-        raise SystemExit(EXIT_ERROR)
+    text = _read_source(path)
     try:
         return parse_turtle(text)
     except ParseError as exc:
@@ -95,15 +98,6 @@ def cmd_validate(args) -> int:
 
 
 def _print_report(report):
-    from .graph import BlankNode, Literal
-
-    def focus_str(t):
-        if isinstance(t, BlankNode):
-            return f"_:{t.label}"
-        if isinstance(t, Literal):
-            return t.lexical
-        return t.value
-
     for e in report.entries:
         tag = e.severity.value.upper()
         if e.severity.value == "violation":
@@ -149,21 +143,14 @@ def cmd_query(args) -> int:
     result = _parse_source(args.graph)
     try:
         doc = json.loads(_read_source(args.pattern))
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_ERROR
     except json.JSONDecodeError as exc:
         _err(f"{args.pattern}: bad JSON: {exc}")
-        return EXIT_ERROR
-    try:
-        pattern, projection = pattern_from_json(doc, result.prefixes)
-    except QueryError as exc:
-        _err(str(exc))
         return EXIT_ERROR
     g = result.graph
     if args.infer:
         g = close(g, build_registry()).graph()
     try:
+        pattern, projection = pattern_from_json(doc, result.prefixes)
         solutions = evaluate(g, pattern, projection)
     except QueryError as exc:
         _err(str(exc))
@@ -172,28 +159,21 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _case_closure(case_id: str):
-    g, _meta = load_case(case_id)
-    return close(g, build_registry())
-
-
 def _run_one_cq(cq_id: str, closures: dict) -> bool:
     cq = find_cq(cq_id)
     if cq.case_id not in closures:
-        closures[cq.case_id] = _case_closure(cq.case_id)
-    closure = closures[cq.case_id]
-    solutions = evaluate(closure.graph(), cq.pattern, cq.projection)
-    golden = load_golden(cq.case_id).get(cq.id, set())
-    ok = solutions == golden
+        closures[cq.case_id] = close(load_case(cq.case_id)[0], build_registry())
+    result = run_cq(closures[cq.case_id], cq.id)
     print(f"{cq.id} ({cq.case_id}): {cq.prose}")
-    for row in solutions_to_json(solutions):
+    for row in solutions_to_json(result.solutions):
         parts = [f"{k} = {json.dumps(v) if isinstance(v, dict) else v}"
                  for k, v in sorted(row.items())]
         print("  " + "  ".join(parts))
-    if not solutions:
+    if not result.solutions:
         print("  (no solutions)")
-    print("  " + (_green("GOLDEN MATCH") if ok else _red("GOLDEN MISMATCH")))
-    return ok
+    print("  " + (_green("GOLDEN MATCH") if result.matches_golden
+                  else _red("GOLDEN MISMATCH")))
+    return result.matches_golden
 
 
 def cmd_cq(args) -> int:

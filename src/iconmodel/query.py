@@ -9,14 +9,16 @@ contraction.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Union
 
-from .graph import BlankNode, Graph, Iri, Literal, Term, term_key
+from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term
 from .turtle_io import PrefixMap
-from .vocab import DATA_NAMESPACE, NAMESPACES, curie_to_iri
+from .vocab import (NAMESPACES, BadCurieError, UnknownTermError, curie_to_iri,
+                    data_iri, expand_curie)
 from .reasoner import ClosureGraph
 
 
@@ -184,7 +186,7 @@ def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
         if "lit" in value:
             dt = value.get("datatype")
             return Literal(value["lit"], lang=value.get("lang"),
-                           datatype=Iri(_resolve(dt, prefixes)) if dt else None)
+                           datatype=_resolve(dt, prefixes) if dt else None)
         raise QueryError(f"bad term object {value!r}")
     if not isinstance(value, str):
         raise QueryError(f"bad term {value!r}")
@@ -192,49 +194,38 @@ def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
         return Var(value[1:])
     if value.startswith("_:"):
         return BlankNode(value[2:])
-    return Iri(_resolve(value, prefixes))
+    return _resolve(value, prefixes)
 
 
-def _resolve(value: str, prefixes: PrefixMap) -> str:
+def _resolve(value: str, prefixes: PrefixMap) -> Iri:
     if value.startswith("<") and value.endswith(">"):
-        return value[1:-1]
+        return Iri(value[1:-1])
     if "://" in value:
-        return value
-    if ":" in value:
-        prefix, local = value.split(":", 1)
-        ns = prefixes.get(prefix)
-        if ns is None:
-            raise QueryError(f"undeclared prefix {prefix!r} in pattern")
-        return ns + local
-    raise QueryError(f"cannot resolve term {value!r}")
+        return Iri(value)
+    try:
+        return expand_curie(value, prefixes)
+    except UnknownTermError:
+        raise QueryError(f"undeclared prefix {value.split(':', 1)[0]!r} in pattern")
+    except BadCurieError:
+        raise QueryError(f"cannot resolve term {value!r}")
 
 
 def _path_from_json(value, prefixes: PrefixMap):
     if isinstance(value, str):
         if value.startswith("?"):
             return Var(value[1:])
-        return Iri(_resolve(value, prefixes))
+        return _resolve(value, prefixes)
     if isinstance(value, dict):
         if "inv" in value:
             return Inv(_path_from_json(value["inv"], prefixes))
         if "plus" in value:
             return Plus(_path_from_json(value["plus"], prefixes))
-        if "seq" in value:
-            parts = [_path_from_json(v, prefixes) for v in value["seq"]]
-            if len(parts) < 2:
-                raise QueryError("seq needs at least two steps")
-            expr = parts[0]
-            for part in parts[1:]:
-                expr = Seq(expr, part)
-            return expr
-        if "alt" in value:
-            parts = [_path_from_json(v, prefixes) for v in value["alt"]]
-            if len(parts) < 2:
-                raise QueryError("alt needs at least two branches")
-            expr = parts[0]
-            for part in parts[1:]:
-                expr = Alt(expr, part)
-            return expr
+        for key, node, parts_name in (("seq", Seq, "steps"), ("alt", Alt, "branches")):
+            if key in value:
+                parts = [_path_from_json(v, prefixes) for v in value[key]]
+                if len(parts) < 2:
+                    raise QueryError(f"{key} needs at least two {parts_name}")
+                return functools.reduce(node, parts)
     raise QueryError(f"bad path expression {value!r}")
 
 
@@ -257,10 +248,12 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
     for row in where:
         if not (isinstance(row, list) and len(row) == 3):
             raise QueryError(f"bad pattern triple {row!r}")
-        s = _term_from_json(row[0], merged)
-        p = _path_from_json(row[1], merged)
-        o = _term_from_json(row[2], merged)
-        triples.append((s, p, o))
+        try:
+            triples.append((_term_from_json(row[0], merged),
+                            _path_from_json(row[1], merged),
+                            _term_from_json(row[2], merged)))
+        except ValueError as exc:  # a term constructor rejected the value
+            raise QueryError(f"bad pattern triple {row!r}: {exc}")
     return Pattern(tuple(triples)), projection
 
 
@@ -272,7 +265,7 @@ def term_to_json(t: Term):
     out = {"lit": t.lexical}
     if t.lang:
         out["lang"] = t.lang
-    elif t.datatype and t.datatype.value != "http://www.w3.org/2001/XMLSchema#string":
+    elif t.datatype and t.datatype.value != XSD_STRING:
         out["datatype"] = t.datatype.value
     return out
 
@@ -311,10 +304,6 @@ class CompetencyQuestion:
     projection: tuple[Var, ...]
 
 
-def _d(case_id: str, slug: str) -> Iri:
-    return Iri(f"{DATA_NAMESPACE}{case_id}/{slug}")
-
-
 def cq_catalog() -> list[CompetencyQuestion]:
     def i(curie: str) -> Iri:
         return curie_to_iri(curie)
@@ -328,8 +317,8 @@ def cq_catalog() -> list[CompetencyQuestion]:
             "CQ1a", vb,
             "What is the relation between the act of weighting an empty balance "
             "and the weighing of Souls in the Last Judgement?",
-            Pattern(((_d(vb, "weighing-balance-event"), Var("rel"),
-                      _d(vb, "weighing-souls-event")),)),
+            Pattern(((data_iri(vb, "weighing-balance-event"), Var("rel"),
+                      data_iri(vb, "weighing-souls-event")),)),
             (Var("rel"),)),
         CompetencyQuestion(
             "CQ1b", vb,
@@ -342,7 +331,7 @@ def cq_catalog() -> list[CompetencyQuestion]:
             "What is the evidence of the relation between the artwork and the "
             "cultural phenomenon?",
             Pattern(((Var("recognition"), i("icon:assignsTo"),
-                      _d(vb, "woman-holding-balance-painting")),
+                      data_iri(vb, "woman-holding-balance-painting")),
                      (Var("recognition"),
                       Alt(i("cito:citesAsEvidence"), i("cito:obtainsBackgroundFrom")),
                       Var("evidence")))),
@@ -362,11 +351,11 @@ def cq_catalog() -> list[CompetencyQuestion]:
             "CQ3", np,
             "What is the symbolic meaning in common between the Neptune's statue, "
             "the iconographic source Quos Ego, and the text source of Virgil's work?",
-            Pattern(((_d(np, "giambologna-quos-ego-representation"),
+            Pattern(((data_iri(np, "giambologna-quos-ego-representation"),
                       i("icon:symbolizes"), Var("meaning")),
-                     (_d(np, "raimondi-quos-ego-representation"),
+                     (data_iri(np, "raimondi-quos-ego-representation"),
                       i("icon:symbolizes"), Var("meaning")),
-                     (_d(np, "aeneid-text"), i("crm:P165_incorporates"),
+                     (data_iri(np, "aeneid-text"), i("crm:P165_incorporates"),
                       Var("meaning")))),
             (Var("meaning"),)),
         CompetencyQuestion(

@@ -1,29 +1,30 @@
 """Forward-chaining materialization over an interpretation graph.
 
-Rules (all driven by the registry's alignment axioms):
+Rules (all driven by the registry's axioms):
   R1/R3  transitivity of asserted rdfs:subClassOf / rdfs:subPropertyOf
   R2/R4  instance/statement propagation along the hierarchy, both for
          registry axiom edges and for edges asserted in the graph
   R5     domain/range typing (off by default; the declarations are
          treated as validation constraints, not inference licenses)
-  R6     shortcut contraction: a recognition node assigning m to x
-         yields (x icon:symbolizes m), and additionally
-         (x icon:isDocumentOf m) when m is a cultural phenomenon
+  R6     shortcut contraction, interpreting the registry's shortcut
+         declarations: a node of a PathSpec's through class that links
+         x to m along its steps yields (x shortcut m)
 
 Evaluation is semi-naive: only newly derived triples re-fire rules.
 Shortcut *expansion* mints blank nodes and is deliberately not part of
-close(); it is the explicit authoring operation expand_shortcut().
+close(); expand_shortcut() performs it from the same declarations.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .graph import BlankNode, Graph, Iri, Literal, Term, Triple, union
 from .turtle_io import RDF_TYPE
-from .vocab import TermRegistry
+from .vocab import Direction, PathSpec, TermRegistry
 
 
 class ReasonerError(Exception):
@@ -39,9 +40,6 @@ class RuleSet:
     hierarchy: bool = True
     shortcut_contraction: bool = True
     domain_range_typing: bool = False
-
-    def any_enabled(self) -> bool:
-        return self.hierarchy or self.shortcut_contraction or self.domain_range_typing
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,8 @@ class _Engine:
         self.rules = rules
         self.sub_class_of = reg.iri("rdfs:subClassOf")
         self.sub_property_of = reg.iri("rdfs:subPropertyOf")
-        self.recognition = reg.iri("icon:IconologicalRecognition")
-        self.phenomenon = reg.iri("icon:CulturalPhenomenon")
-        self.assigns_to = reg.iri("icon:assignsTo")
-        self.assigned = reg.iri("icon:assigned")
-        self.symbolizes = reg.iri("icon:symbolizes")
-        self.is_document_of = reg.iri("icon:isDocumentOf")
+        self.shortcuts = [(_rule_id(prop), prop, spec) for prop, spec in reg.shortcuts()]
+        self.step_preds = {p for _, _, spec in self.shortcuts for p, _ in spec.steps}
         self.domains = {}
         self.ranges = {}
         for p, c in reg.domain_axioms():
@@ -95,6 +89,8 @@ class _Engine:
         self.by_pred: dict[Iri, set[tuple[Term, Term]]] = {}
         self.sub_c_edges: dict[Iri, set[Iri]] = {}     # asserted subclass triples
         self.sub_p_edges: dict[Iri, set[Iri]] = {}
+        # (node, step predicate, forward?) -> nodes one step away
+        self.ends: dict[tuple[Term, Iri, bool], set[Term]] = {}
 
     def run(self) -> ClosureGraph:
         queue: deque[Triple] = deque(self.base.sorted_triples())
@@ -126,6 +122,9 @@ class _Engine:
                 and isinstance(t.object, Iri)):
             self.sub_p_edges.setdefault(t.subject, set()).add(t.object)
         self.by_pred.setdefault(t.predicate, set()).add((t.subject, t.object))
+        if t.predicate in self.step_preds:
+            self.ends.setdefault((t.subject, t.predicate, True), set()).add(t.object)
+            self.ends.setdefault((t.object, t.predicate, False), set()).add(t.subject)
 
     def _consequences(self, t: Triple):
         out: list[tuple[Triple, Derivation]] = []
@@ -194,43 +193,51 @@ class _Engine:
 
     # -- R6 ---------------------------------------------------------------
 
-    def _recognitions_assigning(self, m: Term):
-        for (r, mm) in self.by_pred.get(self.assigned, set()):
-            if mm == m:
-                yield r
-
-    def _shortcut_for(self, r: Term):
-        """All R6 conclusions available for recognition node r right now."""
-        out = []
-        if self.recognition not in self.types.get(r, ()):
-            return out
-        rec_t = Triple(r, RDF_TYPE, self.recognition)
-        targets = [x for (rr, x) in self.by_pred.get(self.assigns_to, set()) if rr == r]
-        meanings = [m for (rr, m) in self.by_pred.get(self.assigned, set()) if rr == r]
-        for x in targets:
-            if isinstance(x, Literal):
-                continue
-            for m in meanings:
-                a_t = Triple(r, self.assigns_to, x)
-                b_t = Triple(r, self.assigned, m)
-                out.append((Triple(x, self.symbolizes, m),
-                            Derivation("R6-symbolizes", (rec_t, a_t, b_t))))
-                if self.phenomenon in self.types.get(m, ()):
-                    ph_t = Triple(m, RDF_TYPE, self.phenomenon)
-                    out.append((Triple(x, self.is_document_of, m),
-                                Derivation("R6-document", (rec_t, a_t, b_t, ph_t))))
-        return out
-
     def _shortcut(self, t: Triple):
         out = []
-        if t.predicate in (self.assigns_to, self.assigned):
-            out += self._shortcut_for(t.subject)
-        elif t.predicate == RDF_TYPE and t.object == self.recognition:
-            out += self._shortcut_for(t.subject)
-        elif t.predicate == RDF_TYPE and t.object == self.phenomenon:
-            for r in self._recognitions_assigning(t.subject):
-                out += self._shortcut_for(r)
+        for rule, prop, spec in self.shortcuts:
+            (p1, _), (p2, d2) = spec.steps
+            through = ()
+            if t.predicate in (p1, p2):
+                through = (t.subject, t.object)
+            elif t.predicate == RDF_TYPE and t.object == spec.through_class:
+                through = (t.subject,)
+            elif t.predicate == RDF_TYPE and t.object == spec.object_class:
+                through = self.ends.get((t.subject, p2, d2 is Direction.INVERSE), ())
+            for r in through:
+                out += self._contract(r, rule, prop, spec)
         return out
+
+    def _contract(self, r: Term, rule: str, prop: Iri, spec: PathSpec):
+        """All conclusions of one shortcut spec through node r right now."""
+        if spec.through_class not in self.types.get(r, ()):
+            return []
+        (p1, d1), (p2, d2) = spec.steps
+        through_t = Triple(r, RDF_TYPE, spec.through_class)
+        out = []
+        for x in self.ends.get((r, p1, d1 is Direction.INVERSE), ()):
+            if isinstance(x, Literal):
+                continue
+            for m in self.ends.get((r, p2, d2 is Direction.FORWARD), ()):
+                premises = (through_t, _step(x, p1, d1, r), _step(r, p2, d2, m))
+                if spec.object_class is not None:
+                    if spec.object_class not in self.types.get(m, ()):
+                        continue
+                    premises += (Triple(m, RDF_TYPE, spec.object_class),)
+                out.append((Triple(x, prop, m), Derivation(rule, premises)))
+        return out
+
+
+def _step(a: Term, p: Iri, d: Direction, b: Term) -> Triple:
+    """The triple that takes a path from a to b along step (p, d)."""
+    return Triple(a, p, b) if d is Direction.FORWARD else Triple(b, p, a)
+
+
+def _rule_id(prop: Iri) -> str:
+    """R6-<local name>, minus an is...Of wrapper: isDocumentOf -> R6-document."""
+    local = re.split(r"[/#]", prop.value)[-1]
+    wrapped = re.fullmatch(r"is([A-Z]\w*)Of", local)
+    return "R6-" + (wrapped.group(1).lower() if wrapped else local)
 
 
 def close(g: Graph, reg: TermRegistry, rules: Optional[RuleSet] = None) -> ClosureGraph:
@@ -242,20 +249,15 @@ def close(g: Graph, reg: TermRegistry, rules: Optional[RuleSet] = None) -> Closu
     return _Engine(g, reg, rules).run()
 
 
-def entails(g: Graph, reg: TermRegistry, rules: RuleSet, t: Triple) -> bool:
-    return t in close(g, reg, rules)
-
-
 def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,
                     actor: Optional[Iri] = None) -> Graph:
-    """Rewrite a shortcut triple into an explicit recognition node.
+    """Rewrite a shortcut triple into an explicit through node.
 
-    Returns a delta graph with a fresh blank recognition node; running
-    shortcut contraction over the delta re-derives t.
+    Returns a delta graph with a fresh blank node on the registry's path
+    for t's predicate; shortcut contraction over the delta re-derives t.
     """
-    symbolizes = reg.iri("icon:symbolizes")
-    is_document_of = reg.iri("icon:isDocumentOf")
-    if t.predicate not in (symbolizes, is_document_of):
+    spec = dict(reg.shortcuts()).get(t.predicate)
+    if spec is None:
         raise WrongPredicateError(
             f"cannot expand {t.predicate!r}: not a shortcut property")
     if t not in g:
@@ -265,12 +267,13 @@ def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,
     while f"r{n}" in used:
         n += 1
     r = BlankNode(f"r{n}")
+    (p1, d1), (p2, d2) = spec.steps
     delta = Graph()
-    delta.insert(Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")))
-    delta.insert(Triple(r, reg.iri("icon:assignsTo"), t.subject))
-    delta.insert(Triple(r, reg.iri("icon:assigned"), t.object))
-    if t.predicate == is_document_of:
-        delta.insert(Triple(t.object, RDF_TYPE, reg.iri("icon:CulturalPhenomenon")))
+    delta.insert(Triple(r, RDF_TYPE, spec.through_class))
+    delta.insert(_step(t.subject, p1, d1, r))
+    delta.insert(_step(r, p2, d2, t.object))
+    if spec.object_class is not None:
+        delta.insert(Triple(t.object, RDF_TYPE, spec.object_class))
     if actor is not None:
         delta.insert(Triple(r, reg.iri("crm:P14_carried_out_by"), actor))
     return delta.freeze()

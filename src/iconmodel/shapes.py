@@ -85,6 +85,15 @@ class ValidationEntry:
     message: str
 
 
+def focus_str(t: Term) -> str:
+    """A focus node as report text: IRI, _:label, or literal lexical form."""
+    if isinstance(t, BlankNode):
+        return f"_:{t.label}"
+    if isinstance(t, Literal):
+        return t.lexical
+    return t.value
+
+
 @dataclass
 class ValidationReport:
     conforms: bool
@@ -94,13 +103,6 @@ class ValidationReport:
         return [e for e in self.entries if e.severity is Severity.VIOLATION]
 
     def to_json(self) -> str:
-        def focus_str(t: Term) -> str:
-            if isinstance(t, BlankNode):
-                return f"_:{t.label}"
-            if isinstance(t, Literal):
-                return t.lexical
-            return t.value
-
         payload = {
             "conforms": self.conforms,
             "entries": [

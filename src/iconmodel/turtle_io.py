@@ -5,7 +5,9 @@ the "a" keyword, ";" predicate lists, "," object lists, labelled blank
 nodes, anonymous "[ ... ]" property lists, quoted string literals with
 \\" \\\\ \\n \\t escapes plus optional @lang or ^^datatype, and "#"
 comments. Everything else (collections, numeric/boolean shorthand,
-triple-quoted strings, quoted triples) is a hard parse error.
+triple-quoted strings, quoted triples, and the bare blank-node statement
+"[ ... ] ." with no predicate list after the brackets) is a hard parse
+error, and so is "[" nesting more than 100 deep.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import BlankNode, Graph, Iri, Literal, Term, Triple, term_key
+from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, term_key
 
 PrefixMap = dict[str, str]
 
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+
+_MAX_NESTING = 100  # keeps the recursive descent inside the recursion limit
 
 
 class ErrorKind(enum.Enum):
@@ -235,6 +239,9 @@ class _Parser:
         self.prefixes: PrefixMap = {}
         self.base = base
         self._anon = 0
+        self._depth = 0
+        # "[ ]" labels must not collide with any explicit "_:" label
+        self._explicit = {tok.value for tok in self.toks if tok.kind == "BLANK"}
 
     def _peek(self) -> _Token:
         return self.toks[self.i]
@@ -363,11 +370,18 @@ class _Parser:
 
     def _anon_node(self) -> BlankNode:
         opener = self._take()  # '['
+        if self._depth == _MAX_NESTING:
+            self._err(opener, f"'[' nested deeper than {_MAX_NESTING}",
+                      ErrorKind.UNEXPECTED_TOKEN)
         self._anon += 1
+        while f"b{self._anon}" in self._explicit:
+            self._anon += 1
         node = BlankNode(f"b{self._anon}")
         nxt = self._peek()
         if not (nxt.kind == "PUNCT" and nxt.value == "]"):
+            self._depth += 1
             self._predicate_object_list(node)
+            self._depth -= 1
         closer = self._take()
         if not (closer.kind == "PUNCT" and closer.value == "]"):
             self._err(closer, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
@@ -429,7 +443,7 @@ def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
     body = f'"{_escape(t.lexical)}"'
     if t.lang:
         return f"{body}@{t.lang}"
-    if t.datatype and t.datatype.value != "http://www.w3.org/2001/XMLSchema#string":
+    if t.datatype and t.datatype.value != XSD_STRING:
         return f"{body}^^{_render_term(t.datatype, by_ns)}"
     return body
 

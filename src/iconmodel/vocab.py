@@ -29,6 +29,11 @@ NAMESPACES: PrefixMap = {
 DATA_NAMESPACE = "https://w3id.org/icon/data/"
 
 
+def data_iri(case_id: str, slug: str) -> Iri:
+    """A node of a shipped case fixture."""
+    return Iri(f"{DATA_NAMESPACE}{case_id}/{slug}")
+
+
 class VocabError(Exception):
     pass
 
@@ -84,14 +89,18 @@ class Axiom:
     object: Union[Iri, PathSpec]
 
 
-def curie_to_iri(curie: str) -> Iri:
+def expand_curie(curie: str, prefixes: PrefixMap) -> Iri:
     if ":" not in curie:
         raise BadCurieError(f"not a CURIE: {curie!r}")
     prefix, local = curie.split(":", 1)
-    ns = NAMESPACES.get(prefix)
+    ns = prefixes.get(prefix)
     if ns is None:
         raise UnknownTermError(f"unknown prefix {prefix!r}")
     return Iri(ns + local)
+
+
+def curie_to_iri(curie: str) -> Iri:
+    return expand_curie(curie, NAMESPACES)
 
 
 _C = TermKind.CLASS
@@ -220,6 +229,8 @@ class TermRegistry:
             if isinstance(a.object, Iri):
                 operands.append(a.object)
             else:
+                if len(a.object.steps) != 2:
+                    raise VocabError(f"shortcut path must have two steps: {a}")
                 operands.extend(p for p, _ in a.object.steps)
                 operands.append(a.object.through_class)
                 if a.object.object_class:

@@ -8,11 +8,12 @@ and the library as the correctness criterion.
 
 from __future__ import annotations
 
+from iconmodel.casebook import InterpretationLevel
 from iconmodel.graph import Graph, Iri, Literal, Term, Triple
 from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
 from iconmodel.turtle_io import RDF_TYPE
-from iconmodel.vocab import AxiomKind, TermRegistry
+from iconmodel.vocab import AxiomKind, TermRegistry, curie_to_iri
 
 
 def naive_close(base: Graph, reg: TermRegistry, rules: RuleSet) -> set[Triple]:
@@ -88,6 +89,38 @@ def naive_close(base: Graph, reg: TermRegistry, rules: RuleSet) -> set[Triple]:
         if new <= out:
             return out
         out |= new
+
+
+def oracle_level_of(triples: set[Triple], node: Term) -> InterpretationLevel:
+    """The four-level classifier with its recognition rules written out
+    for the shipped vocabulary, scanning the whole triple set each time."""
+    phenomenon = curie_to_iri("icon:CulturalPhenomenon")
+    recognition = curie_to_iri("icon:IconologicalRecognition")
+    assigned = curie_to_iri("icon:assigned")
+    e28 = curie_to_iri("crm:E28_Conceptual_Object")
+
+    def types_of(n: Term) -> set[Term]:
+        return {t.object for t in triples if t.subject == n and t.predicate == RDF_TYPE}
+
+    types = types_of(node)
+    meanings = {t.object for t in triples if t.subject == node and t.predicate == assigned}
+    if phenomenon in types:
+        return InterpretationLevel.LEV4
+    if recognition in types and any(phenomenon in types_of(m) for m in meanings):
+        return InterpretationLevel.LEV4
+    is_assigned_object = any(t.predicate == assigned and t.object == node for t in triples)
+    if e28 in types and is_assigned_object:
+        return InterpretationLevel.LEV3
+    if recognition in types and any(phenomenon not in types_of(m) and e28 in types_of(m)
+                                    for m in meanings):
+        return InterpretationLevel.LEV3
+    lev2 = ("vir:IC9_Representation", "vir:IC10_Attribute", "vir:IC11_Personification",
+            "vir:IC16_Character", "vir:IC12_Visual_Recognition")
+    if any(curie_to_iri(c) in types for c in lev2):
+        return InterpretationLevel.LEV2
+    if curie_to_iri("vir:IC1_Iconographical_Atom") in types:
+        return InterpretationLevel.LEV1
+    return InterpretationLevel.UNCLASSIFIED
 
 
 def oracle_path_pairs(triples: set[Triple], path) -> set[tuple[Term, Term]]:

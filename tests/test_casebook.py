@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from iconmodel.casebook import (InterpretationLevel, NodeAbsentError,
@@ -10,7 +12,8 @@ from iconmodel.shapes import default_shapes, validate
 from iconmodel.turtle_io import RDF_TYPE
 from iconmodel.vocab import DATA_NAMESPACE
 
-from conftest import CASE_IDS
+from conftest import CASE_IDS, registry_random_graph
+from oracles import oracle_level_of
 
 
 def d(case_id, slug):
@@ -136,6 +139,23 @@ class TestLevels:
             assert InterpretationLevel.LEV2 in levels, case_id
             assert levels & {InterpretationLevel.LEV3,
                              InterpretationLevel.LEV4}, case_id
+
+    def test_matches_oracle_on_every_fixture_term(self, case_closures):
+        for closure in case_closures.values():
+            g = closure.graph()
+            triples = set(g)
+            for node in g.terms():
+                assert level_of(closure, node) is oracle_level_of(triples, node), node
+
+    def test_matches_oracle_on_random_graphs(self, reg):
+        # the same draws as the reasoner's naive-oracle test
+        rng = random.Random(1105)
+        for _ in range(40):
+            g = registry_random_graph(rng, reg)
+            closure = close(g, reg, RuleSet(domain_range_typing=rng.random() < 0.3))
+            triples = set(closure.graph())
+            for node in closure.graph().terms():
+                assert level_of(closure, node) is oracle_level_of(triples, node), node
 
     def test_phenomenon_beats_concept_tiebreak(self, reg):
         # a node typed both E28 and CulturalPhenomenon lands on Lev4

@@ -47,6 +47,12 @@ class TestParse:
         code, out, err = run(capsys, "parse", str(bad))
         assert code == 2 and "line 2" in err and "col" in err
 
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.ttl"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+        code, out, err = run(capsys, "parse", str(bad))
+        assert code == 2 and err.startswith("icon:") and "Traceback" not in err
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(
             "@prefix ex: <http://example.org/> .\nex:s ex:p ex:o .\n"))
@@ -151,6 +157,20 @@ class TestQuery:
         code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
                              str(pattern))
         assert code == 2
+
+    def test_non_utf8_pattern_is_exit_2(self, capsys, tmp_path, fixture_path):
+        pattern = tmp_path / "q.json"
+        pattern.write_bytes(b'{"select": ["?s"], "where": [["?s", "?p", "\xff"]]}')
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
+                             str(pattern))
+        assert code == 2 and err.startswith("icon:") and "Traceback" not in err
+
+    def test_unlabelled_blank_node_is_exit_2(self, capsys, tmp_path, fixture_path):
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": ["?p"], "where": [["_:", "?p", "?o"]]}))
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
+                             str(pattern))
+        assert code == 2 and err.startswith("icon:") and "Traceback" not in err
 
 
 class TestCq:

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iconmodel.graph import BlankNode, Graph, Iri, Triple, union
-from iconmodel.reasoner import (ReasonerError, RuleSet, WrongPredicateError,
-                                close, entails, expand_shortcut)
+from iconmodel.reasoner import (Derivation, ReasonerError, RuleSet,
+                                WrongPredicateError, close, expand_shortcut)
 from iconmodel.turtle_io import RDF_TYPE
+from iconmodel.vocab import (Axiom, AxiomKind, Direction, PathSpec, TermKind,
+                             TermRegistry, VocabTerm, curie_to_iri)
 
 from conftest import registry_random_graph
 from oracles import naive_close
@@ -82,6 +84,20 @@ class TestShortcutContraction:
         # and the hierarchy lifts it to the generic depiction property
         assert Triple(d("artwork"), reg.iri("crm:P62_depicts"), d("meaning")) in c
 
+    def test_derivations_name_rule_and_premises(self, reg):
+        # "z-meaning" sorts last, so its phenomenon typing arrives after
+        # the recognition's edges and must re-trigger contraction
+        rec, ph = reg.iri("icon:IconologicalRecognition"), reg.iri("icon:CulturalPhenomenon")
+        rec_t = Triple(d("r"), RDF_TYPE, rec)
+        a_t = Triple(d("r"), reg.iri("icon:assignsTo"), d("artwork"))
+        b_t = Triple(d("r"), reg.iri("icon:assigned"), d("z-meaning"))
+        ph_t = Triple(d("z-meaning"), RDF_TYPE, ph)
+        c = close(Graph([rec_t, a_t, b_t, ph_t]).freeze(), reg)
+        sym = Triple(d("artwork"), reg.iri("icon:symbolizes"), d("z-meaning"))
+        doc = Triple(d("artwork"), reg.iri("icon:isDocumentOf"), d("z-meaning"))
+        assert c.provenance[sym] == Derivation("R6-symbolizes", (rec_t, a_t, b_t))
+        assert c.provenance[doc] == Derivation("R6-document", (rec_t, a_t, b_t, ph_t))
+
     def test_untyped_node_is_no_recognition(self, reg):
         g = Graph([Triple(d("r"), reg.iri("icon:assignsTo"), d("a")),
                    Triple(d("r"), reg.iri("icon:assigned"), d("m"))]).freeze()
@@ -128,10 +144,9 @@ class TestClosureShape:
 
     def test_entails(self, reg):
         g = recognition_graph(reg)
-        assert entails(g, reg, RuleSet(),
-                       Triple(d("artwork"), reg.iri("icon:symbolizes"), d("meaning")))
-        assert not entails(g, reg, RuleSet(),
-                           Triple(d("artwork"), reg.iri("icon:symbolizes"), d("other")))
+        c = close(g, reg, RuleSet())
+        assert Triple(d("artwork"), reg.iri("icon:symbolizes"), d("meaning")) in c
+        assert Triple(d("artwork"), reg.iri("icon:symbolizes"), d("other")) not in c
 
 
 class TestAgainstNaiveOracle:
@@ -221,3 +236,34 @@ class TestExpandShortcut:
                     assert t in close(delta, reg)
                     seen += 1
         assert seen > 0
+
+
+class TestDeclaredShortcut:
+    """A shortcut term added to the registry works with no library change."""
+
+    @pytest.mark.parametrize("local,steps,subject,obj", [
+        ("evokes", (("icon:assignsTo", Direction.INVERSE),
+                    ("icon:assigned", Direction.FORWARD)), "artwork", "meaning"),
+        ("evokedBy", (("icon:assigned", Direction.INVERSE),
+                      ("icon:assignsTo", Direction.FORWARD)), "meaning", "artwork"),
+    ])
+    def test_close_and_expand_read_the_declaration(self, reg, local, steps,
+                                                   subject, obj):
+        prop = curie_to_iri(f"icon:{local}")
+        term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, "icon", local)
+        e28 = reg.iri("crm:E28_Conceptual_Object")
+        spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps),
+                        reg.iri("icon:IconologicalRecognition"), object_class=e28)
+        extended = TermRegistry(list(reg.terms) + [term],
+                                list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)],
+                                reg.prefixes)
+        t = Triple(d(subject), prop, d(obj))
+        plain = recognition_graph(reg)
+        assert t not in close(plain, extended)  # the object class is required
+        g = union(plain, Graph([Triple(d(obj), RDF_TYPE, e28)]).freeze())
+        c = close(g, extended)
+        assert t in c and c.provenance[t].rule == f"R6-{local}"
+        assert t not in close(g, reg)
+        delta = expand_shortcut(c.graph(), t, extended)
+        assert Triple(d(obj), RDF_TYPE, e28) in delta
+        assert t in close(delta, extended)

@@ -42,6 +42,14 @@ class TestParseBasics:
         r = parse_turtle(EX + "ex:s ex:p [ ex:q ex:o ] .\nex:s ex:p [] .")
         assert r.graph.blank_labels() == {"b1", "b2"}
 
+    def test_anonymous_labels_skip_explicit_ones(self):
+        r = parse_turtle(EX + "_:b1 ex:p ex:x . [ ex:q ex:y ] ex:r ex:z .")
+        [explicit] = r.graph.match(p=Iri("http://example.org/p"))
+        [anon] = r.graph.match(p=Iri("http://example.org/r"))
+        assert explicit.subject == BlankNode("b1")
+        assert anon.subject != explicit.subject
+        assert r.graph.match(s=anon.subject, p=Iri("http://example.org/q"))
+
     def test_string_escapes(self):
         r = parse_turtle(EX + 'ex:s ex:p "a\\"b\\\\c\\nd\\te" .')
         [t] = list(r.graph)
@@ -113,6 +121,13 @@ class TestParseErrors:
     def test_triple_quotes_rejected(self):
         e = self.err(EX + 'ex:s ex:p """long""" .')
         assert e.kind is ErrorKind.UNEXPECTED_TOKEN
+
+    def test_deep_nesting_is_a_parse_error(self):
+        doc = EX + "ex:s ex:p " + "[ ex:p " * 3000 + "ex:o" + " ]" * 3000 + " ."
+        with pytest.raises(ParseError) as info:
+            parse_turtle(doc)
+        # the 101st "[" is the first one past the limit
+        assert (info.value.line, info.value.column) == (2, 11 + 100 * len("[ ex:p "))
 
     def test_error_carries_position(self):
         e = self.err(EX + "ex:s ex:p %bad .")
