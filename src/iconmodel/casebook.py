@@ -120,7 +120,7 @@ def level_of(closure: ClosureGraph, node: Term) -> InterpretationLevel:
     the closed graph.
     """
     g = closure.graph()
-    if node not in g.terms():
+    if not g.has_term(node):
         raise NodeAbsentError(f"node {node!r} does not occur in the graph")
 
     def types_of(n: Term) -> set[Term]:

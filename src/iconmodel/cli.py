@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .casebook import UnknownCaseError, case_document, list_cases, load_case
+from .graph import GraphError
 from .query import (QueryError, UnknownQuestionError, cq_catalog, evaluate,
                     find_cq, pattern_from_json, run_cq, solutions_to_json)
 from .reasoner import RuleSet, close
@@ -135,7 +136,12 @@ def cmd_infer(args) -> int:
         out = closure.graph()
     prefixes = dict(NAMESPACES)
     prefixes.update(result.prefixes)
-    sys.stdout.write(serialize_turtle(out, prefixes))
+    try:
+        text = serialize_turtle(out, prefixes)
+    except GraphError as exc:
+        _err(f"{args.path}: {exc}")
+        return EXIT_ERROR
+    sys.stdout.write(text)
     return EXIT_OK
 
 

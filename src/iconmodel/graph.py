@@ -1,8 +1,9 @@
 """RDF-style terms, triples, and an indexed in-memory graph.
 
 Graphs are append-only while being built and are frozen before any
-query runs on them. All derived graphs (unions, closures) are new
-values, so a frozen graph can be shared freely between threads.
+query runs on them. A union is a new graph; a closure builds its store
+once and hands out that same frozen graph on every call. Nothing
+mutates a frozen graph, so it can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class FrozenGraphError(GraphError):
     """Raised on any attempt to mutate a frozen graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
@@ -33,7 +34,7 @@ class Iri:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
 
@@ -45,7 +46,7 @@ class BlankNode:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lexical: str
     datatype: Optional[Iri] = None
@@ -54,6 +55,8 @@ class Literal:
     def __post_init__(self):
         if self.lang is not None and self.datatype is not None:
             raise ValueError("literal cannot carry both a language tag and a datatype")
+        if self.lang == "":
+            raise ValueError("language tag must be non-empty")
         if self.lang is not None:
             object.__setattr__(self, "lang", self.lang.lower())
         elif self.datatype is None:
@@ -78,7 +81,7 @@ def term_key(t: Term) -> tuple:
     return (2, t.lexical, t.lang or "", t.datatype.value if t.datatype else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Union[Iri, BlankNode]
     predicate: Iri
@@ -175,8 +178,15 @@ class Graph:
             out.add(t.object)
         return out
 
+    def has_term(self, x: Term) -> bool:
+        """True iff x occurs as a subject, predicate or object; a literal's
+        datatype IRI does not count, as in terms()."""
+        return x in self._by_s or x in self._by_p or x in self._by_o
+
     def blank_labels(self) -> set[str]:
-        return {x.label for x in self.terms() if isinstance(x, BlankNode)}
+        # blank nodes never occur as predicates
+        return {x.label for keys in (self._by_s, self._by_o) for x in keys
+                if isinstance(x, BlankNode)}
 
     def sorted_triples(self) -> list[Triple]:
         return sorted(self._triples, key=triple_key)
@@ -232,7 +242,11 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return False
 
-    candidates = {x: [y for y in bnodes_b if sig_b[y] == sig_a[x]] for x in bnodes_a}
+    # one shared candidate list per signature, in bnodes_b order
+    by_sig: dict[tuple, list[str]] = {}
+    for y in bnodes_b:
+        by_sig.setdefault(sig_b[y], []).append(y)
+    candidates = {x: by_sig[sig_a[x]] for x in bnodes_a}
     order = sorted(bnodes_a, key=lambda x: len(candidates[x]))
 
     def rename(t: Triple, mapping: dict[str, str]) -> Triple:
@@ -241,27 +255,50 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         return Triple(s, t.predicate, o)
 
     bset = set(b)
+    # the triples touching each blank node, with the labels they need mapped
+    touching = {x: [(t, {n.label for n in (t.subject, t.object)
+                         if isinstance(n, BlankNode)})
+                    for t in a.match(s=BlankNode(x)) | a.match(o=BlankNode(x))]
+                for x in bnodes_a}
 
-    def backtrack(i: int, mapping: dict[str, str], used: set[str]) -> bool:
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+
+    def consistent(x: str) -> bool:
+        """Every triple at x whose blank nodes are all mapped exists in b."""
+        return all(not labels <= mapping.keys() or rename(t, mapping) in bset
+                   for t, labels in touching[x])
+
+    # Depth-first search with an explicit stack, so a long chain of blank
+    # nodes cannot exhaust the recursion limit. next_try[i] is the index
+    # of the next candidate to try for order[i].
+    next_try = [0]
+    while next_try:
+        i = len(next_try) - 1
         if i == len(order):
-            return all(rename(t, mapping) in bset for t in a if not _ground(t))
+            if all(rename(t, mapping) in bset for t in a if not _ground(t)):
+                return True
+            next_try.pop()
+            continue
         x = order[i]
-        for y in candidates[x]:
+        if x in mapping:  # back from a failed deeper level: retract x
+            used.discard(mapping.pop(x))
+        cands = candidates[x]
+        j = next_try[i]
+        while j < len(cands):
+            y = cands[j]
+            j += 1
             if y in used:
                 continue
             mapping[x] = y
             used.add(y)
-            # prune: every triple fully mapped so far must exist in b
-            ok = True
-            for t in a.match(s=BlankNode(x)) | a.match(o=BlankNode(x)):
-                labels = {n.label for n in (t.subject, t.object) if isinstance(n, BlankNode)}
-                if labels <= mapping.keys() and rename(t, mapping) not in bset:
-                    ok = False
-                    break
-            if ok and backtrack(i + 1, mapping, used):
-                return True
+            if consistent(x):
+                break
             del mapping[x]
             used.discard(y)
-        return False
-
-    return backtrack(0, {}, set())
+        next_try[i] = j
+        if x in mapping:
+            next_try.append(0)
+        else:
+            next_try.pop()
+    return False

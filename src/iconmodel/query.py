@@ -184,8 +184,11 @@ def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solut
 def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
     if isinstance(value, dict):
         if "lit" in value:
-            dt = value.get("datatype")
-            return Literal(value["lit"], lang=value.get("lang"),
+            lit, lang, dt = value["lit"], value.get("lang"), value.get("datatype")
+            if not (isinstance(lit, str) and isinstance(lang, (str, type(None)))
+                    and isinstance(dt, (str, type(None)))):
+                raise QueryError(f"bad literal {value!r}")
+            return Literal(lit, lang=lang,
                            datatype=_resolve(dt, prefixes) if dt else None)
         raise QueryError(f"bad term object {value!r}")
     if not isinstance(value, str):
@@ -222,6 +225,8 @@ def _path_from_json(value, prefixes: PrefixMap):
             return Plus(_path_from_json(value["plus"], prefixes))
         for key, node, parts_name in (("seq", Seq, "steps"), ("alt", Alt, "branches")):
             if key in value:
+                if not isinstance(value[key], list):
+                    raise QueryError(f"{key} needs a list of {parts_name}")
                 parts = [_path_from_json(v, prefixes) for v in value[key]]
                 if len(parts) < 2:
                     raise QueryError(f"{key} needs at least two {parts_name}")
@@ -239,6 +244,8 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
         where = doc["where"]
     except (TypeError, KeyError):
         raise QueryError('pattern JSON needs "select" and "where" keys')
+    if not (isinstance(select, list) and isinstance(where, list)):
+        raise QueryError('"select" and "where" must be lists')
     projection = []
     for v in select:
         if not (isinstance(v, str) and v.startswith("?")):

@@ -53,15 +53,22 @@ class ClosureGraph:
     base: Graph
     inferred: Graph
     provenance: dict[Triple, Derivation] = field(default_factory=dict)
+    _store: Graph = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._store = union(self.base, self.inferred)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self.base or t in self.inferred
+        return t in self._store
 
     def graph(self) -> Graph:
-        return union(self.base, self.inferred)
+        """The closure's one shared frozen store of base and inferred
+        triples, built when the closure was made: every call returns the
+        same graph, without copying."""
+        return self._store
 
     def __len__(self) -> int:
-        return len(self.base) + len(self.inferred)
+        return len(self._store)
 
 
 class _Engine:
@@ -92,7 +99,7 @@ class _Engine:
         # (node, step predicate, forward?) -> nodes one step away
         self.ends: dict[tuple[Term, Iri, bool], set[Term]] = {}
 
-    def run(self) -> ClosureGraph:
+    def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
         queue: deque[Triple] = deque(self.base.sorted_triples())
         enqueued: set[Triple] = set(queue)
         while queue:
@@ -109,7 +116,7 @@ class _Engine:
                     self.inferred.insert(derived)
                 enqueued.add(derived)
                 queue.append(derived)
-        return ClosureGraph(self.base, self.inferred.freeze(), self.provenance)
+        return self.inferred.freeze(), self.provenance
 
     def _index(self, t: Triple):
         if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
@@ -246,7 +253,9 @@ def close(g: Graph, reg: TermRegistry, rules: Optional[RuleSet] = None) -> Closu
         rules = RuleSet()
     if not g.frozen:
         raise ReasonerError("close() requires a frozen graph")
-    return _Engine(g, reg, rules).run()
+    # the engine's working state is freed before the store is built
+    inferred, provenance = _Engine(g, reg, rules).run()
+    return ClosureGraph(g, inferred, provenance)
 
 
 def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,

@@ -16,7 +16,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, term_key
+from .graph import (XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal, Term,
+                    Triple, term_key)
 
 PrefixMap = dict[str, str]
 
@@ -53,6 +54,18 @@ class ParseResult:
 # tokenizer
 
 _PN_LOCAL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+# characters that end or break an <IRIREF>
+_IRI_STOP = frozenset(' \t\r\n<>"{}|^`')
+_KEYWORDS = ("prefix", "base")  # the words after "@" that are not language tags
+
+
+def _name_char(c: str) -> bool:
+    """Can c continue a blank-node label, language tag or prefix label?"""
+    return c != "" and (c.isalnum() or c in "_-")
+
+
+def _is_name(s: str) -> bool:
+    return s != "" and all(map(_name_char, s))
 
 
 @dataclass
@@ -129,7 +142,7 @@ class _Lexer:
         if c == "@":
             self._advance()
             word = self._name_chars()
-            if word in ("prefix", "base"):
+            if word in _KEYWORDS:
                 return _Token("KEYWORD", "@" + word, line, col)
             if word:
                 return _Token("LANG", word, line, col)
@@ -162,7 +175,7 @@ class _Lexer:
         out = []
         while True:
             c = self._peek()
-            if c.isalnum() or c in "_-":
+            if _name_char(c):
                 out.append(c)
                 self._advance()
             else:
@@ -196,7 +209,7 @@ class _Lexer:
             if c == ">":
                 self._advance()
                 return _Token("IRIREF", "".join(out), line, col)
-            if c == "" or c in " \t\r\n<\"{}|^`":
+            if c == "" or c in _IRI_STOP:
                 self._err("unterminated or malformed IRI", ErrorKind.BAD_IRI, line, col)
             out.append(c)
             self._advance()
@@ -419,7 +432,8 @@ def _escape(s: str) -> str:
 
 
 def _valid_local(local: str) -> bool:
-    if local and local[-1] == ".":
+    # the lexer ends a local name at a "." that no name character follows
+    if local.endswith(".") or ".." in local:
         return False
     return all(c in _PN_LOCAL_CHARS for c in local)
 
@@ -434,14 +448,27 @@ def _contract(iri: Iri, by_ns: list[tuple[str, str]]) -> Optional[str]:
     return None
 
 
+def _unreadable(what) -> GraphError:
+    return GraphError(f"cannot serialize {what}: the Turtle reader would not "
+                      "read it back")
+
+
 def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
     if isinstance(t, Iri):
         curie = _contract(t, by_ns)
-        return curie if curie is not None else f"<{t.value}>"
+        if curie is not None:
+            return curie
+        if not _IRI_STOP.isdisjoint(t.value):
+            raise _unreadable(repr(t))
+        return f"<{t.value}>"
     if isinstance(t, BlankNode):
+        if not _is_name(t.label):
+            raise _unreadable(repr(t))
         return f"_:{t.label}"
     body = f'"{_escape(t.lexical)}"'
     if t.lang:
+        if not _is_name(t.lang) or t.lang in _KEYWORDS:
+            raise _unreadable(repr(t))
         return f"{body}@{t.lang}"
     if t.datatype and t.datatype.value != XSD_STRING:
         return f"{body}^^{_render_term(t.datatype, by_ns)}"
@@ -450,7 +477,18 @@ def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
 
 def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
     """Deterministic Turtle: prefixes sorted by label, subjects sorted by
-    term order, predicates and objects sorted within each subject block."""
+    term order, predicates and objects sorted within each subject block.
+
+    parse_turtle reads the output back to an isomorphic graph. A term or
+    prefix it could not read back raises GraphError naming it.
+    """
+    for label, ns in prefixes.items():
+        # "_:" starts a blank node; a label must lex as one PNAME prefix
+        readable_label = label == "" or (
+            (label[0].isalpha() or label[0] == "_") and label != "_"
+            and _is_name(label))
+        if not readable_label or not _IRI_STOP.isdisjoint(ns):
+            raise _unreadable(f"prefix {label}: <{ns}>")
     by_ns = sorted(((ns, label) for label, ns in prefixes.items()),
                    key=lambda x: (-len(x[0]), x[1]))
     lines = [f"@prefix {label}: <{ns}> ." for label, ns in sorted(prefixes.items())]

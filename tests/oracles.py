@@ -8,8 +8,10 @@ and the library as the correctness criterion.
 
 from __future__ import annotations
 
+import itertools
+
 from iconmodel.casebook import InterpretationLevel
-from iconmodel.graph import Graph, Iri, Literal, Term, Triple
+from iconmodel.graph import BlankNode, Graph, Iri, Literal, Term, Triple
 from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
 from iconmodel.turtle_io import RDF_TYPE
@@ -121,6 +123,27 @@ def oracle_level_of(triples: set[Triple], node: Term) -> InterpretationLevel:
     if curie_to_iri("vir:IC1_Iconographical_Atom") in types:
         return InterpretationLevel.LEV1
     return InterpretationLevel.UNCLASSIFIED
+
+
+def oracle_isomorphic(a: Graph, b: Graph) -> bool:
+    """Try every bijection between the blank-node labels of a and b."""
+    def labels(g):
+        return sorted({n.label for t in g for n in (t.subject, t.object)
+                       if isinstance(n, BlankNode)})
+
+    la, lb = labels(a), labels(b)
+    if len(la) != len(lb):
+        return False
+    target = set(b)
+    for image in itertools.permutations(lb):
+        m = dict(zip(la, image))
+
+        def rename(n):
+            return BlankNode(m[n.label]) if isinstance(n, BlankNode) else n
+
+        if {Triple(rename(t.subject), t.predicate, rename(t.object)) for t in a} == target:
+            return True
+    return False
 
 
 def oracle_path_pairs(triples: set[Triple], path) -> set[tuple[Term, Term]]:

@@ -123,6 +123,17 @@ class TestLevels:
         with pytest.raises(NodeAbsentError):
             level_of(case_closures["laocoon"], Iri("http://example.org/ghost"))
 
+    def test_datatype_iri_is_absent_and_predicate_is_present(self, reg):
+        from iconmodel.graph import Graph, Literal, Triple
+        dt = Iri(DATA_NAMESPACE + "test/datatype")
+        p = Iri(DATA_NAMESPACE + "test/p")
+        n = Iri(DATA_NAMESPACE + "test/n")
+        closure = close(Graph([Triple(n, p, Literal("1", datatype=dt))]).freeze(),
+                        reg)
+        with pytest.raises(NodeAbsentError):
+            level_of(closure, dt)
+        assert level_of(closure, p) is InterpretationLevel.UNCLASSIFIED
+
     def test_total_over_iri_nodes(self, case_closures):
         for closure in case_closures.values():
             g = closure.graph()

@@ -128,6 +128,14 @@ class TestInfer:
                              "--rules", "hierarchy,magic")
         assert code == 2 and "magic" in err
 
+    def test_unwritable_language_tag_is_exit_2(self, capsys, tmp_path):
+        # "İ" lower-cases to "i" plus a combining dot, which no tag can hold
+        doc = tmp_path / "tag.ttl"
+        doc.write_text('<http://e/s> <http://e/p> "x"@\u0130 .\n', "utf-8")
+        code, out, err = run(capsys, "infer", str(doc))
+        assert code == 2 and err.startswith("icon:") and "Traceback" not in err
+        assert out == ""
+
     def test_shortcuts_only(self, capsys, fixture_path):
         code, out, err = run(capsys, "infer", fixture_path("vermeer-balance.ttl"),
                              "--rules", "shortcuts", "--emit", "inferred")
@@ -168,6 +176,23 @@ class TestQuery:
     def test_unlabelled_blank_node_is_exit_2(self, capsys, tmp_path, fixture_path):
         pattern = tmp_path / "q.json"
         pattern.write_text(json.dumps({"select": ["?p"], "where": [["_:", "?p", "?o"]]}))
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
+                             str(pattern))
+        assert code == 2 and err.startswith("icon:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"select": 5, "where": []},
+        {"select": ["?s"], "where": 5},
+        {"select": ["?s"], "where": [["?s", {"seq": 5}, "?o"]]},
+        {"select": ["?s"], "where": [["?s", {"alt": 5}, "?o"]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": 5}]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "lang": 5}]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "datatype": 5}]]},
+    ])
+    def test_malformed_pattern_part_is_exit_2(self, capsys, tmp_path, fixture_path,
+                                              doc):
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps(doc))
         code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
                              str(pattern))
         assert code == 2 and err.startswith("icon:") and "Traceback" not in err

@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from iconmodel.graph import (BlankNode, FrozenGraphError, Graph, Iri, Literal,
                              Triple, XSD_STRING, isomorphic, term_key, union)
+
+from oracles import oracle_isomorphic
 
 EX = "http://example.org/"
 
@@ -32,6 +34,10 @@ class TestTerms:
 
     def test_plain_literal_defaults_to_xsd_string(self):
         assert Literal("x").datatype == Iri(XSD_STRING)
+
+    def test_empty_language_tag_rejected(self):
+        with pytest.raises(ValueError):
+            Literal("x", lang="")
 
     def test_language_tag_is_case_normalized(self):
         assert Literal("x", lang="EN") == Literal("x", lang="en")
@@ -116,6 +122,23 @@ class TestIsomorphism:
                    t(BlankNode("x"), iri("p"), Literal("2"))]).freeze()
         assert isomorphic(a, b)
 
+    def test_wrong_first_choice_backtracks(self):
+        # every node has the same signature; mapping u onto b's 3-cycle
+        # passes the local check, and only v's failure shows it is wrong
+        def graph(edges):
+            return Graph(t(BlankNode(x), iri("p"), BlankNode(y))
+                         for x, y in edges).freeze()
+
+        a = graph(["uv", "vu", "wx", "xy", "yw"])
+        b = graph(["xy", "yx", "uv", "vw", "wu"])
+        assert isomorphic(a, b) and isomorphic(b, a)
+        assert not isomorphic(a, graph(["uv", "vw", "wx", "xy", "yu"]))
+
+    def test_long_blank_chain_does_not_recurse(self):
+        chain = [BlankNode(f"n{i}") for i in range(3000)]
+        g = Graph(t(x, iri("next"), y) for x, y in zip(chain, chain[1:])).freeze()
+        assert isomorphic(g, g)
+
 
 iris = st.sampled_from([Iri(EX + n) for n in "abcdef"])
 blanks = st.sampled_from([BlankNode(n) for n in "xyz"])
@@ -147,3 +170,45 @@ def test_graph_is_a_set_of_triples(ts):
 def test_union_commutes_up_to_set_equality(ts1, ts2):
     a, b = Graph(ts1).freeze(), Graph(ts2).freeze()
     assert set(union(a, b)) == set(union(b, a)) == set(ts1) | set(ts2)
+
+
+datatyped = st.sampled_from([Literal("3", datatype=Iri(EX + "a")),
+                             Literal("4", datatype=Iri(EX + "g"))])
+
+
+@given(st.lists(st.builds(Triple, subjects, iris,
+                          st.one_of(objects, datatyped)), max_size=25))
+def test_has_term_and_blank_labels_agree_with_terms(ts):
+    g = Graph(ts).freeze()
+    terms = g.terms()
+    probes = {x for u in ts for x in (u.subject, u.predicate, u.object)}
+    probes |= {u.object.datatype for u in ts if isinstance(u.object, Literal)}
+    probes |= {iri("absent"), BlankNode("absent"), Literal("absent")}
+    for x in probes:
+        assert g.has_term(x) == (x in terms), x
+    assert g.blank_labels() == {x.label for x in terms if isinstance(x, BlankNode)}
+
+
+# Few predicates and many blank nodes, so that signatures tie and the
+# search has to backtrack.
+six_blanks = st.sampled_from([BlankNode(n) for n in "uvwxyz"])
+blank_triples = st.builds(Triple, st.one_of(six_blanks, st.just(iri("a"))),
+                          st.sampled_from([iri("p"), iri("q")]),
+                          st.one_of(six_blanks, st.just(iri("a"))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(blank_triples, max_size=12), st.lists(blank_triples, max_size=12),
+       st.permutations("uvwxyz"))
+def test_isomorphic_agrees_with_oracle(ts1, ts2, image):
+    relabel = dict(zip("uvwxyz", image))
+
+    def rename(n):
+        return BlankNode(relabel[n.label]) if isinstance(n, BlankNode) else n
+
+    a = Graph(ts1).freeze()
+    renamed = Graph(Triple(rename(u.subject), u.predicate, rename(u.object))
+                    for u in ts1).freeze()
+    assert isomorphic(a, renamed)
+    b = Graph(ts2).freeze()
+    assert isomorphic(a, b) == oracle_isomorphic(a, b)

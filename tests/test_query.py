@@ -196,6 +196,19 @@ class TestJsonFormats:
         with pytest.raises(QueryError):
             pattern_from_json({"select": [], "where": [["?x", "?p"]]})
 
+    @pytest.mark.parametrize("doc", [
+        {"select": 5, "where": []},
+        {"select": ["?s"], "where": 5},
+        {"select": ["?s"], "where": [["?s", {"seq": 5}, "?o"]]},
+        {"select": ["?s"], "where": [["?s", {"alt": 5}, "?o"]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": 5}]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "lang": 5}]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "datatype": 5}]]},
+    ])
+    def test_malformed_parts_are_query_errors(self, doc):
+        with pytest.raises(QueryError):
+            pattern_from_json(doc)
+
     def test_solutions_round_trip(self):
         solutions = {Solution.of({"x": e("a"), "y": Literal("v", lang="en")}),
                      Solution.of({"x": e("b"), "y": Literal("w")})}

@@ -133,6 +133,33 @@ class TestClosureShape:
         for case_id, c in case_closures.items():
             assert not (set(c.base) & set(c.inferred))
             assert set(c.graph()) == set(c.base) | set(c.inferred)
+            assert c.graph() is c.graph() and c.graph().frozen
+
+    def test_store_is_the_union_on_random_graphs(self, reg):
+        rng = random.Random(1105)
+        for _ in range(40):
+            c = close(registry_random_graph(rng, reg), reg)
+            assert c.graph() is c.graph()
+            assert set(c.graph()) == set(c.base) | set(c.inferred)
+            assert len(c) == len(c.graph())
+
+    def test_store_is_copied_once_per_closure(self, reg, monkeypatch):
+        import iconmodel.reasoner as reasoner
+        from iconmodel.casebook import level_of
+        from iconmodel.query import run_cq
+        copies = []
+
+        def counting_union(a, b):
+            copies.append((a, b))
+            return union(a, b)
+
+        monkeypatch.setattr(reasoner, "union", counting_union)
+        c = close(recognition_graph(reg), reg)
+        for _ in range(3):
+            c.graph()
+            level_of(c, d("artwork"))
+            run_cq(c, "CQ1b")
+        assert len(copies) == 1
 
     def test_provenance_covers_inferred_only(self, reg, case_closures):
         for c in case_closures.values():

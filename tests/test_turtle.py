@@ -1,9 +1,11 @@
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple, isomorphic
+from iconmodel.graph import (BlankNode, Graph, GraphError, Iri, Literal, Triple,
+                             isomorphic)
 from iconmodel.turtle_io import (ErrorKind, ParseError, RDF_TYPE, parse_turtle,
                                  serialize_turtle)
 from iconmodel.vocab import NAMESPACES
@@ -129,6 +131,26 @@ class TestParseErrors:
         # the 101st "[" is the first one past the limit
         assert (info.value.line, info.value.column) == (2, 11 + 100 * len("[ ex:p "))
 
+    @pytest.mark.parametrize("tail", ["ex:s ex:p _:b", "ex:s a", 'ex:s ex:p "x"@en'])
+    def test_name_at_end_of_input(self, tail):
+        # an alarm turns a lexer that loops at the end of input into a failure
+        def stuck(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            parse_turtle(EX + tail)
+            outcome = "parsed"
+        except ParseError:
+            outcome = "rejected"
+        except TimeoutError:
+            outcome = "stuck"
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert outcome == "rejected"
+
     def test_error_carries_position(self):
         e = self.err(EX + "ex:s ex:p %bad .")
         assert e.line == 2 and e.column == 11
@@ -193,3 +215,60 @@ def test_round_trip_property(seed):
     g = turtle_random_graph(random.Random(seed))
     text = serialize_turtle(g, {"ex": "http://example.org/"})
     assert isomorphic(g, parse_turtle(text).graph)
+
+
+# Terms the parser cannot read back, and awkward ones that it can.
+UNREADABLE = [Iri("http://example.org/a b"), Iri("http://example.org/a>b"),
+              Iri("urn:x{y}"), BlankNode("a b"), BlankNode("a.b"),
+              Literal("x", lang="en us"), Literal("x", lang="prefix"),
+              Literal("x", datatype=Iri("http://example.org/d t"))]
+READABLE = [Iri("http://example.org/a..b"), Iri("http://example.org/a.b"),
+            Iri("http://other.org/a\\b"), BlankNode("a-b_c"),
+            Literal("x", lang="en-us"), Literal("carriage\rreturn")]
+EXAMPLE_PREFIXES = {"ex": "http://example.org/", "rdf": NAMESPACES["rdf"]}
+
+
+def round_trips_or_refuses(g: Graph, prefixes) -> bool:
+    """True if g round-trips, False if the serializer refuses it."""
+    try:
+        text = serialize_turtle(g, prefixes)
+    except GraphError:
+        return False
+    assert isomorphic(g, parse_turtle(text).graph), text
+    return True
+
+
+class TestRoundTripPromise:
+    @pytest.mark.parametrize("term", UNREADABLE + READABLE, ids=repr)
+    def test_each_term(self, term):
+        s, p = Iri("http://example.org/s"), Iri("http://example.org/p")
+        triples = [Triple(s, p, term)]
+        if not isinstance(term, Literal):
+            triples.append(Triple(term, p, s))
+        for u in triples:
+            g = Graph([u]).freeze()
+            assert round_trips_or_refuses(g, EXAMPLE_PREFIXES) == (term in READABLE)
+
+    def test_error_names_the_term(self):
+        g = Graph([Triple(Iri("http://example.org/s"), Iri("http://example.org/p"),
+                          Iri("http://example.org/a b"))]).freeze()
+        with pytest.raises(GraphError, match="<http://example.org/a b>"):
+            serialize_turtle(g, EXAMPLE_PREFIXES)
+
+    @pytest.mark.parametrize("prefixes", [{"_": "http://example.org/"},
+                                          {"1x": "http://example.org/"},
+                                          {"ex": "http://example.org/a b/"}])
+    def test_unreadable_prefix_is_refused(self, prefixes):
+        with pytest.raises(GraphError):
+            serialize_turtle(Graph().freeze(), prefixes)
+
+    def test_random_graphs_with_awkward_terms(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            g = turtle_random_graph(rng)
+            extra = rng.sample(UNREADABLE + READABLE, 2)
+            subject = rng.choice(sorted(g.subjects(), key=repr) or [Iri("urn:s")])
+            g = Graph(list(g) + [Triple(subject, Iri("http://example.org/p0"), x)
+                                 for x in extra]).freeze()
+            refused = any(x in UNREADABLE for x in extra)
+            assert round_trips_or_refuses(g, EXAMPLE_PREFIXES) is not refused
