@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Differential fuzz of the Turtle parser against another checkout's.
+
+Draws random documents from a Turtle-heavy alphabet, parses each with
+this checkout's iconmodel and with the one under OTHER_SRC (for example
+an older commit unpacked with `git archive`), and compares the graph,
+prefixes and base, or the error's (line, column, kind, message). Every
+document this checkout accepts must also serialize and read back to an
+isomorphic graph. Prints the first difference and exits 1, or prints the
+counts and exits 0.
+
+    PYTHONPATH=src python3 scripts/fuzz_turtle_against.py OTHER_SRC N SEED
+"""
+
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+from iconmodel.graph import GraphError, isomorphic
+from iconmodel.turtle_io import ParseError, parse_turtle, serialize_turtle
+
+FRAGMENTS = [
+    "@prefix", "@base", "@PREFIX", "ex:", "e:", ":", "ex:a", "e:s", "e:p", "e:o", "ex:a.b",
+    "ex:a..b", "ex:.a", "ex:a.", "_x:y", "_:", "_:b", "_:b1", "_", "<http://e/a>", "<http://e/>",
+    "<a>", "<", ">", "<<", ">>", "<a b>", '<a"', '"', '""', '"""', '"x"', '"a\\"b"', '"\\q"',
+    "\\", "\\n", "\\t", '\\"', "@en", "@en-US", "<>", "<s>", "@base <s> .", "@prefix e: <> .",
+    "@", "@İ", "@1", "^^", "^", "^^ex:d", "^^<http://e/d>", "a", "ab", "a-", "true", "false",
+    "42", "+1", "-", "²", "½", "Ⅷ", "一", "İ", "é", "x", "_", ".", ";", ",", "[", "]", "(", ")",
+    " ", "\t", "\n", "\r", "#c", "# ", "\f", "%", "{", "|", "`", "~", "0", "9"]
+PROLOGUES = ["@prefix e: <http://e/> .\n", "@prefix ex: <http://ex/> .\n",
+             "@base <http://b/> .\n", ""]
+STATEMENTS = ["e:s e:p e:o .", 'e:s e:p "x"@en .', "_:b e:p [ e:q e:o ] .",
+              "e:s a e:C ; e:p <o>, ex:a.b .", 'e:s e:p "v"^^e:d .', "<s> <p> <o> ."]
+
+
+def document(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return "".join(rng.choice(FRAGMENTS) for _ in range(rng.randrange(1, 12)))
+    parts = [rng.choice(PROLOGUES), rng.choice(PROLOGUES)]
+    for _ in range(rng.randrange(1, 4)):
+        s = rng.choice(STATEMENTS)
+        if rng.random() < 0.7:
+            i = rng.randrange(len(s) + 1)
+            s = s[:i] + rng.choice(FRAGMENTS) + s[i + rng.randrange(3):]
+        parts.append(s + rng.choice([" ", "\n", "\t", "#c\n", ""]))
+    return "".join(parts)
+
+
+def load_other(src: Path):
+    spec = importlib.util.spec_from_file_location(
+        "other_iconmodel", src / "iconmodel" / "__init__.py",
+        submodule_search_locations=[str(src / "iconmodel")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module("other_iconmodel.turtle_io")
+
+
+def outcome(parse, error_type, text):
+    try:
+        r = parse(text)
+    except error_type as e:
+        return ("error", e.line, e.column, e.kind.name, e.message)
+    except ValueError as e:
+        return ("crash", str(e))
+    return ("ok", sorted(map(repr, r.graph)), sorted(r.prefixes.items()), repr(r.base))
+
+
+def reads_back(text: str) -> bool:
+    r = parse_turtle(text)
+    try:
+        out = serialize_turtle(r.graph, r.prefixes)
+    except GraphError:
+        return False
+    return isomorphic(r.graph, parse_turtle(out).graph)
+
+
+def main(other_src: str, n: int, seed: int) -> int:
+    other = load_other(Path(other_src))
+    rng = random.Random(seed)
+    counts = {"parsed by the other": 0, "identical": 0,
+              "language tag now refused": 0, "ValueError there, not here": 0}
+    for _ in range(n):
+        text = document(rng)
+        theirs = outcome(other.parse_turtle, other.ParseError, text)
+        ours = outcome(parse_turtle, ParseError, text)
+        counts["parsed by the other"] += theirs[0] == "ok"
+        if ours[0] == "ok" and not reads_back(text):
+            print("does not read back:", repr(text))
+            return 1
+        if theirs == ours:
+            counts["identical"] += 1
+        elif ours[0] == "error" and ours[3] == "BAD_LITERAL" and "language tag" in ours[4]:
+            counts["language tag now refused"] += 1
+        elif theirs[0] == "crash" and ours[0] != "crash":
+            counts["ValueError there, not here"] += 1
+        else:
+            print("difference:", repr(text), theirs, ours, sep="\n  ")
+            return 1
+    print(f"{n} documents:", ", ".join(f"{v} {k}" for k, v in counts.items()))
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 4:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], int(sys.argv[2]), int(sys.argv[3])))

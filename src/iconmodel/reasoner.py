@@ -87,7 +87,6 @@ class _Engine:
         for p, c in reg.range_axioms():
             self.ranges.setdefault(p, set()).add(c)
 
-        self.all: set[Triple] = set()
         self.inferred = Graph()
         self.provenance: dict[Triple, Derivation] = {}
         # joint indexes over base + inferred
@@ -101,15 +100,13 @@ class _Engine:
 
     def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
         queue: deque[Triple] = deque(self.base.sorted_triples())
+        # every triple enters the queue once, so each is indexed once
         enqueued: set[Triple] = set(queue)
         while queue:
             t = queue.popleft()
-            if t in self.all:
-                continue
-            self.all.add(t)
             self._index(t)
             for derived, deriv in self._consequences(t):
-                if derived in enqueued or derived in self.all:
+                if derived in enqueued:
                     continue
                 if derived not in self.base:
                     self.provenance[derived] = deriv

@@ -7,12 +7,19 @@ nodes, anonymous "[ ... ]" property lists, quoted string literals with
 comments. Everything else (collections, numeric/boolean shorthand,
 triple-quoted strings, quoted triples, and the bare blank-node statement
 "[ ... ] ." with no predicate list after the brackets) is a hard parse
-error, and so is "[" nesting more than 100 deep.
+error, and so are "[" nesting more than 100 deep and a language tag whose
+lower-case form is not a tag.
+
+The token table _TABLE is the token grammar: the lexer matches its
+patterns and nothing else. The serializer checks each IRI, CURIE, blank
+node label, language tag and prefix it writes by matching it against the
+same table, so whatever it writes reads back as the token it meant.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,194 +58,118 @@ class ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# token grammar
 
-_PN_LOCAL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
-# characters that end or break an <IRIREF>
-_IRI_STOP = frozenset(' \t\r\n<>"{}|^`')
-_KEYWORDS = ("prefix", "base")  # the words after "@" that are not language tags
+_NAME_CHAR = r"[\w-]"  # continues a blank-node label, language tag or prefix
+_IRI_BODY = r'[^ \t\r\n<>"{}|^`]*'
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+_LOCAL = r"[A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*"  # a "." must lead to more name
+
+# The token grammar. At each position the patterns are tried in this order
+# and the first that matches is the token. Every repetition nested in
+# another starts with a character the inner one cannot match, so matching
+# takes time linear in the input.
+_TABLE = [
+    ("IRIREF", rf"<(?P<iri>{_IRI_BODY})>"),
+    ("STRING", rf'"(?!"")(?P<string>{_STRING_BODY})"'),
+    ("BLANK", rf"_:(?P<label>{_NAME_CHAR}+)"),
+    ("PUNCT", r"[.;,\[\]]"),
+    ("KEYWORD", rf"@(?:prefix|base)(?!{_NAME_CHAR})|a(?!{_NAME_CHAR}|:)"),
+    ("LANG", rf"@(?P<lang>{_NAME_CHAR}+)"),
+    ("DTSEP", r"\^\^"),
+    ("PNAME", rf"(?P<prefix>(?!_:)[^\W\d]{_NAME_CHAR}*|):{_LOCAL}"),
+    ("EOF", r"\Z"),
+]
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TABLE))
+# the group holding a token's value, where that is not the whole token
+_VALUE = {"IRIREF": "iri", "STRING": "string", "BLANK": "label", "LANG": "lang"}
+# whitespace and comments; nothing follows it, so it never backtracks
+_SKIP = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
+_STRING_PREFIX = re.compile('"' + _STRING_BODY)
+_WORD = re.compile(_NAME_CHAR + "*")
+_ESCAPE = re.compile(r'\\(["\\nt])')
+_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
-def _name_char(c: str) -> bool:
-    """Can c continue a blank-node label, language tag or prefix label?"""
-    return c != "" and (c.isalnum() or c in "_-")
-
-
-def _is_name(s: str) -> bool:
-    return s != "" and all(map(_name_char, s))
-
-
-@dataclass
+@dataclass(slots=True)
 class _Token:
-    kind: str  # IRIREF PNAME BLANK STRING PUNCT KEYWORD LANG DTSEP EOF
+    kind: str  # a kind named in _TABLE
     value: str
-    line: int
-    col: int
-    extra: tuple = ()
+    pos: int  # character offset into the document
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _match(text: str, pos: int) -> Optional[re.Match]:
+    """The token at text[pos], or None where no token starts there."""
+    m = _TOKEN.match(text, pos)
+    # \w also admits numerals such as "²", which cannot start a name
+    if m is not None and m.lastgroup == "PNAME":
+        c = m["prefix"][:1]
+        if c and not (c.isalpha() or c == "_"):
+            return None
+    return m
 
-    def _err(self, message: str, kind: ErrorKind, line=None, col=None):
-        raise ParseError(line or self.line, col or self.col, message, kind)
 
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
+def _lexes_as(kind: str, text: str) -> bool:
+    """Would the lexer read all of text as one token of this kind?"""
+    m = _match(text, 0)
+    return m is not None and m.lastgroup == kind and m.end() == len(text)
 
-    def _peek(self, k: int = 0) -> str:
-        i = self.pos + k
-        return self.text[i] if i < len(self.text) else ""
 
-    def tokens(self):
-        out = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "EOF":
-                return out
+def _error_at(text: str, pos: int, message: str, kind: ErrorKind) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(line, pos - text.rfind("\n", 0, pos), message, kind)
 
-    def _next(self) -> _Token:
-        # skip whitespace and comments
-        while True:
-            c = self._peek()
-            if c and c in " \t\r\n":
-                self._advance()
-            elif c == "#":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-            else:
-                break
-        line, col = self.line, self.col
-        c = self._peek()
-        if c == "":
-            return _Token("EOF", "", line, col)
-        if c == "<":
-            return self._iriref(line, col)
-        if c == '"':
-            return self._string(line, col)
-        if c == "_" and self._peek(1) == ":":
-            self._advance(2)
-            label = self._name_chars()
-            if not label:
-                self._err("blank node label expected", ErrorKind.UNEXPECTED_TOKEN, line, col)
-            return _Token("BLANK", label, line, col)
-        if c in ".;,[]":
-            self._advance()
-            return _Token("PUNCT", c, line, col)
-        if c == "(" or c == ")":
-            self._err("collections are not supported", ErrorKind.UNEXPECTED_TOKEN, line, col)
-        if c == "@":
-            self._advance()
-            word = self._name_chars()
-            if word in _KEYWORDS:
-                return _Token("KEYWORD", "@" + word, line, col)
-            if word:
-                return _Token("LANG", word, line, col)
-            self._err("bad '@' token", ErrorKind.UNEXPECTED_TOKEN, line, col)
-        if c == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return _Token("DTSEP", "^^", line, col)
-        if c.isdigit() or c in "+-":
-            self._err("numeric shorthand literals are not supported",
-                      ErrorKind.UNEXPECTED_TOKEN, line, col)
-        if c.isalpha() or c == "_":
-            word = self._name_chars()
-            if self._peek() == ":":
-                self._advance()
-                local = self._local_name_chars()
-                return _Token("PNAME", f"{word}:{local}", line, col, (word, local))
-            if word == "a":
-                return _Token("KEYWORD", "a", line, col)
-            if word in ("true", "false"):
-                self._err("boolean shorthand literals are not supported",
-                          ErrorKind.UNEXPECTED_TOKEN, line, col)
-            self._err(f"unexpected token {word!r}", ErrorKind.UNEXPECTED_TOKEN, line, col)
-        if c == ":":
-            self._advance()
-            local = self._local_name_chars()
-            return _Token("PNAME", f":{local}", line, col, ("", local))
-        self._err(f"unexpected character {c!r}", ErrorKind.UNEXPECTED_TOKEN, line, col)
 
-    def _name_chars(self) -> str:
-        out = []
-        while True:
-            c = self._peek()
-            if _name_char(c):
-                out.append(c)
-                self._advance()
-            else:
-                break
-        return "".join(out)
+def _lex_error(text: str, pos: int) -> ParseError:
+    """Why no token starts at text[pos]."""
+    c = text[pos]
+    kind = ErrorKind.UNEXPECTED_TOKEN
+    if text.startswith("<<", pos):
+        message = "quoted triples are not supported"
+    elif c == "<":
+        message, kind = "unterminated or malformed IRI", ErrorKind.BAD_IRI
+    elif text.startswith('"""', pos):
+        message = "triple-quoted strings are not supported"
+    elif c == '"':
+        kind = ErrorKind.BAD_LITERAL
+        stop = _STRING_PREFIX.match(text, pos).end()
+        if text.startswith("\\", stop):
+            pos, message = stop, f"unsupported escape \\{text[stop + 1:stop + 2]}"
+        else:
+            message = "unterminated string literal"
+    elif text.startswith("_:", pos):
+        message = "blank node label expected"
+    elif c in "()":
+        message = "collections are not supported"
+    elif c == "@":
+        message = "bad '@' token"
+    elif c.isdigit() or c in "+-":
+        message = "numeric shorthand literals are not supported"
+    elif not (c.isalpha() or c == "_"):
+        message = f"unexpected character {c!r}"
+    elif (word := _WORD.match(text, pos)[0]) in ("true", "false"):
+        message = "boolean shorthand literals are not supported"
+    else:
+        message = f"unexpected token {word!r}"
+    return _error_at(text, pos, message, kind)
 
-    def _local_name_chars(self) -> str:
-        # dots are allowed inside a local name but a trailing dot is the
-        # statement terminator
-        out = []
-        while True:
-            c = self._peek()
-            if c in _PN_LOCAL_CHARS:
-                if c == ".":
-                    nxt = self._peek(1)
-                    if nxt not in _PN_LOCAL_CHARS or nxt == ".":
-                        break
-                out.append(c)
-                self._advance()
-            else:
-                break
-        return "".join(out)
 
-    def _iriref(self, line, col) -> _Token:
-        self._advance()  # '<'
-        if self._peek() == "<":
-            self._err("quoted triples are not supported", ErrorKind.UNEXPECTED_TOKEN, line, col)
-        out = []
-        while True:
-            c = self._peek()
-            if c == ">":
-                self._advance()
-                return _Token("IRIREF", "".join(out), line, col)
-            if c == "" or c in _IRI_STOP:
-                self._err("unterminated or malformed IRI", ErrorKind.BAD_IRI, line, col)
-            out.append(c)
-            self._advance()
-        # unreachable
-
-    def _string(self, line, col) -> _Token:
-        self._advance()  # opening quote
-        if self._peek() == '"' and self._peek(1) == '"':
-            self._err("triple-quoted strings are not supported",
-                      ErrorKind.UNEXPECTED_TOKEN, line, col)
-        out = []
-        while True:
-            c = self._peek()
-            if c == '"':
-                self._advance()
-                return _Token("STRING", "".join(out), line, col)
-            if c == "" or c == "\n":
-                self._err("unterminated string literal", ErrorKind.BAD_LITERAL, line, col)
-            if c == "\\":
-                esc = self._peek(1)
-                mapped = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}.get(esc)
-                if mapped is None:
-                    self._err(f"unsupported escape \\{esc}", ErrorKind.BAD_LITERAL,
-                              self.line, self.col)
-                out.append(mapped)
-                self._advance(2)
-            else:
-                out.append(c)
-                self._advance()
+def _tokens(text: str) -> list[_Token]:
+    out = []
+    pos = 0
+    while True:
+        pos = _SKIP.match(text, pos).end()
+        m = _match(text, pos)
+        if m is None:
+            raise _lex_error(text, pos)
+        kind = m.lastgroup
+        value = m[_VALUE.get(kind, kind)]
+        if kind == "STRING" and "\\" in value:
+            value = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], value)
+        out.append(_Token(kind, value, pos))
+        if kind == "EOF":
+            return out
+        pos = m.end()
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +177,8 @@ class _Lexer:
 
 class _Parser:
     def __init__(self, text: str, base: Optional[Iri]):
-        self.toks = _Lexer(text).tokens()
+        self.text = text
+        self.toks = _tokens(text)
         self.i = 0
         self.graph = Graph()
         self.prefixes: PrefixMap = {}
@@ -266,9 +198,7 @@ class _Parser:
         return tok
 
     def _err(self, tok: _Token, message: str, kind: ErrorKind):
-        line = tok.line
-        col = tok.col
-        raise ParseError(line, col, message, kind)
+        raise _error_at(self.text, tok.pos, message, kind)
 
     def parse(self) -> ParseResult:
         while self._peek().kind != "EOF":
@@ -283,18 +213,18 @@ class _Parser:
         kw = self._take()
         if kw.value == "@prefix":
             name = self._take()
-            if name.kind != "PNAME" or name.extra[1] != "":
+            if name.kind != "PNAME" or not name.value.endswith(":"):
                 self._err(name, "prefix label expected after @prefix",
                           ErrorKind.UNEXPECTED_TOKEN)
             iriref = self._take()
             if iriref.kind != "IRIREF":
                 self._err(iriref, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            self.prefixes[name.extra[0]] = iriref.value
+            self.prefixes[name.value[:-1]] = iriref.value
         else:
             iriref = self._take()
             if iriref.kind != "IRIREF":
                 self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            self.base = Iri(iriref.value)
+            self.base = self._resolve_iri(iriref)
         dot = self._take()
         if not (dot.kind == "PUNCT" and dot.value == "."):
             self._err(dot, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
@@ -370,6 +300,10 @@ class _Parser:
         nxt = self._peek()
         if nxt.kind == "LANG":
             self._take()
+            # Literal lower-cases the tag, and the serializer writes that form
+            if not _lexes_as("LANG", "@" + nxt.value.lower()):
+                self._err(nxt, f"language tag {nxt.value!r} is not a tag once lower-cased",
+                          ErrorKind.BAD_LITERAL)
             return Literal(tok.value, lang=nxt.value)
         if nxt.kind == "DTSEP":
             self._take()
@@ -406,17 +340,20 @@ class _Parser:
             if self.base is None:
                 self._err(tok, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
             value = self.base.value + value
+        return self._iri(tok, value)
+
+    def _resolve_curie(self, tok: _Token) -> Iri:
+        prefix, _, local = tok.value.partition(":")
+        ns = self.prefixes.get(prefix)
+        if ns is None:
+            self._err(tok, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
+        return self._iri(tok, ns + local)  # a relative namespace gives no IRI
+
+    def _iri(self, tok: _Token, value: str) -> Iri:
         try:
             return Iri(value)
         except ValueError:
             self._err(tok, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
-
-    def _resolve_curie(self, tok: _Token) -> Iri:
-        prefix, local = tok.extra
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            self._err(tok, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
-        return Iri(ns + local)
 
 
 def parse_turtle(text: str, base: Optional[Iri] = None) -> ParseResult:
@@ -431,20 +368,13 @@ def _escape(s: str) -> str:
             .replace("\n", "\\n").replace("\t", "\\t"))
 
 
-def _valid_local(local: str) -> bool:
-    # the lexer ends a local name at a "." that no name character follows
-    if local.endswith(".") or ".." in local:
-        return False
-    return all(c in _PN_LOCAL_CHARS for c in local)
-
-
 def _contract(iri: Iri, by_ns: list[tuple[str, str]]) -> Optional[str]:
     # by_ns is sorted longest-namespace-first
     for ns, label in by_ns:
         if iri.value.startswith(ns):
-            local = iri.value[len(ns):]
-            if _valid_local(local):
-                return f"{label}:{local}"
+            curie = f"{label}:{iri.value[len(ns):]}"
+            if _lexes_as("PNAME", curie):
+                return curie
     return None
 
 
@@ -453,23 +383,20 @@ def _unreadable(what) -> GraphError:
                       "read it back")
 
 
+def _checked(kind: str, text: str, t: Term) -> str:
+    if not _lexes_as(kind, text):
+        raise _unreadable(repr(t))
+    return text
+
+
 def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
     if isinstance(t, Iri):
-        curie = _contract(t, by_ns)
-        if curie is not None:
-            return curie
-        if not _IRI_STOP.isdisjoint(t.value):
-            raise _unreadable(repr(t))
-        return f"<{t.value}>"
+        return _contract(t, by_ns) or _checked("IRIREF", f"<{t.value}>", t)
     if isinstance(t, BlankNode):
-        if not _is_name(t.label):
-            raise _unreadable(repr(t))
-        return f"_:{t.label}"
+        return _checked("BLANK", f"_:{t.label}", t)
     body = f'"{_escape(t.lexical)}"'
     if t.lang:
-        if not _is_name(t.lang) or t.lang in _KEYWORDS:
-            raise _unreadable(repr(t))
-        return f"{body}@{t.lang}"
+        return body + _checked("LANG", f"@{t.lang}", t)
     if t.datatype and t.datatype.value != XSD_STRING:
         return f"{body}^^{_render_term(t.datatype, by_ns)}"
     return body
@@ -483,11 +410,7 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
     prefix it could not read back raises GraphError naming it.
     """
     for label, ns in prefixes.items():
-        # "_:" starts a blank node; a label must lex as one PNAME prefix
-        readable_label = label == "" or (
-            (label[0].isalpha() or label[0] == "_") and label != "_"
-            and _is_name(label))
-        if not readable_label or not _IRI_STOP.isdisjoint(ns):
+        if not (_lexes_as("PNAME", f"{label}:") and _lexes_as("IRIREF", f"<{ns}>")):
             raise _unreadable(f"prefix {label}: <{ns}>")
     by_ns = sorted(((ns, label) for label, ns in prefixes.items()),
                    key=lambda x: (-len(x[0]), x[1]))

@@ -53,6 +53,13 @@ class TestParse:
         code, out, err = run(capsys, "parse", str(bad))
         assert code == 2 and err.startswith("icon:") and "Traceback" not in err
 
+    def test_unwritable_language_tag_is_exit_2(self, capsys, tmp_path):
+        doc = tmp_path / "tag.ttl"
+        doc.write_text('<http://e/s> <http://e/p> "x"@\u0130 .\n', "utf-8")
+        code, out, err = run(capsys, "parse", str(doc))
+        assert code == 2 and err.startswith("icon:") and "line 1, col 30" in err
+        assert out == ""
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(
             "@prefix ex: <http://example.org/> .\nex:s ex:p ex:o .\n"))

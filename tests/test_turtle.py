@@ -1,8 +1,9 @@
+import contextlib
 import random
 import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iconmodel.graph import (BlankNode, Graph, GraphError, Iri, Literal, Triple,
                              isomorphic)
@@ -14,6 +15,22 @@ from iconmodel.casebook import case_document, list_cases
 from conftest import turtle_random_graph
 
 EX = "@prefix ex: <http://example.org/> .\n"
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once seconds have passed, so a
+    parser that loops or backtracks without end fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestParseBasics:
@@ -57,6 +74,11 @@ class TestParseBasics:
         [t] = list(r.graph)
         assert t.object.lexical == 'a"b\\c\nd\te'
 
+    def test_empty_string_is_not_triple_quoted(self):
+        r = parse_turtle(EX + 'ex:s ex:p "" .')
+        [t] = list(r.graph)
+        assert t.object == Literal("")
+
     def test_lang_and_datatype(self):
         r = parse_turtle(EX + 'ex:s ex:p "ciao"@IT .\n'
                               'ex:s ex:q "4"^^<http://www.w3.org/2001/XMLSchema#integer> .')
@@ -72,6 +94,10 @@ class TestParseBasics:
         r = parse_turtle("@base <http://example.org/> .\n<s> <p> <o> .")
         [t] = list(r.graph)
         assert t.subject == Iri("http://example.org/s")
+
+    def test_relative_base_resolves_against_base(self):
+        r = parse_turtle("@base <http://example.org/> .\n@base <sub/> .\n<s> <p> <o> .")
+        assert r.base == Iri("http://example.org/sub/")
 
     def test_dotted_local_names(self):
         r = parse_turtle("@prefix vir: <http://w3id.org/vir#> .\n"
@@ -133,28 +159,82 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("tail", ["ex:s ex:p _:b", "ex:s a", 'ex:s ex:p "x"@en'])
     def test_name_at_end_of_input(self, tail):
-        # an alarm turns a lexer that loops at the end of input into a failure
-        def stuck(signum, frame):
-            raise TimeoutError
-
-        previous = signal.signal(signal.SIGALRM, stuck)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
+        with deadline(5), pytest.raises(ParseError):
             parse_turtle(EX + tail)
-            outcome = "parsed"
-        except ParseError:
-            outcome = "rejected"
-        except TimeoutError:
-            outcome = "stuck"
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert outcome == "rejected"
+
+    @pytest.mark.parametrize("tag", ["\u0130", "PREFIX", "Base"])
+    def test_tag_unreadable_once_lower_cased(self, tag):
+        # Literal lower-cases the tag: "İ" becomes "i" plus a combining dot,
+        # "PREFIX" becomes a directive keyword; neither could be written back
+        e = self.err(EX + 'ex:s ex:p\t"x"@' + tag + " .")
+        assert (e.line, e.column, e.kind) == (2, 14, ErrorKind.BAD_LITERAL)
+
+    @pytest.mark.parametrize("doc,line,column", [
+        ("@base <s> .", 1, 7),
+        ("@prefix e: <> .\ne:s e:p e:o .", 2, 1),
+        ("@prefix e: <rel/> .\ne:s e:p e:o .", 2, 1),
+    ])
+    def test_relative_iri_without_base(self, doc, line, column):
+        e = self.err(doc)
+        assert (e.line, e.column, e.kind) == (line, column, ErrorKind.BAD_IRI)
 
     def test_error_carries_position(self):
         e = self.err(EX + "ex:s ex:p %bad .")
         assert e.line == 2 and e.column == 11
         assert "line 2" in str(e)
+
+    # Each object sits on line 3, after a comment line and a tab, at column
+    # 12; an escape error points at its backslash.
+    @pytest.mark.parametrize("obj,column,kind,message", [
+        ("<< ex:a ex:b ex:c >>", 12, "UNEXPECTED_TOKEN", "quoted triples"),
+        ("<http://e/a b>", 12, "BAD_IRI", "unterminated or malformed IRI"),
+        ('"""x"""', 12, "UNEXPECTED_TOKEN", "triple-quoted"),
+        ('"open', 12, "BAD_LITERAL", "unterminated string"),
+        ('"ab\\q"', 15, "BAD_LITERAL", "unsupported escape \\q"),
+        ("_: ex:o", 12, "UNEXPECTED_TOKEN", "blank node label expected"),
+        ("( ex:a )", 12, "UNEXPECTED_TOKEN", "collections"),
+        ('"x"@ ', 15, "UNEXPECTED_TOKEN", "bad '@' token"),
+        ("42", 12, "UNEXPECTED_TOKEN", "numeric shorthand"),
+        ("²x:o", 12, "UNEXPECTED_TOKEN", "numeric shorthand"),  # \w admits "²"
+        ("true", 12, "UNEXPECTED_TOKEN", "boolean shorthand"),
+        ("foo", 12, "UNEXPECTED_TOKEN", "unexpected token 'foo'"),
+        ("%bad", 12, "UNEXPECTED_TOKEN", "unexpected character '%'"),
+    ])
+    def test_lexer_error_positions(self, obj, column, kind, message):
+        e = self.err(EX + "# a comment\n\tex:s ex:p " + obj + " .")
+        assert (e.line, e.column, e.kind) == (3, column, ErrorKind[kind])
+        assert message in e.message
+
+
+# Characters that start, end or break tokens, and ones that look like name
+# characters but are not (numerals, a capital that lower-cases to two).
+TURTLE_ALPHABET = list("<>\"'\\_:@^.;,[]()#a-+²½İé0 \t\r\n") + [
+    '"""', "<<", "\\q", "\\n", "ex:", "_:b", "@prefix", "@base", "true", "<http://e/>",
+    "<>", "<s>", "ex:a.b"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(TURTLE_ALPHABET), max_size=40).map("".join))
+@example("@base <s> .")  # no base to resolve against
+@example("@prefix e: <> . e:s e:p e:o .")  # the CURIE is not an absolute IRI
+def test_parse_raises_only_parse_error(text):
+    for doc in (text, EX + text, EX + "ex:s ex:p " + text):
+        try:
+            parse_turtle(doc)
+        except ParseError:
+            pass
+
+
+@pytest.mark.parametrize("doc", [
+    EX + 'ex:s ex:p "' + "x" * 200_000,
+    " \t\r\n# comment\n" * 20_000 + "%",
+    EX + "ex:s ex:p <" + "a" * 200_000,
+    EX + "ex:s ex:p ex:" + "a." * 100_000 + ".",
+], ids=["unterminated-string", "whitespace-and-comments", "unterminated-iri",
+        "dotted-local-name"])
+def test_long_input_is_rejected_quickly(doc):
+    with deadline(0.5), pytest.raises(ParseError):
+        parse_turtle(doc)
 
 
 class TestSerializer:
@@ -257,6 +337,7 @@ class TestRoundTripPromise:
 
     @pytest.mark.parametrize("prefixes", [{"_": "http://example.org/"},
                                           {"1x": "http://example.org/"},
+                                          {"²x": "http://example.org/"},
                                           {"ex": "http://example.org/a b/"}])
     def test_unreadable_prefix_is_refused(self, prefixes):
         with pytest.raises(GraphError):
