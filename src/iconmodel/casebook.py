@@ -105,12 +105,6 @@ _MEANING_STEPS = frozenset((spec.through_class,) + spec.steps[-1]
                            for _, spec in build_registry().shortcuts())
 
 
-def _ends(g: Graph, node: Term, p: Iri, forward: bool) -> set[Term]:
-    if forward:
-        return {t.object for t in g.match(s=node, p=p)}
-    return {t.subject for t in g.match(p=p, o=node)}
-
-
 def level_of(closure: ClosureGraph, node: Term) -> InterpretationLevel:
     """Classify a node into an interpretation level over a closure.
 
@@ -123,14 +117,11 @@ def level_of(closure: ClosureGraph, node: Term) -> InterpretationLevel:
     if not g.has_term(node):
         raise NodeAbsentError(f"node {node!r} does not occur in the graph")
 
-    def types_of(n: Term) -> set[Term]:
-        return {t.object for t in g.match(s=n, p=RDF_TYPE)}
-
-    types = types_of(node)
-    meaning_types = [types_of(m) for through, p, d in _MEANING_STEPS
+    types = g.neighbours(node, RDF_TYPE)
+    meaning_types = [g.neighbours(m, RDF_TYPE) for through, p, d in _MEANING_STEPS
                      if through in types
-                     for m in _ends(g, node, p, d is Direction.FORWARD)]
-    is_meaning = any(_ends(g, node, p, d is not Direction.FORWARD)
+                     for m in g.neighbours(node, p, d is Direction.FORWARD)]
+    is_meaning = any(g.neighbours(node, p, d is not Direction.FORWARD)
                      for _, p, d in _MEANING_STEPS)
     if any(_PHENOMENON in ts for ts in [types, *meaning_types]):
         return InterpretationLevel.LEV4

@@ -9,6 +9,7 @@ path reads from stdin. Set ICON_NO_COLOR to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -55,7 +56,11 @@ def _read_source(path: str) -> str:
     """Read a UTF-8 document or exit with status 2."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            raw = getattr(sys.stdin, "buffer", None)
+            if raw is None:  # a text stream put in place of stdin
+                return sys.stdin.read()
+            # decoded as read_text decodes a file: strict, universal newlines
+            return io.TextIOWrapper(io.BytesIO(raw.read()), encoding="utf-8").read()
         return Path(path).read_text("utf-8")
     except OSError as exc:
         _err(str(exc))
@@ -231,7 +236,7 @@ def cmd_cases(args) -> int:
                 print(f"wrote {out_dir / (case_id + '.ttl')}", file=sys.stderr)
         else:
             sys.stdout.write(case_document(args.id))
-    except UnknownCaseError as exc:
+    except (UnknownCaseError, OSError) as exc:
         _err(str(exc))
         return EXIT_ERROR
     return EXIT_OK

@@ -1,9 +1,11 @@
 """RDF-style terms, triples, and an indexed in-memory graph.
 
-Graphs are append-only while being built and are frozen before any
-query runs on them. A union is a new graph; a closure builds its store
-once and hands out that same frozen graph on every call. Nothing
-mutates a frozen graph, so it can be shared freely between threads.
+Graphs are append-only while being built and are frozen before they
+are handed out. A union is a new graph. The reasoner's engine derives
+into the store it returns, joining against that graph's indexes as it
+inserts, and a closure hands out that same frozen graph on every call.
+Nothing mutates a frozen graph, so it can be shared freely between
+threads.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def triple_key(t: Triple) -> tuple:
 class Graph:
     """Triple set with subject/predicate/object indexes.
 
-    Build with insert(), then freeze(); match() and iteration are only
-    meaningful on the final contents.
+    Build with insert(), then freeze(). Lookups see every triple
+    inserted so far, so code filling a graph can join against it.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
@@ -163,6 +165,12 @@ class Graph:
         if candidates is None:
             return set(self._triples)
         return set(candidates)
+
+    def neighbours(self, node: Term, p: Iri, forward: bool = True) -> set[Term]:
+        """{o | (node p o)} when forward, else {s | (s p node)}."""
+        if forward:
+            return {t.object for t in self.match(s=node, p=p)}
+        return {t.subject for t in self.match(p=p, o=node)}
 
     def subjects(self) -> set[Term]:
         return set(self._by_s)

@@ -116,7 +116,7 @@ def path_pairs(g: Graph, path: PathExpr) -> set[tuple[Term, Term]]:
             if not new:
                 return out
             out |= new
-    raise TypeError(f"bad path expression {path!r}")
+    raise QueryError(f"bad path expression {path!r}")
 
 
 def path_match(g: Graph, start: Term, path: PathExpr) -> set[Term]:
@@ -213,21 +213,24 @@ def _resolve(value: str, prefixes: PrefixMap) -> Iri:
         raise QueryError(f"cannot resolve term {value!r}")
 
 
-def _path_from_json(value, prefixes: PrefixMap):
+def _path_from_json(value, prefixes: PrefixMap, nested: bool = False):
     if isinstance(value, str):
         if value.startswith("?"):
+            if nested:
+                raise QueryError(f"variable {value} inside a path expression: "
+                                 "only a bare predicate may be a variable")
             return Var(value[1:])
         return _resolve(value, prefixes)
     if isinstance(value, dict):
         if "inv" in value:
-            return Inv(_path_from_json(value["inv"], prefixes))
+            return Inv(_path_from_json(value["inv"], prefixes, True))
         if "plus" in value:
-            return Plus(_path_from_json(value["plus"], prefixes))
+            return Plus(_path_from_json(value["plus"], prefixes, True))
         for key, node, parts_name in (("seq", Seq, "steps"), ("alt", Alt, "branches")):
             if key in value:
                 if not isinstance(value[key], list):
                     raise QueryError(f"{key} needs a list of {parts_name}")
-                parts = [_path_from_json(v, prefixes) for v in value[key]]
+                parts = [_path_from_json(v, prefixes, True) for v in value[key]]
                 if len(parts) < 2:
                     raise QueryError(f"{key} needs at least two {parts_name}")
                 return functools.reduce(node, parts)

@@ -11,6 +11,8 @@ Rules (all driven by the registry's axioms):
          x to m along its steps yields (x shortcut m)
 
 Evaluation is semi-naive: only newly derived triples re-fire rules.
+The engine derives into the store it returns: each triple is inserted
+when it is dequeued, and every join reads that store's indexes.
 Shortcut *expansion* mints blank nodes and is deliberately not part of
 close(); expand_shortcut() performs it from the same declarations.
 """
@@ -20,9 +22,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import KeysView, Optional
 
-from .graph import BlankNode, Graph, Iri, Literal, Term, Triple, union
+from .graph import BlankNode, Graph, Iri, Literal, Term, Triple
 from .turtle_io import RDF_TYPE
 from .vocab import Direction, PathSpec, TermRegistry
 
@@ -50,21 +52,23 @@ class Derivation:
 
 @dataclass
 class ClosureGraph:
+    """The caller's base graph, the frozen store the engine derived base
+    and inferred triples into, and a derivation per inferred triple."""
     base: Graph
-    inferred: Graph
-    provenance: dict[Triple, Derivation] = field(default_factory=dict)
-    _store: Graph = field(init=False, repr=False, compare=False)
+    _store: Graph = field(repr=False)
+    provenance: dict[Triple, Derivation]
 
-    def __post_init__(self):
-        self._store = union(self.base, self.inferred)
+    @property
+    def inferred(self) -> KeysView[Triple]:
+        """The inferred triples: a read-only view of provenance's keys."""
+        return self.provenance.keys()
 
     def __contains__(self, t: Triple) -> bool:
         return t in self._store
 
     def graph(self) -> Graph:
-        """The closure's one shared frozen store of base and inferred
-        triples, built when the closure was made: every call returns the
-        same graph, without copying."""
+        """The store the engine derived into: every call returns the same
+        frozen graph, without copying."""
         return self._store
 
     def __len__(self) -> int:
@@ -79,56 +83,27 @@ class _Engine:
         self.sub_class_of = reg.iri("rdfs:subClassOf")
         self.sub_property_of = reg.iri("rdfs:subPropertyOf")
         self.shortcuts = [(_rule_id(prop), prop, spec) for prop, spec in reg.shortcuts()]
-        self.step_preds = {p for _, _, spec in self.shortcuts for p, _ in spec.steps}
-        self.domains = {}
-        self.ranges = {}
-        for p, c in reg.domain_axioms():
-            self.domains.setdefault(p, set()).add(c)
-        for p, c in reg.range_axioms():
-            self.ranges.setdefault(p, set()).add(c)
+        self.domains = reg.domain_axioms()
+        self.ranges = reg.range_axioms()
 
-        self.inferred = Graph()
+        self.store = Graph()
         self.provenance: dict[Triple, Derivation] = {}
-        # joint indexes over base + inferred
-        self.types: dict[Term, set[Iri]] = {}          # node -> classes
-        self.instances: dict[Iri, set[Term]] = {}      # class -> nodes
-        self.by_pred: dict[Iri, set[tuple[Term, Term]]] = {}
-        self.sub_c_edges: dict[Iri, set[Iri]] = {}     # asserted subclass triples
-        self.sub_p_edges: dict[Iri, set[Iri]] = {}
-        # (node, step predicate, forward?) -> nodes one step away
-        self.ends: dict[tuple[Term, Iri, bool], set[Term]] = {}
 
     def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
         queue: deque[Triple] = deque(self.base.sorted_triples())
-        # every triple enters the queue once, so each is indexed once
-        enqueued: set[Triple] = set(queue)
         while queue:
             t = queue.popleft()
-            self._index(t)
+            self.store.insert(t)
             for derived, deriv in self._consequences(t):
-                if derived in enqueued:
-                    continue
-                if derived not in self.base:
+                # base and provenance's keys are every triple ever enqueued
+                if derived not in self.base and derived not in self.provenance:
                     self.provenance[derived] = deriv
-                    self.inferred.insert(derived)
-                enqueued.add(derived)
-                queue.append(derived)
-        return self.inferred.freeze(), self.provenance
+                    queue.append(derived)
+        return self.store.freeze(), self.provenance
 
-    def _index(self, t: Triple):
-        if t.predicate == RDF_TYPE and isinstance(t.object, Iri):
-            self.types.setdefault(t.subject, set()).add(t.object)
-            self.instances.setdefault(t.object, set()).add(t.subject)
-        if (t.predicate == self.sub_class_of and isinstance(t.subject, Iri)
-                and isinstance(t.object, Iri)):
-            self.sub_c_edges.setdefault(t.subject, set()).add(t.object)
-        if (t.predicate == self.sub_property_of and isinstance(t.subject, Iri)
-                and isinstance(t.object, Iri)):
-            self.sub_p_edges.setdefault(t.subject, set()).add(t.object)
-        self.by_pred.setdefault(t.predicate, set()).add((t.subject, t.object))
-        if t.predicate in self.step_preds:
-            self.ends.setdefault((t.subject, t.predicate, True), set()).add(t.object)
-            self.ends.setdefault((t.object, t.predicate, False), set()).add(t.subject)
+    def _iris(self, x: Term, p: Iri, forward: bool) -> list[Iri]:
+        """The IRIs one p edge away from x in the store."""
+        return [y for y in self.store.neighbours(x, p, forward) if isinstance(y, Iri)]
 
     def _consequences(self, t: Triple):
         out: list[tuple[Triple, Derivation]] = []
@@ -145,42 +120,35 @@ class _Engine:
     def _hierarchy(self, t: Triple):
         out = []
         s, p, o = t.subject, t.predicate, t.object
+        sub_c, sub_p = self.sub_class_of, self.sub_property_of
         if p == RDF_TYPE and isinstance(o, Iri):
             for d in self.reg.superclasses(o):
                 out.append((Triple(s, RDF_TYPE, d), Derivation("R2-axiom", (t,))))
-            for d in self.sub_c_edges.get(o, ()):
-                edge = Triple(o, self.sub_class_of, d)
+            for d in self._iris(o, sub_c, True):
+                edge = Triple(o, sub_c, d)
                 out.append((Triple(s, RDF_TYPE, d), Derivation("R2", (t, edge))))
-        if p == self.sub_class_of and isinstance(s, Iri) and isinstance(o, Iri):
-            for e in self.sub_c_edges.get(o, ()):
-                mid = Triple(o, self.sub_class_of, e)
-                out.append((Triple(s, self.sub_class_of, e), Derivation("R1", (t, mid))))
-            for c, cs in self.sub_c_edges.items():
-                if s in cs and c != s:
-                    left = Triple(c, self.sub_class_of, s)
-                    out.append((Triple(c, self.sub_class_of, o),
-                                Derivation("R1", (left, t))))
-            for x in self.instances.get(s, ()):
-                inst = Triple(x, RDF_TYPE, s)
-                out.append((Triple(x, RDF_TYPE, o), Derivation("R2", (inst, t))))
-        if p == self.sub_property_of and isinstance(s, Iri) and isinstance(o, Iri):
-            for e in self.sub_p_edges.get(o, ()):
-                mid = Triple(o, self.sub_property_of, e)
-                out.append((Triple(s, self.sub_property_of, e),
-                            Derivation("R3", (t, mid))))
-            for c, cs in self.sub_p_edges.items():
-                if s in cs and c != s:
-                    left = Triple(c, self.sub_property_of, s)
-                    out.append((Triple(c, self.sub_property_of, o),
-                                Derivation("R3", (left, t))))
-            for (xs, xo) in self.by_pred.get(s, ()):
-                stmt = Triple(xs, s, xo)
-                out.append((Triple(xs, o, xo), Derivation("R4", (stmt, t))))
+        if p in (sub_c, sub_p) and isinstance(s, Iri) and isinstance(o, Iri):
+            rule = "R1" if p == sub_c else "R3"
+            # transitivity: join (s p o) with (o p e) and with (c p s)
+            for e in self._iris(o, p, True):
+                mid = Triple(o, p, e)
+                out.append((Triple(s, p, e), Derivation(rule, (t, mid))))
+            for c in self._iris(s, p, False):
+                left = Triple(c, p, s)
+                out.append((Triple(c, p, o), Derivation(rule, (left, t))))
+            if p == sub_c:
+                for x in self.store.neighbours(s, RDF_TYPE, False):
+                    inst = Triple(x, RDF_TYPE, s)
+                    out.append((Triple(x, RDF_TYPE, o), Derivation("R2", (inst, t))))
+            else:
+                for stmt in self.store.match(p=s):
+                    out.append((Triple(stmt.subject, o, stmt.object),
+                                Derivation("R4", (stmt, t))))
         # statement propagation for the triple's own predicate
         for q in self.reg.superproperties(p):
             out.append((Triple(s, q, o), Derivation("R4-axiom", (t,))))
-        for q in self.sub_p_edges.get(p, ()):
-            edge = Triple(p, self.sub_property_of, q)
+        for q in self._iris(p, sub_p, True):
+            edge = Triple(p, sub_p, q)
             out.append((Triple(s, q, o), Derivation("R4", (t, edge))))
         return out
 
@@ -188,10 +156,11 @@ class _Engine:
 
     def _domain_range(self, t: Triple):
         out = []
-        for c in self.domains.get(t.predicate, ()):
-            out.append((Triple(t.subject, RDF_TYPE, c), Derivation("R5-domain", (t,))))
-        for c in self.ranges.get(t.predicate, ()):
-            if isinstance(t.object, (Iri, BlankNode)):
+        for p, c in self.domains:
+            if p == t.predicate:
+                out.append((Triple(t.subject, RDF_TYPE, c), Derivation("R5-domain", (t,))))
+        for p, c in self.ranges:
+            if p == t.predicate and isinstance(t.object, (Iri, BlankNode)):
                 out.append((Triple(t.object, RDF_TYPE, c), Derivation("R5-range", (t,))))
         return out
 
@@ -207,25 +176,25 @@ class _Engine:
             elif t.predicate == RDF_TYPE and t.object == spec.through_class:
                 through = (t.subject,)
             elif t.predicate == RDF_TYPE and t.object == spec.object_class:
-                through = self.ends.get((t.subject, p2, d2 is Direction.INVERSE), ())
+                through = self.store.neighbours(t.subject, p2, d2 is Direction.INVERSE)
             for r in through:
                 out += self._contract(r, rule, prop, spec)
         return out
 
     def _contract(self, r: Term, rule: str, prop: Iri, spec: PathSpec):
         """All conclusions of one shortcut spec through node r right now."""
-        if spec.through_class not in self.types.get(r, ()):
+        if spec.through_class not in self.store.neighbours(r, RDF_TYPE):
             return []
         (p1, d1), (p2, d2) = spec.steps
         through_t = Triple(r, RDF_TYPE, spec.through_class)
         out = []
-        for x in self.ends.get((r, p1, d1 is Direction.INVERSE), ()):
+        for x in self.store.neighbours(r, p1, d1 is Direction.INVERSE):
             if isinstance(x, Literal):
                 continue
-            for m in self.ends.get((r, p2, d2 is Direction.FORWARD), ()):
+            for m in self.store.neighbours(r, p2, d2 is Direction.FORWARD):
                 premises = (through_t, _step(x, p1, d1, r), _step(r, p2, d2, m))
                 if spec.object_class is not None:
-                    if spec.object_class not in self.types.get(m, ()):
+                    if spec.object_class not in self.store.neighbours(m, RDF_TYPE):
                         continue
                     premises += (Triple(m, RDF_TYPE, spec.object_class),)
                 out.append((Triple(x, prop, m), Derivation(rule, premises)))
@@ -250,9 +219,8 @@ def close(g: Graph, reg: TermRegistry, rules: Optional[RuleSet] = None) -> Closu
         rules = RuleSet()
     if not g.frozen:
         raise ReasonerError("close() requires a frozen graph")
-    # the engine's working state is freed before the store is built
-    inferred, provenance = _Engine(g, reg, rules).run()
-    return ClosureGraph(g, inferred, provenance)
+    store, provenance = _Engine(g, reg, rules).run()
+    return ClosureGraph(g, store, provenance)
 
 
 def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,

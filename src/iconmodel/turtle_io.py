@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import (XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal, Term,
                     Triple, term_key)
@@ -402,7 +402,7 @@ def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
     return body
 
 
-def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
+def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
     """Deterministic Turtle: prefixes sorted by label, subjects sorted by
     term order, predicates and objects sorted within each subject block.
 

@@ -93,6 +93,107 @@ def naive_close(base: Graph, reg: TermRegistry, rules: RuleSet) -> set[Triple]:
         out |= new
 
 
+def check_derivations(base: Graph, provenance: dict, reg: TermRegistry,
+                      rules: RuleSet) -> list[str]:
+    """Check every recorded derivation against its rule id, with the rules
+    written out for the shipped vocabulary. Each premise must be asserted
+    or recorded earlier in provenance. Returns one line per fault."""
+    sub_class_of = reg.iri("rdfs:subClassOf")
+    sub_property_of = reg.iri("rdfs:subPropertyOf")
+    recognition = reg.iri("icon:IconologicalRecognition")
+    phenomenon = reg.iri("icon:CulturalPhenomenon")
+    assigns_to = reg.iri("icon:assignsTo")
+    assigned = reg.iri("icon:assigned")
+
+    def reachable(kind: AxiomKind) -> set[tuple[Iri, Iri]]:
+        pairs = {(a.subject, a.object) for a in reg.axioms if a.kind is kind}
+        while True:
+            longer = pairs | {(a, d) for a, b in pairs for c, d in pairs if b == c}
+            if longer == pairs:
+                return pairs
+            pairs = longer
+
+    ax_sub_c = reachable(AxiomKind.SUB_CLASS_OF)
+    ax_sub_p = reachable(AxiomKind.SUB_PROPERTY_OF)
+    ax_domain = {(a.subject, a.object) for a in reg.axioms if a.kind is AxiomKind.DOMAIN}
+    ax_range = {(a.subject, a.object) for a in reg.axioms if a.kind is AxiomKind.RANGE}
+
+    def hierarchy_edge(t: Triple, p: Iri) -> bool:
+        return (t.predicate == p and isinstance(t.subject, Iri)
+                and isinstance(t.object, Iri))
+
+    def transitive(c: Triple, ps: tuple, p: Iri) -> bool:
+        return (len(ps) == 2 and c.predicate == p
+                and all(hierarchy_edge(x, p) for x in ps)
+                and ps[0].object == ps[1].subject and c.subject == ps[0].subject
+                and c.object == ps[1].object)
+
+    def typing(x: Triple, cls: Iri) -> bool:
+        return x.predicate == RDF_TYPE and x.object == cls
+
+    def shortcut(c: Triple, ps: tuple, prop: str, needs_phenomenon: bool) -> bool:
+        if len(ps) != 3 + needs_phenomenon or c.predicate != reg.iri(prop):
+            return False
+        r, x, m = ps[0].subject, c.subject, c.object
+        return (typing(ps[0], recognition) and not isinstance(x, Literal)
+                and ps[1] == Triple(r, assigns_to, x) and ps[2] == Triple(r, assigned, m)
+                and (not needs_phenomenon or ps[3] == Triple(m, RDF_TYPE, phenomenon)))
+
+    def licensed(rule: str, c: Triple, ps: tuple) -> bool:
+        one = ps[0] if len(ps) == 1 else None
+        if rule == "R1":
+            return rules.hierarchy and transitive(c, ps, sub_class_of)
+        if rule == "R3":
+            return rules.hierarchy and transitive(c, ps, sub_property_of)
+        if rule == "R2-axiom":
+            return (rules.hierarchy and one is not None and one.predicate == RDF_TYPE
+                    and c.subject == one.subject and c.predicate == RDF_TYPE
+                    and (one.object, c.object) in ax_sub_c)
+        if rule == "R4-axiom":
+            return (rules.hierarchy and one is not None
+                    and (c.subject, c.object) == (one.subject, one.object)
+                    and (one.predicate, c.predicate) in ax_sub_p)
+        if rule == "R2":
+            return (rules.hierarchy and len(ps) == 2
+                    and hierarchy_edge(ps[1], sub_class_of)
+                    and ps[0] == Triple(c.subject, RDF_TYPE, ps[1].subject)
+                    and c == Triple(c.subject, RDF_TYPE, ps[1].object))
+        if rule == "R4":
+            return (rules.hierarchy and len(ps) == 2
+                    and hierarchy_edge(ps[1], sub_property_of)
+                    and ps[0].predicate == ps[1].subject
+                    and c == Triple(ps[0].subject, ps[1].object, ps[0].object))
+        if rule == "R5-domain":
+            return (rules.domain_range_typing and one is not None
+                    and c.subject == one.subject and c.predicate == RDF_TYPE
+                    and (one.predicate, c.object) in ax_domain)
+        if rule == "R5-range":
+            return (rules.domain_range_typing and one is not None
+                    and not isinstance(one.object, Literal)
+                    and c.subject == one.object and c.predicate == RDF_TYPE
+                    and (one.predicate, c.object) in ax_range)
+        if rule == "R6-symbolizes":
+            return rules.shortcut_contraction and shortcut(c, ps, "icon:symbolizes", False)
+        if rule == "R6-document":
+            return rules.shortcut_contraction and shortcut(c, ps, "icon:isDocumentOf", True)
+        return False
+
+    faults = []
+    seen = set(base)
+    for conclusion, deriv in provenance.items():
+        if conclusion in base:
+            faults.append(f"{conclusion!r} is asserted but has a derivation")
+        for premise in deriv.premises:
+            if premise not in seen:
+                faults.append(f"{conclusion!r}: premise {premise!r} is neither "
+                              "asserted nor derived earlier")
+        if not licensed(deriv.rule, conclusion, deriv.premises):
+            faults.append(f"{conclusion!r}: {deriv.rule} does not license it "
+                          f"from {deriv.premises!r}")
+        seen.add(conclusion)
+    return faults
+
+
 def oracle_level_of(triples: set[Triple], node: Term) -> InterpretationLevel:
     """The four-level classifier with its recognition rules written out
     for the shipped vocabulary, scanning the whole triple set each time."""

@@ -66,6 +66,18 @@ class TestParse:
         code, out, err = run(capsys, "parse", "-")
         assert code == 0 and out.startswith("1 triples")
 
+    def test_non_utf8_stdin_reads_as_the_file(self, capsys, monkeypatch, tmp_path):
+        data = b'@prefix ex: <http://example.org/> .\r\nex:s ex:p "caf\xff" .\r\n'
+        doc = tmp_path / "latin1.ttl"
+        doc.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+        code, out, err = run(capsys, "parse", "-")
+        assert code == 2 and out == ""
+        at = data.index(b"\xff")
+        assert err == f"icon: -: not UTF-8 text: invalid start byte at byte {at}\n"
+        assert run(capsys, "parse", str(doc))[2] == err.replace("-:", f"{doc}:", 1)
+
 
 class TestValidate:
     def test_fixture_conforms(self, capsys, fixture_path):
@@ -204,6 +216,15 @@ class TestQuery:
                              str(pattern))
         assert code == 2 and err.startswith("icon:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("path", [{"plus": "?p"}, {"inv": {"seq": ["?p", "?q"]}}])
+    def test_path_variable_is_exit_2(self, capsys, tmp_path, fixture_path, path):
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": ["?s"], "where": [["?s", path, "?o"]]}))
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
+                             str(pattern))
+        assert code == 2 and out == ""
+        assert err.startswith("icon:") and len(err.splitlines()) == 1
+
 
 class TestCq:
     def test_list_has_eight_entries(self, capsys):
@@ -251,3 +272,11 @@ class TestCases:
     def test_export_unknown_case(self, capsys):
         code, out, err = run(capsys, "cases", "export", "nope")
         assert code == 2
+
+    def test_export_under_a_regular_file_is_exit_2(self, capsys, tmp_path):
+        blocker = tmp_path / "FILE"
+        blocker.write_text("")
+        code, out, err = run(capsys, "cases", "export", "laocoon",
+                             "--out", str(blocker / "sub"))
+        assert code == 2 and out == ""
+        assert err.startswith("icon:") and len(err.splitlines()) == 1

@@ -159,6 +159,15 @@ def test_match_agrees_with_linear_scan(ts):
         assert g.match(p=probe.predicate, o=probe.object) == expected
 
 
+@given(st.lists(triples, max_size=30), objects, iris)
+def test_neighbours_agree_with_linear_scan(ts, node, p):
+    g = Graph(ts).freeze()
+    assert g.neighbours(node, p) == {x.object for x in ts
+                                     if x.subject == node and x.predicate == p}
+    assert g.neighbours(node, p, False) == {x.subject for x in ts
+                                            if x.object == node and x.predicate == p}
+
+
 @given(st.lists(triples, max_size=25))
 def test_graph_is_a_set_of_triples(ts):
     g = Graph(ts).freeze()

@@ -89,6 +89,11 @@ class TestEvaluate:
                        [Var("end")])
         assert got == {Solution.of({"end": e("b")}), Solution.of({"end": e("c")})}
 
+    def test_variable_inside_path_is_query_error(self, chain):
+        for path in (Plus(Var("p")), Inv(Seq(Var("p"), e("q")))):
+            with pytest.raises(QueryError):
+                evaluate(chain, Pattern(((Var("s"), path, Var("o")),)), [Var("s")])
+
     def test_no_solutions(self, chain):
         assert evaluate(chain, Pattern(((Var("x"), e("nope"), Var("y")),)),
                         [Var("x")]) == set()
@@ -208,6 +213,15 @@ class TestJsonFormats:
     def test_malformed_parts_are_query_errors(self, doc):
         with pytest.raises(QueryError):
             pattern_from_json(doc)
+
+    @pytest.mark.parametrize("path", [
+        {"plus": "?p"},
+        {"inv": {"seq": ["?p", "?q"]}},
+        {"alt": ["<http://example.org/p>", "?q"]},
+    ])
+    def test_variable_inside_path_is_rejected(self, path):
+        with pytest.raises(QueryError, match="only a bare predicate"):
+            pattern_from_json({"select": ["?s"], "where": [["?s", path, "?o"]]})
 
     def test_solutions_round_trip(self):
         solutions = {Solution.of({"x": e("a"), "y": Literal("v", lang="en")}),

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iconmodel.graph import BlankNode, Graph, Iri, Triple, union
+from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple, union
 from iconmodel.reasoner import (Derivation, ReasonerError, RuleSet,
                                 WrongPredicateError, close, expand_shortcut)
 from iconmodel.turtle_io import RDF_TYPE
@@ -11,7 +11,7 @@ from iconmodel.vocab import (Axiom, AxiomKind, Direction, PathSpec, TermKind,
                              TermRegistry, VocabTerm, curie_to_iri)
 
 from conftest import registry_random_graph
-from oracles import naive_close
+from oracles import check_derivations, naive_close
 
 D = "https://w3id.org/icon/data/test/"
 
@@ -68,6 +68,16 @@ class TestHierarchyRules:
         g = Graph([Triple(d("x"), RDF_TYPE, d("A")),
                    Triple(d("A"), sub, d("zzz"))]).freeze()
         assert Triple(d("x"), RDF_TYPE, d("zzz")) in close(g, reg)
+
+    def test_non_iri_hierarchy_edges_are_ignored(self, reg):
+        sub = reg.iri("rdfs:subClassOf")
+        g = Graph([Triple(d("A"), sub, Literal("lit")),
+                   Triple(d("A"), sub, BlankNode("b")),
+                   Triple(BlankNode("c"), sub, d("A")),
+                   Triple(d("A"), sub, d("A")),
+                   Triple(d("x"), RDF_TYPE, d("A"))]).freeze()
+        c = close(g, reg)
+        assert set(c.graph()) == naive_close(g, reg, RuleSet()) == set(g)
 
 
 class TestShortcutContraction:
@@ -143,8 +153,8 @@ class TestClosureShape:
             assert set(c.graph()) == set(c.base) | set(c.inferred)
             assert len(c) == len(c.graph())
 
-    def test_store_is_copied_once_per_closure(self, reg, monkeypatch):
-        import iconmodel.reasoner as reasoner
+    def test_closure_makes_no_union_copy(self, reg, monkeypatch):
+        import sys
         from iconmodel.casebook import level_of
         from iconmodel.query import run_cq
         copies = []
@@ -153,13 +163,36 @@ class TestClosureShape:
             copies.append((a, b))
             return union(a, b)
 
-        monkeypatch.setattr(reasoner, "union", counting_union)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("iconmodel") and getattr(module, "union", None) is union:
+                monkeypatch.setattr(module, "union", counting_union)
         c = close(recognition_graph(reg), reg)
         for _ in range(3):
             c.graph()
             level_of(c, d("artwork"))
             run_cq(c, "CQ1b")
-        assert len(copies) == 1
+        assert len(copies) == 0
+
+    def test_closure_shares_the_base_and_builds_one_store(self, reg, monkeypatch):
+        g = recognition_graph(reg)
+        made = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        c = close(g, reg)
+        assert c.base is g and made == [c.graph()]
+        sym = Triple(d("artwork"), reg.iri("icon:symbolizes"), d("meaning"))
+        # inferred is a read-only view of provenance's keys
+        assert len(c.inferred) == len(c.provenance) > 0
+        assert sym in c.inferred and sym not in c.base
+        assert set(c.inferred) == set(c.provenance)
+        assert not c.inferred & set(g)
+        assert c.inferred | set(g) == set(c.graph())
+        assert not hasattr(c.inferred, "add")
 
     def test_provenance_covers_inferred_only(self, reg, case_closures):
         for c in case_closures.values():
@@ -203,6 +236,69 @@ class TestAgainstNaiveOracle:
             g2 = registry_random_graph(rng, reg, max_triples=30)
             merged = union(g1, g2)
             assert set(close(g1, reg).graph()) <= set(close(merged, reg).graph())
+
+
+RULE_SETS = [RuleSet(), RuleSet(domain_range_typing=True),
+             RuleSet(hierarchy=True, shortcut_contraction=False),
+             RuleSet(hierarchy=False, shortcut_contraction=True),
+             RuleSet(hierarchy=False, shortcut_contraction=False,
+                     domain_range_typing=True)]
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=repr)
+class TestDerivationOracle:
+    def test_case_closures(self, reg, case_graphs, rules):
+        for g in case_graphs.values():
+            c = close(g, reg, rules)
+            assert check_derivations(g, c.provenance, reg, rules) == []
+
+    def test_random_graphs(self, reg, rules):
+        rng = random.Random(1106)
+        for _ in range(40):
+            g = with_recognitions(rng, reg, registry_random_graph(rng, reg))
+            c = close(g, reg, rules)
+            assert check_derivations(g, c.provenance, reg, rules) == []
+            assert set(c.graph()) == naive_close(g, reg, rules)
+
+
+def with_recognitions(rng, reg, g):
+    """g plus a few recognition paths over its data nodes, which random
+    registry graphs almost never contain."""
+    nodes = sorted({x for t in g for x in (t.subject, t.object)
+                    if not isinstance(x, Literal)}, key=repr) or [d("x")]
+    extra = []
+    for i in range(rng.randrange(4)):
+        r = d(f"recognition{i}")
+        extra += [Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")),
+                  Triple(r, reg.iri("icon:assignsTo"), rng.choice(nodes)),
+                  Triple(r, reg.iri("icon:assigned"), rng.choice(nodes))]
+        if rng.random() < 0.5:
+            extra.append(Triple(rng.choice(nodes), RDF_TYPE,
+                                reg.iri("icon:CulturalPhenomenon")))
+    return union(g, Graph(extra).freeze())
+
+
+
+def test_derivation_oracle_reports_faults(reg):
+    g = recognition_graph(reg, meaning_is_phenomenon=True)
+    good = close(g, reg).provenance
+    assert check_derivations(g, good, reg, RuleSet()) == []
+    sym = Triple(d("artwork"), reg.iri("icon:symbolizes"), d("meaning"))
+    doc = Triple(d("artwork"), reg.iri("icon:isDocumentOf"), d("meaning"))
+    # a conclusion drawn from a derived premise, moved ahead of that premise
+    later = next(t for t, dv in good.items() if any(x in good for x in dv.premises))
+    asserted = good[sym].premises[0]
+    broken = [
+        {**good, sym: Derivation("R6-document", good[sym].premises)},
+        {**good, doc: Derivation("R6-document", good[doc].premises[:3])},
+        {**good, sym: Derivation("R9", good[sym].premises)},
+        {**good, sym: Derivation("R6-symbolizes", good[sym].premises[::-1])},
+        {later: good[later], **good},
+        {**good, asserted: Derivation("R2-axiom", (asserted,))},
+    ]
+    for provenance in broken:
+        assert check_derivations(g, provenance, reg, RuleSet()), provenance
+    assert check_derivations(g, good, reg, RuleSet(shortcut_contraction=False))
 
 
 @settings(max_examples=40, deadline=None)
