@@ -154,7 +154,7 @@ def cmd_query(args) -> int:
     result = _parse_source(args.graph)
     try:
         doc = json.loads(_read_source(args.pattern))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         _err(f"{args.pattern}: bad JSON: {exc}")
         return EXIT_ERROR
     g = result.graph

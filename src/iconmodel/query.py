@@ -9,7 +9,6 @@ contraction.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -79,15 +78,6 @@ class Solution:
     @classmethod
     def of(cls, mapping: dict[str, Term]) -> "Solution":
         return cls(tuple(sorted(mapping.items())))
-
-    def __getitem__(self, name: str) -> Term:
-        for k, v in self.bindings:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    def as_dict(self) -> dict[str, Term]:
-        return dict(self.bindings)
 
 
 def path_pairs(g: Graph, path: PathExpr) -> set[tuple[Term, Term]]:
@@ -213,27 +203,41 @@ def _resolve(value: str, prefixes: PrefixMap) -> Iri:
         raise QueryError(f"cannot resolve term {value!r}")
 
 
-def _path_from_json(value, prefixes: PrefixMap, nested: bool = False):
+_MAX_PATH_DEPTH = 100  # keeps decoding and path_pairs inside the recursion limit
+
+
+def _balanced(node, parts: list):
+    """parts folded under an associative binary node into a tree of
+    logarithmic depth."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return node(_balanced(node, parts[:mid]), _balanced(node, parts[mid:]))
+
+
+def _path_from_json(value, prefixes: PrefixMap, depth: int = 0):
+    if depth > _MAX_PATH_DEPTH:
+        raise QueryError(f"path expression nested deeper than {_MAX_PATH_DEPTH}")
     if isinstance(value, str):
         if value.startswith("?"):
-            if nested:
+            if depth:
                 raise QueryError(f"variable {value} inside a path expression: "
                                  "only a bare predicate may be a variable")
             return Var(value[1:])
         return _resolve(value, prefixes)
     if isinstance(value, dict):
         if "inv" in value:
-            return Inv(_path_from_json(value["inv"], prefixes, True))
+            return Inv(_path_from_json(value["inv"], prefixes, depth + 1))
         if "plus" in value:
-            return Plus(_path_from_json(value["plus"], prefixes, True))
+            return Plus(_path_from_json(value["plus"], prefixes, depth + 1))
         for key, node, parts_name in (("seq", Seq, "steps"), ("alt", Alt, "branches")):
             if key in value:
                 if not isinstance(value[key], list):
                     raise QueryError(f"{key} needs a list of {parts_name}")
-                parts = [_path_from_json(v, prefixes, True) for v in value[key]]
+                parts = [_path_from_json(v, prefixes, depth + 1) for v in value[key]]
                 if len(parts) < 2:
                     raise QueryError(f"{key} needs at least two {parts_name}")
-                return functools.reduce(node, parts)
+                return _balanced(node, parts)
     raise QueryError(f"bad path expression {value!r}")
 
 
@@ -280,16 +284,6 @@ def term_to_json(t: Term):
     return out
 
 
-def term_from_json(value) -> Term:
-    if isinstance(value, dict):
-        dt = value.get("datatype")
-        return Literal(value["lit"], lang=value.get("lang"),
-                       datatype=Iri(dt) if dt else None)
-    if value.startswith("_:"):
-        return BlankNode(value[2:])
-    return Iri(value)
-
-
 def solutions_to_json(solutions: set[Solution]) -> list[dict]:
     rows = [{f"?{k}": term_to_json(v) for k, v in s.bindings} for s in solutions]
     return sorted(rows, key=lambda r: sorted(r.items(), key=str))
@@ -298,7 +292,8 @@ def solutions_to_json(solutions: set[Solution]) -> list[dict]:
 def solutions_from_json(rows: list[dict]) -> set[Solution]:
     out = set()
     for row in rows:
-        out.add(Solution.of({k.lstrip("?"): term_from_json(v) for k, v in row.items()}))
+        out.add(Solution.of({k.lstrip("?"): _term_from_json(v, {})
+                             for k, v in row.items()}))
     return out
 
 

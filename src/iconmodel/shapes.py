@@ -1,8 +1,11 @@
 """Structural validation of interpretation graphs.
 
 The shape set is fixed: nine built-in shapes covering the model's
-constraints. Validation expects the hierarchy-closed graph, so subclass
-instances satisfy class constraints without redundant explicit typing.
+constraints, each a flat `Shape` record of targets, required properties
+and allowed classes; the one shape with no targets is the
+vocabulary-hygiene check. Validation expects the hierarchy-closed graph,
+so subclass instances satisfy class constraints without redundant
+explicit typing.
 Warnings never fail validation; only Violation entries flip conforms.
 """
 
@@ -11,9 +14,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Union
 
-from .graph import BlankNode, Graph, Iri, Literal, Term, term_key
+from .graph import BlankNode, Graph, Iri, Literal, Term, Triple, term_key
 from .turtle_io import RDF_TYPE
 from .vocab import DATA_NAMESPACE, TermRegistry
 
@@ -24,54 +26,25 @@ class Severity(enum.Enum):
 
 
 @dataclass(frozen=True)
-class InstancesOf:
-    cls: Iri
-
-
-@dataclass(frozen=True)
-class SubjectsOf:
-    prop: Iri
-
-
-@dataclass(frozen=True)
-class ObjectsOf:
-    prop: Iri
-
-
-Target = Union[InstancesOf, SubjectsOf, ObjectsOf]
-
-
-@dataclass(frozen=True)
-class MinCount:
-    prop: Iri
-    n: int
-
-
-@dataclass(frozen=True)
-class FocusClassOneOf:
-    classes: tuple[Iri, ...]
-
-
-@dataclass(frozen=True)
-class AllOf:
-    constraints: tuple
-
-
-@dataclass(frozen=True)
-class UnknownTermHygiene:
-    """Graph-wide check for predicates and classes outside the registry."""
-
-
-Constraint = Union[MinCount, FocusClassOneOf, AllOf, UnknownTermHygiene]
-
-
-@dataclass(frozen=True)
 class Shape:
+    """One structural constraint, in the terms of SHACL Core.
+
+    Its focus nodes are the instances of each class in `instances_of` and
+    the subjects (objects) of each property in `subjects_of`
+    (`objects_of`). A focus conforms when it has at least one value for
+    every property in `required` and, when `classes` is non-empty, is
+    typed with one of them; a literal focus never conforms. A shape with
+    no targets is the vocabulary-hygiene check: it flags every predicate
+    and rdf:type class outside the registry and the data namespace.
+    """
     id: str
-    targets: tuple[Target, ...]
-    constraint: Constraint
     severity: Severity
     message: str
+    instances_of: tuple[Iri, ...] = ()
+    subjects_of: tuple[Iri, ...] = ()
+    objects_of: tuple[Iri, ...] = ()
+    required: tuple[Iri, ...] = ()
+    classes: tuple[Iri, ...] = ()
 
 
 ShapeSet = tuple[Shape, ...]
@@ -118,76 +91,61 @@ def default_shapes(reg: TermRegistry) -> ShapeSet:
     def i(curie: str) -> Iri:
         return reg.iri(curie)
 
+    recognition = i("icon:IconologicalRecognition")
+    refers, motifs = i("icon:symbolicallyRefersTo"), i("icon:showsMotifsOf")
     lev2 = (i("vir:IC9_Representation"), i("vir:IC10_Attribute"),
             i("vir:IC11_Personification"), i("vir:IC16_Character"))
     return (
-        Shape("S1", (InstancesOf(i("icon:IconologicalRecognition")),),
-              AllOf((MinCount(i("icon:assignsTo"), 1),
-                     MinCount(i("icon:assigned"), 1))),
-              Severity.VIOLATION,
+        Shape("S1", Severity.VIOLATION,
               "an iconological recognition must assign a claim to an entity "
-              "(icon:assignsTo and icon:assigned both required)"),
-        Shape("S2", (InstancesOf(i("icon:IconologicalRecognition")),),
-              MinCount(i("crm:P14_carried_out_by"), 1),
-              Severity.WARNING,
-              "recognition should be attributed to an actor via crm:P14_carried_out_by"),
-        Shape("S3", (SubjectsOf(i("icon:symbolicallyRefersTo")),
-                     ObjectsOf(i("icon:symbolicallyRefersTo"))),
-              FocusClassOneOf((i("crm:E5_Event"),)),
-              Severity.VIOLATION,
-              "icon:symbolicallyRefersTo endpoints must be typed crm:E5_Event"),
-        Shape("S4", (SubjectsOf(i("icon:showsMotifsOf")),
-                     ObjectsOf(i("icon:showsMotifsOf"))),
-              FocusClassOneOf((i("crm:E28_Conceptual_Object"),)),
-              Severity.VIOLATION,
-              "icon:showsMotifsOf endpoints must be typed crm:E28_Conceptual_Object"),
-        Shape("S5", (ObjectsOf(i("icon:isDocumentOf")),),
-              FocusClassOneOf((i("icon:CulturalPhenomenon"),)),
-              Severity.VIOLATION,
-              "icon:isDocumentOf object must be typed icon:CulturalPhenomenon"),
-        Shape("S6", (ObjectsOf(i("icon:hasIdentifyingAttribute")),),
-              FocusClassOneOf((i("vir:IC10_Attribute"),)),
-              Severity.VIOLATION,
-              "icon:hasIdentifyingAttribute object must be typed vir:IC10_Attribute"),
-        Shape("S7", (SubjectsOf(i("icon:symbolizes")),),
-              FocusClassOneOf(lev2),
-              Severity.VIOLATION,
+              "(icon:assignsTo and icon:assigned both required)",
+              instances_of=(recognition,),
+              required=(i("icon:assignsTo"), i("icon:assigned"))),
+        Shape("S2", Severity.WARNING,
+              "recognition should be attributed to an actor via crm:P14_carried_out_by",
+              instances_of=(recognition,), required=(i("crm:P14_carried_out_by"),)),
+        Shape("S3", Severity.VIOLATION,
+              "icon:symbolicallyRefersTo endpoints must be typed crm:E5_Event",
+              subjects_of=(refers,), objects_of=(refers,),
+              classes=(i("crm:E5_Event"),)),
+        Shape("S4", Severity.VIOLATION,
+              "icon:showsMotifsOf endpoints must be typed crm:E28_Conceptual_Object",
+              subjects_of=(motifs,), objects_of=(motifs,),
+              classes=(i("crm:E28_Conceptual_Object"),)),
+        Shape("S5", Severity.VIOLATION,
+              "icon:isDocumentOf object must be typed icon:CulturalPhenomenon",
+              objects_of=(i("icon:isDocumentOf"),),
+              classes=(i("icon:CulturalPhenomenon"),)),
+        Shape("S6", Severity.VIOLATION,
+              "icon:hasIdentifyingAttribute object must be typed vir:IC10_Attribute",
+              objects_of=(i("icon:hasIdentifyingAttribute"),),
+              classes=(i("vir:IC10_Attribute"),)),
+        Shape("S7", Severity.VIOLATION,
               "icon:symbolizes subject must be a representation, attribute, "
-              "personification, or character"),
-        Shape("S8", (InstancesOf(i("vir:IC12_Visual_Recognition")),),
-              MinCount(i("vir:K10_on_the_base_of"), 1),
-              Severity.WARNING,
-              "visual recognition should cite a source via vir:K10_on_the_base_of"),
-        Shape("S9", (), UnknownTermHygiene(), Severity.WARNING,
-              "IRI is not a registered vocabulary term"),
+              "personification, or character",
+              subjects_of=(i("icon:symbolizes"),), classes=lev2),
+        Shape("S8", Severity.WARNING,
+              "visual recognition should cite a source via vir:K10_on_the_base_of",
+              instances_of=(i("vir:IC12_Visual_Recognition"),),
+              required=(i("vir:K10_on_the_base_of"),)),
+        Shape("S9", Severity.WARNING, "IRI is not a registered vocabulary term"),
     )
 
 
-def _focus_nodes(g: Graph, targets: tuple[Target, ...]) -> set[Term]:
-    out: set[Term] = set()
-    for target in targets:
-        if isinstance(target, InstancesOf):
-            out |= {t.subject for t in g.match(p=RDF_TYPE, o=target.cls)}
-        elif isinstance(target, SubjectsOf):
-            out |= {t.subject for t in g.match(p=target.prop)}
-        else:
-            out |= {t.object for t in g.match(p=target.prop)}
+def _focus_nodes(g: Graph, shape: Shape) -> set[Term]:
+    out = {t.subject for cls in shape.instances_of for t in g.match(p=RDF_TYPE, o=cls)}
+    out |= {t.subject for p in shape.subjects_of for t in g.match(p=p)}
+    out |= {t.object for p in shape.objects_of for t in g.match(p=p)}
     return out
 
 
-def _check(g: Graph, focus: Term, c: Constraint) -> bool:
-    if isinstance(c, MinCount):
-        if isinstance(focus, Literal):
-            return False
-        return len(g.match(s=focus, p=c.prop)) >= c.n
-    if isinstance(c, FocusClassOneOf):
-        if isinstance(focus, Literal):
-            return False
-        types = {t.object for t in g.match(s=focus, p=RDF_TYPE)}
-        return any(cls in types for cls in c.classes)
-    if isinstance(c, AllOf):
-        return all(_check(g, focus, sub) for sub in c.constraints)
-    raise TypeError(f"unhandled constraint {c!r}")
+def _conforms(g: Graph, focus: Term, shape: Shape) -> bool:
+    if isinstance(focus, Literal):
+        return False
+    if not all(g.match(s=focus, p=p) for p in shape.required):
+        return False
+    return not shape.classes or any(Triple(focus, RDF_TYPE, cls) in g
+                                    for cls in shape.classes)
 
 
 def _hygiene_entries(g: Graph, shape: Shape, reg: TermRegistry) -> list[ValidationEntry]:
@@ -208,11 +166,11 @@ def validate(g: Graph, shapes: ShapeSet, reg: TermRegistry) -> ValidationReport:
     """Validate a frozen, hierarchy-closed graph against the shape set."""
     entries: list[ValidationEntry] = []
     for shape in shapes:
-        if isinstance(shape.constraint, UnknownTermHygiene):
+        if not (shape.instances_of or shape.subjects_of or shape.objects_of):
             entries.extend(_hygiene_entries(g, shape, reg))
             continue
-        for focus in _focus_nodes(g, shape.targets):
-            if not _check(g, focus, shape.constraint):
+        for focus in _focus_nodes(g, shape):
+            if not _conforms(g, focus, shape):
                 entries.append(ValidationEntry(focus, shape.id, shape.severity,
                                                shape.message))
     entries.sort(key=lambda e: (term_key(e.focus), e.shape_id))

@@ -176,8 +176,8 @@ class TermRegistry:
         self._by_curie = {t.curie: t for t in terms}
         self._by_iri = {t.iri: t for t in terms}
         self._check()
-        self._sup_c = self._transitive(AxiomKind.SUB_CLASS_OF)
-        self._sup_p = self._transitive(AxiomKind.SUB_PROPERTY_OF)
+        self._sup_c = self._supersets(AxiomKind.SUB_CLASS_OF)
+        self._sup_p = self._supersets(AxiomKind.SUB_PROPERTY_OF)
 
     # -- lookups ----------------------------------------------------------
 
@@ -255,49 +255,36 @@ class TermRegistry:
             if (a.kind is AxiomKind.SUB_PROPERTY_OF
                     and a.subject == symbolizes and a.object == k14):
                 raise VocabError("icon:symbolizes must not be aligned under vir:K14")
-        self._assert_acyclic(AxiomKind.SUB_CLASS_OF)
-        self._assert_acyclic(AxiomKind.SUB_PROPERTY_OF)
 
-    def _edges(self, kind: AxiomKind) -> dict[Iri, set[Iri]]:
-        edges: dict[Iri, set[Iri]] = {}
+    def _supersets(self, kind: AxiomKind) -> dict[Iri, frozenset[Iri]]:
+        """Strict supersets of every term in one kind of hierarchy axiom, by
+        one iterative depth-first walk that rejects a cycle."""
+        edges: dict[Iri, list[Iri]] = {}
         for a in self.axioms:
-            if a.kind == kind:
-                edges.setdefault(a.subject, set()).add(a.object)
-        return edges
-
-    def _assert_acyclic(self, kind: AxiomKind):
-        edges = self._edges(kind)
-        seen: dict[Iri, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(n: Iri):
-            seen[n] = 1
-            for m in edges.get(n, ()):
-                if seen.get(m) == 1:
-                    raise VocabError(f"cycle in {kind.value} axioms at {m}")
-                if m not in seen:
-                    visit(m)
-            seen[n] = 2
-
-        for n in list(edges):
-            if n not in seen:
-                visit(n)
-
-    def _transitive(self, kind: AxiomKind) -> dict[Iri, frozenset[Iri]]:
-        edges = self._edges(kind)
+            if a.kind is kind:
+                edges.setdefault(a.subject, []).append(a.object)
         out: dict[Iri, frozenset[Iri]] = {}
-
-        def reach(n: Iri) -> frozenset[Iri]:
-            if n in out:
-                return out[n]
-            acc: set[Iri] = set()
-            for m in edges.get(n, ()):
-                acc.add(m)
-                acc |= reach(m)
-            out[n] = frozenset(acc)
-            return out[n]
-
-        for n in list(edges):
-            reach(n)
+        for root in edges:
+            if root in out:
+                continue
+            on_path = {root}
+            stack = [(root, iter(edges[root]))]
+            while stack:
+                n, parents = stack[-1]
+                m = next(parents, None)
+                if m is None:
+                    stack.pop()
+                    on_path.discard(n)
+                    acc: set[Iri] = set()
+                    for parent in edges.get(n, ()):
+                        acc.add(parent)
+                        acc |= out[parent]
+                    out[n] = frozenset(acc)
+                elif m in on_path:
+                    raise VocabError(f"cycle in {kind.value} axioms at {m}")
+                elif m not in out:
+                    on_path.add(m)
+                    stack.append((m, iter(edges.get(m, ()))))
         return out
 
 

@@ -31,7 +31,7 @@ def case_closures(reg, case_graphs):
 
 def registry_random_graph(rng: random.Random, reg, max_triples: int = 60) -> Graph:
     """Random graph over registry terms plus a few data nodes; exercises
-    typing, hierarchy edges, and recognition patterns."""
+    typing, hierarchy edges, and recognition paths (R6 inputs)."""
     props = [t.iri for t in reg.terms if t.kind is TermKind.PROPERTY]
     classes = [t.iri for t in reg.terms if t.kind is TermKind.CLASS]
     nodes = [Iri(f"https://w3id.org/icon/data/random/n{i}") for i in range(8)]
@@ -52,6 +52,15 @@ def registry_random_graph(rng: random.Random, reg, max_triples: int = 60) -> Gra
                             Literal(f"v{rng.randrange(5)}")))
         else:
             g.insert(Triple(rng.choice(nodes), rng.choice(props), rng.choice(nodes)))
+    # a few recognition paths, which the draws above almost never complete
+    for i in range(rng.randrange(4)):
+        r = Iri(f"https://w3id.org/icon/data/random/recognition{i}")
+        g.insert(Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")))
+        g.insert(Triple(r, reg.iri("icon:assignsTo"), rng.choice(nodes)))
+        g.insert(Triple(r, reg.iri("icon:assigned"), rng.choice(nodes)))
+        if rng.random() < 0.5:
+            g.insert(Triple(rng.choice(nodes), RDF_TYPE,
+                            reg.iri("icon:CulturalPhenomenon")))
     return g.freeze()
 
 

@@ -14,8 +14,9 @@ from iconmodel.casebook import InterpretationLevel
 from iconmodel.graph import BlankNode, Graph, Iri, Literal, Term, Triple
 from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
+from iconmodel.shapes import Severity
 from iconmodel.turtle_io import RDF_TYPE
-from iconmodel.vocab import AxiomKind, TermRegistry, curie_to_iri
+from iconmodel.vocab import DATA_NAMESPACE, AxiomKind, TermRegistry, curie_to_iri
 
 
 def naive_close(base: Graph, reg: TermRegistry, rules: RuleSet) -> set[Triple]:
@@ -224,6 +225,69 @@ def oracle_level_of(triples: set[Triple], node: Term) -> InterpretationLevel:
     if curie_to_iri("vir:IC1_Iconographical_Atom") in types:
         return InterpretationLevel.LEV1
     return InterpretationLevel.UNCLASSIFIED
+
+
+def oracle_validate(triples: set[Triple], reg: TermRegistry
+                    ) -> set[tuple[Term, str, Severity]]:
+    """(focus, shape id, severity) of every failure of the nine shapes,
+    each written out from its report message by whole-set scans."""
+    def i(curie: str) -> Iri:
+        return reg.iri(curie)
+
+    def instances(cls: Iri) -> set[Term]:
+        return {t.subject for t in triples
+                if t.predicate == RDF_TYPE and t.object == cls}
+
+    def has_value(node: Term, p: Iri) -> bool:
+        return any(t.subject == node and t.predicate == p for t in triples)
+
+    def typed_one_of(node: Term, classes: set[Iri]) -> bool:
+        return any(t.subject == node and t.predicate == RDF_TYPE and t.object in classes
+                   for t in triples)
+
+    def subjects(p: Iri) -> set[Term]:
+        return {t.subject for t in triples if t.predicate == p}
+
+    def objects(p: Iri) -> set[Term]:
+        return {t.object for t in triples if t.predicate == p}
+
+    def unregistered(x: Iri) -> bool:
+        return not reg.is_registered(x) and not x.value.startswith(DATA_NAMESPACE)
+
+    out: set[tuple[Term, str, Severity]] = set()
+    # S1 both icon:assignsTo and icon:assigned; S2 an actor via P14
+    for r in instances(i("icon:IconologicalRecognition")):
+        if not (has_value(r, i("icon:assignsTo")) and has_value(r, i("icon:assigned"))):
+            out.add((r, "S1", Severity.VIOLATION))
+        if not has_value(r, i("crm:P14_carried_out_by")):
+            out.add((r, "S2", Severity.WARNING))
+    refers, motifs = i("icon:symbolicallyRefersTo"), i("icon:showsMotifsOf")
+    typed_ends = [
+        ("S3", subjects(refers) | objects(refers), {i("crm:E5_Event")}),
+        ("S4", subjects(motifs) | objects(motifs), {i("crm:E28_Conceptual_Object")}),
+        ("S5", objects(i("icon:isDocumentOf")), {i("icon:CulturalPhenomenon")}),
+        ("S6", objects(i("icon:hasIdentifyingAttribute")), {i("vir:IC10_Attribute")}),
+        ("S7", subjects(i("icon:symbolizes")),
+         {i("vir:IC9_Representation"), i("vir:IC10_Attribute"),
+          i("vir:IC11_Personification"), i("vir:IC16_Character")}),
+    ]
+    for shape_id, ends, classes in typed_ends:
+        for node in ends:
+            # a literal is never the subject of an rdf:type triple
+            if not typed_one_of(node, classes):
+                out.add((node, shape_id, Severity.VIOLATION))
+    # S8 a visual recognition cites a source
+    for v in instances(i("vir:IC12_Visual_Recognition")):
+        if not has_value(v, i("vir:K10_on_the_base_of")):
+            out.add((v, "S8", Severity.WARNING))
+    # S9 predicates and rdf:type classes outside the registry and data namespace
+    for t in triples:
+        if unregistered(t.predicate):
+            out.add((t.predicate, "S9", Severity.WARNING))
+        if t.predicate == RDF_TYPE and isinstance(t.object, Iri) \
+                and unregistered(t.object):
+            out.add((t.object, "S9", Severity.WARNING))
+    return out
 
 
 def oracle_isomorphic(a: Graph, b: Graph) -> bool:

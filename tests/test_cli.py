@@ -185,6 +185,25 @@ class TestQuery:
                              str(pattern))
         assert code == 2
 
+    def test_deeply_nested_json_is_exit_2(self, capsys, tmp_path, fixture_path):
+        pattern = tmp_path / "q.json"
+        pattern.write_text("[" * 100_000)
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
+                             str(pattern))
+        assert code == 2 and out == ""
+        assert err.startswith("icon:") and "bad JSON" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("key", ["seq", "alt"])
+    def test_long_seq_and_alt_are_exit_0(self, capsys, tmp_path, fixture_path, key):
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": ["?s"], "where": [
+            ["?s", {key: ["crm:P62_depicts"] * 3000}, "?o"]]}))
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"),
+                             str(pattern))
+        assert code == 0 and err == ""
+        assert isinstance(json.loads(out), list)
+
     def test_non_utf8_pattern_is_exit_2(self, capsys, tmp_path, fixture_path):
         pattern = tmp_path / "q.json"
         pattern.write_bytes(b'{"select": ["?s"], "where": [["?s", "?p", "\xff"]]}')

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -222,6 +223,39 @@ class TestJsonFormats:
     def test_variable_inside_path_is_rejected(self, path):
         with pytest.raises(QueryError, match="only a bare predicate"):
             pattern_from_json({"select": ["?s"], "where": [["?s", path, "?o"]]})
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_seq_and_alt_relate_what_a_left_fold_relates(self, n):
+        rng = random.Random(n)
+        g = plain_random_graph(rng, 30)
+        preds = [f"{E}p{rng.randrange(5)}" for _ in range(n)]
+        for key, node in (("seq", Seq), ("alt", Alt)):
+            pattern, _ = pattern_from_json(
+                {"select": ["?s"], "where": [["?s", {key: preds}, "?o"]]})
+            left_fold = functools.reduce(node, [Iri(p) for p in preds])
+            assert path_pairs(g, pattern.triples[0][1]) \
+                == oracle_path_pairs(set(g), left_fold)
+
+    def test_long_seq_and_alt_evaluate(self):
+        # a -p-> b -p-> a: an even number of p steps returns to the start
+        g = Graph([Triple(e("a"), e("p"), e("b")),
+                   Triple(e("b"), e("p"), e("a"))]).freeze()
+        for key, want in (("seq", {(e("a"), e("a")), (e("b"), e("b"))}),
+                          ("alt", {(e("a"), e("b")), (e("b"), e("a"))})):
+            pattern, _ = pattern_from_json(
+                {"select": ["?s"], "where": [["?s", {key: [E + "p"] * 3000}, "?o"]]})
+            assert path_pairs(g, pattern.triples[0][1]) == want
+
+    def test_path_nested_deeper_than_100_is_rejected(self):
+        def doc(depth):
+            path = E + "p"
+            for _ in range(depth):
+                path = {"inv": path}
+            return {"select": ["?s"], "where": [["?s", path, "?o"]]}
+
+        pattern_from_json(doc(100))
+        with pytest.raises(QueryError, match="nested deeper than 100"):
+            pattern_from_json(doc(101))
 
     def test_solutions_round_trip(self):
         solutions = {Solution.of({"x": e("a"), "y": Literal("v", lang="en")}),

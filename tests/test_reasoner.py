@@ -255,28 +255,10 @@ class TestDerivationOracle:
     def test_random_graphs(self, reg, rules):
         rng = random.Random(1106)
         for _ in range(40):
-            g = with_recognitions(rng, reg, registry_random_graph(rng, reg))
+            g = registry_random_graph(rng, reg)
             c = close(g, reg, rules)
             assert check_derivations(g, c.provenance, reg, rules) == []
             assert set(c.graph()) == naive_close(g, reg, rules)
-
-
-def with_recognitions(rng, reg, g):
-    """g plus a few recognition paths over its data nodes, which random
-    registry graphs almost never contain."""
-    nodes = sorted({x for t in g for x in (t.subject, t.object)
-                    if not isinstance(x, Literal)}, key=repr) or [d("x")]
-    extra = []
-    for i in range(rng.randrange(4)):
-        r = d(f"recognition{i}")
-        extra += [Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")),
-                  Triple(r, reg.iri("icon:assignsTo"), rng.choice(nodes)),
-                  Triple(r, reg.iri("icon:assigned"), rng.choice(nodes))]
-        if rng.random() < 0.5:
-            extra.append(Triple(rng.choice(nodes), RDF_TYPE,
-                                reg.iri("icon:CulturalPhenomenon")))
-    return union(g, Graph(extra).freeze())
-
 
 
 def test_derivation_oracle_reports_faults(reg):

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,7 +8,8 @@ from iconmodel.reasoner import RuleSet, close
 from iconmodel.shapes import Severity, default_shapes, validate
 from iconmodel.turtle_io import RDF_TYPE, parse_turtle
 
-from conftest import CASE_IDS, MUTATIONS_DIR
+from conftest import CASE_IDS, MUTATIONS_DIR, registry_random_graph
+from oracles import oracle_validate
 
 D = "https://w3id.org/icon/data/test/"
 
@@ -128,3 +130,29 @@ class TestReport:
         report = validate(g, shapes, reg)
         focuses = [e.focus for e in report.entries if e.shape_id == "S7"]
         assert focuses == sorted(focuses, key=lambda x: x.value)
+
+
+class TestAgainstOracle:
+    """Every report entry, and no other, is a failure the oracle finds."""
+
+    @staticmethod
+    def assert_agrees(g, reg, shapes):
+        for graph in (g, hierarchy_closure(g, reg)):
+            entries = [(e.focus, e.shape_id, e.severity)
+                       for e in validate(graph, shapes, reg).entries]
+            assert len(entries) == len(set(entries))
+            assert set(entries) == oracle_validate(set(graph), reg)
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_fixtures(self, case_id, reg, shapes, case_graphs):
+        self.assert_agrees(case_graphs[case_id], reg, shapes)
+
+    @pytest.mark.parametrize("filename", [f for f, _ in TestMutations.CASES])
+    def test_mutations(self, filename, reg, shapes):
+        g = parse_turtle((MUTATIONS_DIR / filename).read_text("utf-8")).graph
+        self.assert_agrees(g, reg, shapes)
+
+    def test_random_registry_graphs(self, reg, shapes):
+        rng = random.Random(7)
+        for _ in range(150):
+            self.assert_agrees(registry_random_graph(rng, reg), reg, shapes)

@@ -115,6 +115,33 @@ class TestRegistryInvariants:
         with pytest.raises(VocabError):
             self.mk(cyc)
 
+    @staticmethod
+    def chain(n, closed):
+        curies = [f"icon:C{k}" for k in range(n)]
+        terms = [VocabTerm(i(c), c, TermKind.CLASS, "icon", c) for c in curies]
+        links = list(zip(curies, curies[1:] + curies[:1] if closed else curies[1:]))
+        axioms = [Axiom(AxiomKind.SUB_CLASS_OF, i(a), i(b)) for a, b in links]
+        return terms, axioms
+
+    def test_long_chain_is_walked_without_recursion(self):
+        terms, axioms = self.chain(2000, closed=False)
+        reg = TermRegistry(terms, axioms, dict(NAMESPACES))
+        assert len(reg.superclasses(i("icon:C0"))) == 1999
+        assert reg.superclasses(i("icon:C1998")) == {i("icon:C1999")}
+        assert reg.superclasses(i("icon:C1999")) == frozenset()
+
+    def test_second_path_to_an_ancestor_is_not_a_cycle(self):
+        terms, axioms = self.chain(4, closed=False)
+        axioms.append(Axiom(AxiomKind.SUB_CLASS_OF, i("icon:C0"), i("icon:C2")))
+        reg = TermRegistry(terms, axioms, dict(NAMESPACES))
+        assert reg.superclasses(i("icon:C0")) == {i("icon:C1"), i("icon:C2"),
+                                                 i("icon:C3")}
+
+    def test_long_cycle_rejected(self):
+        terms, axioms = self.chain(2000, closed=True)
+        with pytest.raises(VocabError, match="cycle in SubClassOf axioms"):
+            TermRegistry(terms, axioms, dict(NAMESPACES))
+
     def test_unregistered_axiom_operand_rejected(self):
         bad = Axiom(AxiomKind.SUB_CLASS_OF, i("icon:CulturalPhenomenon"),
                     i("crm:E5_Event"))
