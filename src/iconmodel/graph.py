@@ -1,7 +1,8 @@
 """RDF-style terms, triples, and an indexed in-memory graph.
 
 Graphs are append-only while being built and are frozen before they
-are handed out. A union is a new graph. The reasoner's engine derives
+are handed out. A union shares its larger frozen input's untouched
+index buckets and never mutates them. The reasoner's engine derives
 into the store it returns, joining against that graph's indexes as it
 inserts, and a closure hands out that same frozen graph on every call.
 Nothing mutates a frozen graph, so it can be shared freely between
@@ -201,14 +202,37 @@ class Graph:
 
 
 def union(a: Graph, b: Graph) -> Graph:
-    """Set union of two graphs, returned frozen.
+    """Set union of two frozen graphs, returned frozen.
+
+    Both inputs must be frozen; GraphError names an argument that is
+    not. The result starts from C-level copies of the larger input's
+    triple set and index dicts, so it shares that input's index buckets.
+    Each index key that gains a triple from the smaller input gets a new
+    bucket, and no bucket is ever mutated. Python code runs only for the
+    smaller input's triples.
 
     Blank node labels are merged as-is: callers must keep labels
     disjoint unless identification across the inputs is intended.
     """
-    g = Graph(a)
-    for t in b:
-        g.insert(t)
+    for name, x in (("first", a), ("second", b)):
+        if not x.frozen:
+            raise GraphError(f"union() requires frozen graphs; the {name} "
+                             "argument is not frozen")
+    if len(a) < len(b):
+        a, b = b, a
+    new = b._triples - a._triples
+    g = Graph()
+    g._triples = a._triples | new
+    g._by_s, g._by_p, g._by_o = dict(a._by_s), dict(a._by_p), dict(a._by_o)
+    for index, position in ((g._by_s, "subject"), (g._by_p, "predicate"),
+                            (g._by_o, "object")):
+        fresh: dict[Term, set[Triple]] = {}
+        for t in new:
+            key = getattr(t, position)
+            if key not in fresh:
+                fresh[key] = set(index.get(key, ()))
+            fresh[key].add(t)
+        index.update(fresh)
     return g.freeze()
 
 

@@ -236,9 +236,8 @@ def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,
             f"cannot expand {t.predicate!r}: not a shortcut property")
     if t not in g:
         raise ReasonerError("triple to expand is not in the graph")
-    used = g.blank_labels()
     n = 1
-    while f"r{n}" in used:
+    while g.has_term(BlankNode(f"r{n}")):
         n += 1
     r = BlankNode(f"r{n}")
     (p1, d1), (p2, d2) = spec.steps

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iconmodel.graph import (BlankNode, FrozenGraphError, Graph, Iri, Literal,
-                             Triple, XSD_STRING, isomorphic, term_key, union)
+from iconmodel.graph import (BlankNode, FrozenGraphError, Graph, GraphError, Iri,
+                             Literal, Triple, XSD_STRING, isomorphic, term_key,
+                             union)
 
 from oracles import oracle_isomorphic
 
@@ -89,6 +90,13 @@ class TestGraph:
         u = union(a, b)
         assert len(u) == 2
         assert u.frozen
+
+    def test_union_requires_frozen_inputs(self):
+        frozen = Graph([t(iri("s"), iri("p"), iri("o"))]).freeze()
+        with pytest.raises(GraphError, match="first argument is not frozen"):
+            union(Graph(), frozen)
+        with pytest.raises(GraphError, match="second argument is not frozen"):
+            union(frozen, Graph([t(iri("s"), iri("p"), iri("o2"))]))
 
     def test_sorted_triples_is_deterministic(self):
         triples = [t(iri("b"), iri("p"), iri("o")),
@@ -179,6 +187,55 @@ def test_graph_is_a_set_of_triples(ts):
 def test_union_commutes_up_to_set_equality(ts1, ts2):
     a, b = Graph(ts1).freeze(), Graph(ts2).freeze()
     assert set(union(a, b)) == set(union(b, a)) == set(ts1) | set(ts2)
+
+
+# Few terms, so that deltas keep landing in buckets the base already has.
+chain_nodes = st.sampled_from([iri("a"), iri("b"), iri("c"), BlankNode("x"),
+                               BlankNode("y"), BlankNode("z")])
+chain_triples = st.builds(Triple, chain_nodes, st.sampled_from([iri("p"), iri("q")]),
+                          st.one_of(chain_nodes, st.just(Literal("1"))))
+
+
+def match_answers(g: Graph, probe: Graph) -> dict:
+    """g.match for every s/p/o pattern over probe's terms, each position
+    bound or unbound."""
+    subjects = [None, *probe.subjects()]
+    predicates = [None, *{u.predicate for u in probe}]
+    objects = [None, *probe.objects()]
+    return {(s, p, o): g.match(s, p, o)
+            for s in subjects for p in predicates for o in objects}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(chain_triples, max_size=30),
+       st.lists(st.lists(chain_triples, min_size=1, max_size=5),
+                min_size=1, max_size=20))
+def test_chained_unions_answer_as_a_fresh_graph(base_ts, delta_ts):
+    fresh = Graph(set(base_ts).union(*delta_ts)).freeze()
+    chain = [Graph(base_ts).freeze()]
+    before = [match_answers(chain[0], fresh)]
+    for ts in delta_ts:
+        chain.append(union(chain[-1], Graph(ts).freeze()))
+        before.append(match_answers(chain[-1], fresh))
+    g = chain[-1]
+    assert len(g) == len(fresh)
+    assert all(u in g for u in fresh)
+    assert Triple(iri("absent"), iri("p"), iri("a")) not in g
+    assert g.sorted_triples() == fresh.sorted_triples()
+    assert before[-1] == match_answers(fresh, fresh)
+    terms = fresh.terms()
+    for node in terms:
+        for p in (iri("p"), iri("q")):
+            for forward in (True, False):
+                assert g.neighbours(node, p, forward) == fresh.neighbours(node, p, forward)
+    for x in terms | {iri("absent"), BlankNode("absent"), Literal("absent")}:
+        assert g.has_term(x) == fresh.has_term(x)
+    assert g.blank_labels() == fresh.blank_labels()
+    # no union mutated a bucket that an earlier graph holds, not even one
+    # that branches off an earlier graph
+    for h in chain[:-1]:
+        union(h, Graph([Triple(BlankNode("late"), iri("p"), iri("a"))]).freeze())
+    assert [match_answers(h, fresh) for h in chain] == before
 
 
 datatyped = st.sampled_from([Literal("3", datatype=Iri(EX + "a")),

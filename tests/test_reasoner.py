@@ -320,6 +320,14 @@ class TestExpandShortcut:
                                           d("m")), reg)
         assert delta.blank_labels() == {"r2"}
 
+    def test_fresh_label_skips_subjects_and_objects(self, reg):
+        x, m = d("x"), d("m")
+        g = Graph([Triple(d("a"), reg.iri("icon:assignsTo"), BlankNode("r1")),
+                   Triple(BlankNode("r2"), reg.iri("icon:assignsTo"), d("a")),
+                   Triple(x, reg.iri("icon:symbolizes"), m)]).freeze()
+        delta = expand_shortcut(g, Triple(x, reg.iri("icon:symbolizes"), m), reg)
+        assert delta.blank_labels() == {"r3"}
+
     def test_wrong_predicate_rejected(self, reg):
         g = Graph([Triple(d("x"), reg.iri("crm:P62_depicts"), d("m"))]).freeze()
         with pytest.raises(WrongPredicateError):
@@ -341,6 +349,22 @@ class TestExpandShortcut:
                     assert t in close(delta, reg)
                     seen += 1
         assert seen > 0
+
+    def test_closure_over_unions_equals_closure_over_a_fresh_graph(
+            self, reg, case_closures):
+        sym, doc = reg.iri("icon:symbolizes"), reg.iri("icon:isDocumentOf")
+        for case_id, c in case_closures.items():
+            grown, asserted = c.graph(), c.base
+            for t in sorted(c.inferred, key=repr):
+                if t.predicate in (sym, doc):
+                    delta = expand_shortcut(grown, t, reg)
+                    grown = union(grown, delta)
+                    asserted = union(asserted, delta)
+            assert len(asserted) > len(c.base), case_id
+            merged = close(asserted, reg)
+            fresh = close(Graph(asserted).freeze(), reg)
+            assert set(merged.graph()) == set(fresh.graph()), case_id
+            assert merged.provenance == fresh.provenance, case_id
 
 
 class TestDeclaredShortcut:
