@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Time the ingest stages of this checkout against another checkout's.
+
+Loads this checkout's iconmodel and the one under OLD_SRC (for example an
+older commit unpacked with `git archive`) under two different package
+names, so one process holds both. Each run times parse_turtle, close,
+validate, serialize_turtle and isomorphic(G, G) on the casebook x SCALE
+(perfbench's scaled_document) for both trees, alternating which goes
+first, and checks that both serialize the closure to the same text;
+"ingest" is the sum of the first four stages.
+Interleaving in one process keeps drift in machine speed from landing on
+one tree only. Prints the median milliseconds of each stage per tree.
+
+    python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
+
+SCALE defaults to 50 and RUNS to 12.
+"""
+
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from scaled import scaled_document  # noqa: E402
+
+STAGES = ("parse", "close", "validate", "serialize", "isomorphic", "ingest")
+
+
+def load_as(name: str, src: Path):
+    """The iconmodel package under src, imported as the package `name`."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "iconmodel" / "__init__.py",
+        submodule_search_locations=[str(src / "iconmodel")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return {m: importlib.import_module(f"{name}.{m}")
+            for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
+
+
+def run_once(tree, text: str) -> tuple[dict[str, float], str]:
+    """Milliseconds per stage, and the serialized closure."""
+    reg = tree["vocab"].build_registry()
+    shapes = tree["shapes"].default_shapes(reg)
+    ms = {}
+
+    def timed(stage, f, *args):
+        start = time.perf_counter()
+        out = f(*args)
+        ms[stage] = (time.perf_counter() - start) * 1000
+        return out
+
+    parsed = timed("parse", tree["turtle_io"].parse_turtle, text)
+    full = timed("close", tree["reasoner"].close, parsed.graph, reg).graph()
+    timed("validate", tree["shapes"].validate, full, shapes, reg)
+    out = timed("serialize", tree["turtle_io"].serialize_turtle, full,
+                tree["vocab"].NAMESPACES)
+    ms["ingest"] = sum(ms.values())  # the stages of one perfbench ingest operation
+    if not timed("isomorphic", tree["graph"].isomorphic, full, full):
+        raise SystemExit("isomorphic(G, G) is False")
+    return ms, out
+
+
+def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
+    trees = {"old": load_as("old_iconmodel", Path(old_src)),
+             "new": load_as("new_iconmodel", ROOT / "src")}
+    text = scaled_document(scale)
+    times = {name: {stage: [] for stage in STAGES} for name in trees}
+    for i in range(runs):
+        order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
+        outputs = {}
+        for name in order:
+            ms, outputs[name] = run_once(trees[name], text)
+            for stage in STAGES:
+                times[name][stage].append(ms[stage])
+        if outputs["old"] != outputs["new"]:
+            print("the trees serialize the closure differently")
+            return 1
+    print(f"x{scale}, {runs} runs each; median ms (old -> new)")
+    for stage in STAGES:
+        old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
+        print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+.0%})")
+    return 0
+
+
+if __name__ == "__main__":
+    if not 2 <= len(sys.argv) <= 4:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], *(int(a) for a in sys.argv[2:])))

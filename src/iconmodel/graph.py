@@ -1,5 +1,11 @@
 """RDF-style terms, triples, and an indexed in-memory graph.
 
+Terms hash by value: an IRI or blank node by its string, whose hash the
+string caches. Triples and literals compute their hash once, when built,
+and rebuild it from their fields when copied or unpickled, so it never
+carries one process's string hash seed into another. The Turtle parser
+shares one Iri object per distinct IRI within a parse.
+
 Graphs are append-only while being built and are frozen before they
 are handed out. A union shares its larger frozen input's untouched
 index buckets and never mutates them. The reasoner's engine derives
@@ -11,7 +17,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
@@ -33,6 +39,9 @@ class Iri:
         if not self.value or ":" not in self.value:
             raise ValueError(f"not an absolute IRI: {self.value!r}")
 
+    def __hash__(self):
+        return hash(self.value)  # str caches its own hash
+
     def __repr__(self):
         return f"<{self.value}>"
 
@@ -45,6 +54,9 @@ class BlankNode:
         if not self.label:
             raise ValueError("blank node label must be non-empty")
 
+    def __hash__(self):
+        return hash(self.label)
+
     def __repr__(self):
         return f"_:{self.label}"
 
@@ -54,6 +66,7 @@ class Literal:
     lexical: str
     datatype: Optional[Iri] = None
     lang: Optional[str] = None
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.lang is not None and self.datatype is not None:
@@ -63,7 +76,16 @@ class Literal:
         if self.lang is not None:
             object.__setattr__(self, "lang", self.lang.lower())
         elif self.datatype is None:
-            object.__setattr__(self, "datatype", Iri(XSD_STRING))
+            object.__setattr__(self, "datatype", _XSD_STRING)
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.lang)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields, so the hash is computed under the
+        # unpickling process's string hash seed
+        return Literal, (self.lexical, self.datatype, self.lang)
 
     def __repr__(self):
         if self.lang:
@@ -72,6 +94,8 @@ class Literal:
             return f'"{self.lexical}"^^{self.datatype!r}'
         return f'"{self.lexical}"'
 
+
+_XSD_STRING = Iri(XSD_STRING)
 
 Term = Union[Iri, BlankNode, Literal]
 
@@ -89,6 +113,7 @@ class Triple:
     subject: Union[Iri, BlankNode]
     predicate: Iri
     object: Term
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.subject, (Iri, BlankNode)):
@@ -97,6 +122,13 @@ class Triple:
             raise ValueError(f"bad triple predicate: {self.predicate!r}")
         if not isinstance(self.object, (Iri, BlankNode, Literal)):
             raise ValueError(f"bad triple object: {self.object!r}")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
     def __repr__(self):
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"

@@ -3,7 +3,7 @@
 Supported grammar: @prefix / @base directives, <absolute-iris>, CURIEs,
 the "a" keyword, ";" predicate lists, "," object lists, labelled blank
 nodes, anonymous "[ ... ]" property lists, quoted string literals with
-\\" \\\\ \\n \\t escapes plus optional @lang or ^^datatype, and "#"
+\\" \\\\ \\n \\r \\t escapes plus optional @lang or ^^datatype, and "#"
 comments. Everything else (collections, numeric/boolean shorthand,
 triple-quoted strings, quoted triples, and the bare blank-node statement
 "[ ... ] ." with no predicate list after the brackets) is a hard parse
@@ -62,7 +62,7 @@ class ParseResult:
 
 _NAME_CHAR = r"[\w-]"  # continues a blank-node label, language tag or prefix
 _IRI_BODY = r'[^ \t\r\n<>"{}|^`]*'
-_STRING_BODY = r'[^"\\\n]*(?:\\["\\nt][^"\\\n]*)*'
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*'
 _LOCAL = r"[A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*"  # a "." must lead to more name
 
 # The token grammar. At each position the patterns are tried in this order
@@ -87,8 +87,8 @@ _VALUE = {"IRIREF": "iri", "STRING": "string", "BLANK": "label", "LANG": "lang"}
 _SKIP = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(_NAME_CHAR + "*")
-_ESCAPE = re.compile(r'\\(["\\nt])')
-_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r'\\(["\\nrt])')
+_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 
 
 @dataclass(slots=True)
@@ -183,6 +183,9 @@ class _Parser:
         self.graph = Graph()
         self.prefixes: PrefixMap = {}
         self.base = base
+        # one Iri per distinct IRI: each is checked and built once, and
+        # equal terms are the same object
+        self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE}
         self._anon = 0
         self._depth = 0
         # "[ ]" labels must not collide with any explicit "_:" label
@@ -350,10 +353,13 @@ class _Parser:
         return self._iri(tok, ns + local)  # a relative namespace gives no IRI
 
     def _iri(self, tok: _Token, value: str) -> Iri:
-        try:
-            return Iri(value)
-        except ValueError:
-            self._err(tok, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
+        iri = self._iris.get(value)
+        if iri is None:
+            try:
+                iri = self._iris[value] = Iri(value)
+            except ValueError:
+                self._err(tok, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
+        return iri
 
 
 def parse_turtle(text: str, base: Optional[Iri] = None) -> ParseResult:
@@ -365,7 +371,7 @@ def parse_turtle(text: str, base: Optional[Iri] = None) -> ParseResult:
 
 def _escape(s: str) -> str:
     return (s.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n").replace("\t", "\\t"))
+            .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
 
 
 def _contract(iri: Iri, by_ns: list[tuple[str, str]]) -> Optional[str]:
@@ -414,6 +420,14 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
             raise _unreadable(f"prefix {label}: <{ns}>")
     by_ns = sorted(((ns, label) for label, ns in prefixes.items()),
                    key=lambda x: (-len(x[0]), x[1]))
+    rendered: dict[Term, str] = {}  # each distinct term is rendered once
+
+    def render(t: Term) -> str:
+        text = rendered.get(t)
+        if text is None:
+            text = rendered[t] = _render_term(t, by_ns)
+        return text
+
     lines = [f"@prefix {label}: <{ns}> ." for label, ns in sorted(prefixes.items())]
     blocks = []
     by_subject: dict[Term, list[Triple]] = {}
@@ -425,11 +439,10 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
             by_pred.setdefault(t.predicate, []).append(t.object)
         pred_parts = []
         for pred in sorted(by_pred, key=term_key):
-            pname = "a" if pred == RDF_TYPE else _render_term(pred, by_ns)
-            objs = ", ".join(_render_term(o, by_ns)
-                             for o in sorted(by_pred[pred], key=term_key))
+            pname = "a" if pred == RDF_TYPE else render(pred)
+            objs = ", ".join(map(render, sorted(by_pred[pred], key=term_key)))
             pred_parts.append(f"{pname} {objs}")
-        head = _render_term(subject, by_ns)
+        head = render(subject)
         blocks.append(f"{head} " + " ;\n    ".join(pred_parts) + " .")
     out = "\n".join(lines)
     if lines and blocks:

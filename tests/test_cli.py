@@ -137,6 +137,18 @@ class TestInfer:
         assert isomorphic(parse_turtle(out).graph,
                           parse_turtle(open(path).read()).graph)
 
+    def test_carriage_return_in_a_literal_survives_a_file(self, capsys, tmp_path):
+        from iconmodel import Graph, Iri, Literal, Triple, parse_turtle, serialize_turtle
+        t = Triple(Iri("http://example.org/s"), Iri("http://example.org/p"),
+                   Literal("a\rb"))
+        doc = tmp_path / "cr.ttl"
+        # newline="" writes the text as is; the CLI reads with universal newlines
+        with open(doc, "w", encoding="utf-8", newline="") as f:
+            f.write(serialize_turtle(Graph([t]).freeze(), {}))
+        code, out, err = run(capsys, "infer", str(doc), "--emit", "base")
+        assert (code, err) == (0, "")
+        assert set(parse_turtle(out).graph) == {t}
+
     def test_empty_rules_rejected(self, capsys, fixture_path):
         code, out, err = run(capsys, "infer", fixture_path("laocoon.ttl"),
                              "--rules", "")

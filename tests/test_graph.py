@@ -1,9 +1,16 @@
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iconmodel
 from iconmodel.graph import (BlankNode, FrozenGraphError, Graph, GraphError, Iri,
                              Literal, Triple, XSD_STRING, isomorphic, term_key,
-                             union)
+                             triple_key, union)
 
 from oracles import oracle_isomorphic
 
@@ -48,6 +55,75 @@ class TestTerms:
         assert isinstance(ordered[0], Iri)
         assert isinstance(ordered[1], BlankNode)
         assert isinstance(ordered[2], Literal)
+
+
+# One of each kind of cached or value-derived hash, built the same way in
+# every process that runs it.
+PICKLED_VALUES = """
+import pickle, sys
+from iconmodel.graph import BlankNode, Iri, Literal, Triple
+values = [Iri("http://example.org/a"), BlankNode("b1"), Literal("v", lang="EN"),
+          Literal("3", datatype=Iri("http://example.org/d")),
+          Triple(Iri("http://example.org/a"), Iri("http://example.org/p"), Literal("v"))]
+"""
+
+
+def run_python(code: str, seed: int, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=str(Path(iconmodel.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", PICKLED_VALUES + code], input=stdin,
+                          env=env, capture_output=True, check=True, timeout=60).stdout
+
+
+class TestHashTravel:
+    def test_unpickled_under_another_seed_is_in_a_fresh_set(self):
+        dumped = run_python("sys.stdout.buffer.write(pickle.dumps(values))", seed=1)
+        out = run_python("loaded = pickle.loads(sys.stdin.buffer.read())\n"
+                         "fresh = set(values)\n"
+                         "print([x == v and x in fresh for x, v in zip(loaded, values)])",
+                         seed=2, stdin=dumped)
+        assert out.decode().strip() == str([True] * 5)
+
+    @pytest.mark.parametrize("make_copy", [copy.copy, copy.deepcopy])
+    def test_copies_are_equal_members(self, make_copy):
+        values = [iri("a"), BlankNode("b1"), Literal("v", lang="EN"),
+                  Literal("3", datatype=iri("d")), t(iri("a"), iri("p"), Literal("v"))]
+        for v in values:
+            c = make_copy(v)
+            assert c == v and hash(c) == hash(v) and c in {v}
+
+
+texts = st.sampled_from(["e:a", "e:b", "http://example.org/v"])
+hash_terms = st.one_of(
+    st.builds(Iri, texts),
+    st.builds(BlankNode, texts),  # the same text as an IRI
+    st.builds(Literal, texts),
+    st.builds(lambda x, tag: Literal(x, lang=tag), texts,
+              st.sampled_from(["en", "EN", "en-gb", "En-GB"])),
+    st.builds(lambda x, d: Literal(x, datatype=Iri(d)), texts,
+              st.sampled_from([XSD_STRING, "e:a", "e:b"])))
+hash_triples = st.builds(Triple, st.one_of(st.builds(Iri, texts), st.builds(BlankNode, texts)),
+                         st.builds(Iri, texts), hash_terms)
+
+
+def check_equality_hash_and_key_agree(xs, key):
+    for a in xs:
+        for b in xs:
+            assert (a == b) == (key(a) == key(b)), (a, b)
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    # distinct nodes are never merged
+    assert len(set(xs)) == len({key(x) for x in xs})
+
+
+@given(st.lists(hash_terms, max_size=12))
+def test_term_equality_hash_and_key_agree(xs):
+    check_equality_hash_and_key_agree(xs, term_key)
+
+
+@given(st.lists(hash_triples, max_size=12))
+def test_triple_equality_hash_and_key_agree(xs):
+    check_equality_hash_and_key_agree(xs, triple_key)
 
 
 class TestTriple:

@@ -70,9 +70,9 @@ class TestParseBasics:
         assert r.graph.match(s=anon.subject, p=Iri("http://example.org/q"))
 
     def test_string_escapes(self):
-        r = parse_turtle(EX + 'ex:s ex:p "a\\"b\\\\c\\nd\\te" .')
+        r = parse_turtle(EX + 'ex:s ex:p "a\\"b\\\\c\\nd\\te\\rf" .')
         [t] = list(r.graph)
-        assert t.object.lexical == 'a"b\\c\nd\te'
+        assert t.object.lexical == 'a"b\\c\nd\te\rf'
 
     def test_empty_string_is_not_triple_quoted(self):
         r = parse_turtle(EX + 'ex:s ex:p "" .')
@@ -98,6 +98,12 @@ class TestParseBasics:
     def test_relative_base_resolves_against_base(self):
         r = parse_turtle("@base <http://example.org/> .\n@base <sub/> .\n<s> <p> <o> .")
         assert r.base == Iri("http://example.org/sub/")
+
+    def test_redeclared_prefix_and_base_resolve_anew(self):
+        r = parse_turtle("@prefix e: <http://a/> .\n@base <http://a/> .\ne:s e:p <o> .\n"
+                         "@prefix e: <http://b/> .\n@base <http://b/> .\ne:s e:p <o> .")
+        assert set(r.graph) == {Triple(Iri(f"http://{x}/s"), Iri(f"http://{x}/p"),
+                                       Iri(f"http://{x}/o")) for x in "ab"}
 
     def test_dotted_local_names(self):
         r = parse_turtle("@prefix vir: <http://w3id.org/vir#> .\n"
