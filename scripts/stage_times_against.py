@@ -6,7 +6,9 @@ older commit unpacked with `git archive`) under two different package
 names, so one process holds both. Each run times parse_turtle, close,
 validate, serialize_turtle and isomorphic(G, G) on the casebook x SCALE
 (perfbench's scaled_document) for both trees, alternating which goes
-first, and checks that both serialize the closure to the same text;
+first. It checks that both serialize the closure to the same text and
+record the same derivation (rule and premises, compared through
+triple_key) for every inferred triple, and exits 1 if they do not;
 "ingest" is the sum of the first four stages.
 Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree.
@@ -43,8 +45,9 @@ def load_as(name: str, src: Path):
             for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
 
 
-def run_once(tree, text: str) -> tuple[dict[str, float], str]:
-    """Milliseconds per stage, and the serialized closure."""
+def run_once(tree, text: str) -> tuple[dict[str, float], str, dict]:
+    """Milliseconds per stage, the serialized closure, and its provenance
+    keyed by triple_key."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
     ms = {}
@@ -56,14 +59,18 @@ def run_once(tree, text: str) -> tuple[dict[str, float], str]:
         return out
 
     parsed = timed("parse", tree["turtle_io"].parse_turtle, text)
-    full = timed("close", tree["reasoner"].close, parsed.graph, reg).graph()
+    closure = timed("close", tree["reasoner"].close, parsed.graph, reg)
+    full = closure.graph()
     timed("validate", tree["shapes"].validate, full, shapes, reg)
     out = timed("serialize", tree["turtle_io"].serialize_turtle, full,
                 tree["vocab"].NAMESPACES)
     ms["ingest"] = sum(ms.values())  # the stages of one perfbench ingest operation
     if not timed("isomorphic", tree["graph"].isomorphic, full, full):
         raise SystemExit("isomorphic(G, G) is False")
-    return ms, out
+    key = tree["graph"].triple_key
+    derivations = {key(t): (d.rule, tuple(map(key, d.premises)))
+                   for t, d in closure.provenance.items()}
+    return ms, out, derivations
 
 
 def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
@@ -73,15 +80,21 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     times = {name: {stage: [] for stage in STAGES} for name in trees}
     for i in range(runs):
         order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
-        outputs = {}
+        outputs, derivations = {}, {}
         for name in order:
-            ms, outputs[name] = run_once(trees[name], text)
+            ms, outputs[name], derivations[name] = run_once(trees[name], text)
             for stage in STAGES:
                 times[name][stage].append(ms[stage])
         if outputs["old"] != outputs["new"]:
             print("the trees serialize the closure differently")
             return 1
-    print(f"x{scale}, {runs} runs each; median ms (old -> new)")
+        old, new = derivations["old"], derivations["new"]
+        if old != new:
+            differ = sum(old.get(t) != new.get(t) for t in old.keys() | new.keys())
+            print(f"the trees record different derivations for {differ} inferred triples")
+            return 1
+    print(f"x{scale}, {runs} runs each; closures and derivations identical; "
+          f"median ms (old -> new)")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+.0%})")

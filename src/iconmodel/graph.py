@@ -169,9 +169,10 @@ class Graph:
         if t in self._triples:
             return False
         self._triples.add(t)
-        self._by_s.setdefault(t.subject, set()).add(t)
-        self._by_p.setdefault(t.predicate, set()).add(t)
-        self._by_o.setdefault(t.object, set()).add(t)
+        # buckets are never empty, so only a new key builds a set
+        (self._by_s.get(t.subject) or self._by_s.setdefault(t.subject, set())).add(t)
+        (self._by_p.get(t.predicate) or self._by_p.setdefault(t.predicate, set())).add(t)
+        (self._by_o.get(t.object) or self._by_o.setdefault(t.object, set())).add(t)
         return True
 
     def __len__(self) -> int:
@@ -200,10 +201,10 @@ class Graph:
         return set(candidates)
 
     def neighbours(self, node: Term, p: Iri, forward: bool = True) -> set[Term]:
-        """{o | (node p o)} when forward, else {s | (s p node)}."""
+        """{o | (node p o)} when forward, else {s | (s p node)}, from node's bucket."""
         if forward:
-            return {t.object for t in self.match(s=node, p=p)}
-        return {t.subject for t in self.match(p=p, o=node)}
+            return {t.object for t in self._by_s.get(node, ()) if t.predicate == p}
+        return {t.subject for t in self._by_o.get(node, ()) if t.predicate == p}
 
     def subjects(self) -> set[Term]:
         return set(self._by_s)
@@ -224,13 +225,13 @@ class Graph:
         datatype IRI does not count, as in terms()."""
         return x in self._by_s or x in self._by_p or x in self._by_o
 
+    def has_subject(self, x: Term) -> bool:
+        return x in self._by_s
+
     def blank_labels(self) -> set[str]:
         # blank nodes never occur as predicates
         return {x.label for keys in (self._by_s, self._by_o) for x in keys
                 if isinstance(x, BlankNode)}
-
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self._triples, key=triple_key)
 
 
 def union(a: Graph, b: Graph) -> Graph:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Union
 
-from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term
+from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term, term_key
 from .turtle_io import PrefixMap
 from .vocab import (NAMESPACES, BadCurieError, UnknownTermError, curie_to_iri,
                     data_iri, expand_curie)
@@ -285,8 +285,9 @@ def term_to_json(t: Term):
 
 
 def solutions_to_json(solutions: set[Solution]) -> list[dict]:
-    rows = [{f"?{k}": term_to_json(v) for k, v in s.bindings} for s in solutions]
-    return sorted(rows, key=lambda r: sorted(r.items(), key=str))
+    """One row per solution, in term_key order of the bindings."""
+    ordered = sorted(solutions, key=lambda s: [(k, term_key(v)) for k, v in s.bindings])
+    return [{f"?{k}": term_to_json(v) for k, v in s.bindings} for s in ordered]
 
 
 def solutions_from_json(rows: list[dict]) -> set[Solution]:

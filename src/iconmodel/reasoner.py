@@ -10,9 +10,11 @@ Rules (all driven by the registry's axioms):
          declarations: a node of a PathSpec's through class that links
          x to m along its steps yields (x shortcut m)
 
-Evaluation is semi-naive: only newly derived triples re-fire rules.
-The engine derives into the store it returns: each triple is inserted
-when it is dequeued, and every join reads that store's indexes.
+Evaluation is semi-naive: only newly derived triples re-fire rules. The
+engine derives into the store it returns, inserting each triple when it
+dequeues it and firing only the rule bodies memoized for its predicate
+(or rdf:type class); joins read the store's indexes, and a triple with
+several derivations records the first one found.
 Shortcut *expansion* mints blank nodes and is deliberately not part of
 close(); expand_shortcut() performs it from the same declarations.
 """
@@ -22,7 +24,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import KeysView, Optional
+from functools import cache, partial
+from typing import Callable, Iterable, KeysView, Optional
 
 from .graph import BlankNode, Graph, Iri, Literal, Term, Triple
 from .turtle_io import RDF_TYPE
@@ -83,122 +86,118 @@ class _Engine:
         self.sub_class_of = reg.iri("rdfs:subClassOf")
         self.sub_property_of = reg.iri("rdfs:subPropertyOf")
         self.shortcuts = [(_rule_id(prop), prop, spec) for prop, spec in reg.shortcuts()]
-        self.domains = reg.domain_axioms()
-        self.ranges = reg.range_axioms()
-
         self.store = Graph()
         self.provenance: dict[Triple, Derivation] = {}
+        # unlike set order, hash order depends only on the triple set
+        self.queue: deque[Triple] = deque(sorted(base, key=hash))
 
     def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
-        queue: deque[Triple] = deque(self.base.sorted_triples())
+        queue, insert, plan = self.queue, self.store.insert, cache(self._plan)
         while queue:
             t = queue.popleft()
-            self.store.insert(t)
-            for derived, deriv in self._consequences(t):
-                # base and provenance's keys are every triple ever enqueued
-                if derived not in self.base and derived not in self.provenance:
-                    self.provenance[derived] = deriv
-                    queue.append(derived)
+            insert(t)
+            p, o = t.predicate, t.object
+            for fire in plan(p, o if p == RDF_TYPE and isinstance(o, Iri) else None):
+                fire(t)
         return self.store.freeze(), self.provenance
+
+    def _plan(self, p: Iri, cls: Optional[Iri]) -> tuple[Callable[[Triple], None], ...]:
+        """The rule bodies that a triple with predicate p can fire, in rule
+        order; cls is the object of an rdf:type triple, if an IRI."""
+        reg, rules, plan = self.reg, self.rules, []
+        if rules.hierarchy:
+            if cls is not None:
+                if supers := reg.superclasses(cls):
+                    plan.append(partial(self._axioms, "R2-axiom", supers))
+                plan.append(partial(self._join, "R2", cls, self.sub_class_of))
+            if p in (self.sub_class_of, self.sub_property_of):
+                plan.append(partial(self._transitive, "R1" if p == self.sub_class_of else "R3"))
+            if supers := reg.superproperties(p):
+                plan.append(partial(self._axioms, "R4-axiom", supers))
+            plan.append(partial(self._join, "R4", p, self.sub_property_of))
+        if rules.domain_range_typing:
+            for rule, axioms in (("R5-domain", reg.domain_axioms()),
+                                 ("R5-range", reg.range_axioms())):
+                if classes := [c for q, c in axioms if q == p]:
+                    plan.append(partial(self._axioms, rule, classes))
+        for shortcut in self.shortcuts if rules.shortcut_contraction else ():
+            spec = shortcut[2]
+            # one triple can complete paths in more than one of these ways
+            if p in (spec.steps[0][0], spec.steps[1][0]):
+                plan.append(partial(self._contract, "ends", *shortcut))
+            if cls is not None and cls == spec.through_class:
+                plan.append(partial(self._contract, "subject", *shortcut))
+            if cls is not None and cls == spec.object_class:
+                plan.append(partial(self._contract, "far end", *shortcut))
+        return tuple(plan)
+
+    def _emit(self, conclusion: Triple, rule: str, premises: tuple[Triple, ...]):
+        # base and provenance's keys are every triple ever enqueued
+        if conclusion not in self.base and conclusion not in self.provenance:
+            self.provenance[conclusion] = Derivation(rule, premises)
+            self.queue.append(conclusion)
 
     def _iris(self, x: Term, p: Iri, forward: bool) -> list[Iri]:
         """The IRIs one p edge away from x in the store."""
         return [y for y in self.store.neighbours(x, p, forward) if isinstance(y, Iri)]
 
-    def _consequences(self, t: Triple):
-        out: list[tuple[Triple, Derivation]] = []
-        if self.rules.hierarchy:
-            out += self._hierarchy(t)
-        if self.rules.domain_range_typing:
-            out += self._domain_range(t)
-        if self.rules.shortcut_contraction:
-            out += self._shortcut(t)
-        return out
+    # -- R1-R5 ------------------------------------------------------------
 
-    # -- R1-R4 ------------------------------------------------------------
+    def _axioms(self, rule: str, targets: Iterable[Iri], t: Triple):
+        """R2-axiom, R4-axiom and R5: conclusions from t and one axiom."""
+        x = t.object if rule == "R5-range" else t.subject
+        if not isinstance(x, Literal):
+            for c in targets:
+                lifted = Triple(x, c, t.object) if rule == "R4-axiom" else Triple(x, RDF_TYPE, c)
+                self._emit(lifted, rule, (t,))
 
-    def _hierarchy(self, t: Triple):
-        out = []
+    def _join(self, rule: str, x: Iri, edge: Iri, t: Triple):
+        """R2/R4: join t with each store edge (x edge d), x its class or predicate."""
+        if self.store.has_subject(x):  # most classes and predicates have no edges
+            s, o = t.subject, t.object
+            for d in self._iris(x, edge, True):
+                lifted = Triple(s, RDF_TYPE, d) if rule == "R2" else Triple(s, d, o)
+                self._emit(lifted, rule, (t, Triple(x, edge, d)))
+
+    def _transitive(self, rule: str, t: Triple):
         s, p, o = t.subject, t.predicate, t.object
-        sub_c, sub_p = self.sub_class_of, self.sub_property_of
-        if p == RDF_TYPE and isinstance(o, Iri):
-            for d in self.reg.superclasses(o):
-                out.append((Triple(s, RDF_TYPE, d), Derivation("R2-axiom", (t,))))
-            for d in self._iris(o, sub_c, True):
-                edge = Triple(o, sub_c, d)
-                out.append((Triple(s, RDF_TYPE, d), Derivation("R2", (t, edge))))
-        if p in (sub_c, sub_p) and isinstance(s, Iri) and isinstance(o, Iri):
-            rule = "R1" if p == sub_c else "R3"
-            # transitivity: join (s p o) with (o p e) and with (c p s)
-            for e in self._iris(o, p, True):
-                mid = Triple(o, p, e)
-                out.append((Triple(s, p, e), Derivation(rule, (t, mid))))
-            for c in self._iris(s, p, False):
-                left = Triple(c, p, s)
-                out.append((Triple(c, p, o), Derivation(rule, (left, t))))
-            if p == sub_c:
-                for x in self.store.neighbours(s, RDF_TYPE, False):
-                    inst = Triple(x, RDF_TYPE, s)
-                    out.append((Triple(x, RDF_TYPE, o), Derivation("R2", (inst, t))))
-            else:
-                for stmt in self.store.match(p=s):
-                    out.append((Triple(stmt.subject, o, stmt.object),
-                                Derivation("R4", (stmt, t))))
-        # statement propagation for the triple's own predicate
-        for q in self.reg.superproperties(p):
-            out.append((Triple(s, q, o), Derivation("R4-axiom", (t,))))
-        for q in self._iris(p, sub_p, True):
-            edge = Triple(p, sub_p, q)
-            out.append((Triple(s, q, o), Derivation("R4", (t, edge))))
-        return out
-
-    # -- R5 ---------------------------------------------------------------
-
-    def _domain_range(self, t: Triple):
-        out = []
-        for p, c in self.domains:
-            if p == t.predicate:
-                out.append((Triple(t.subject, RDF_TYPE, c), Derivation("R5-domain", (t,))))
-        for p, c in self.ranges:
-            if p == t.predicate and isinstance(t.object, (Iri, BlankNode)):
-                out.append((Triple(t.object, RDF_TYPE, c), Derivation("R5-range", (t,))))
-        return out
+        if not (isinstance(s, Iri) and isinstance(o, Iri)):
+            return
+        # join (s p o) with (o p e) and with (c p s)
+        for e in self._iris(o, p, True):
+            self._emit(Triple(s, p, e), rule, (t, Triple(o, p, e)))
+        for c in self._iris(s, p, False):
+            self._emit(Triple(c, p, o), rule, (Triple(c, p, s), t))
+        if rule == "R1":
+            for x in self.store.neighbours(s, RDF_TYPE, False):
+                self._emit(Triple(x, RDF_TYPE, o), "R2", (Triple(x, RDF_TYPE, s), t))
+        else:
+            for stmt in self.store.match(p=s):
+                self._emit(Triple(stmt.subject, o, stmt.object), "R4", (stmt, t))
 
     # -- R6 ---------------------------------------------------------------
 
-    def _shortcut(self, t: Triple):
-        out = []
-        for rule, prop, spec in self.shortcuts:
-            (p1, _), (p2, d2) = spec.steps
-            through = ()
-            if t.predicate in (p1, p2):
-                through = (t.subject, t.object)
-            elif t.predicate == RDF_TYPE and t.object == spec.through_class:
-                through = (t.subject,)
-            elif t.predicate == RDF_TYPE and t.object == spec.object_class:
-                through = self.store.neighbours(t.subject, p2, d2 is Direction.INVERSE)
-            for r in through:
-                out += self._contract(r, rule, prop, spec)
-        return out
-
-    def _contract(self, r: Term, rule: str, prop: Iri, spec: PathSpec):
-        """All conclusions of one shortcut spec through node r right now."""
-        if spec.through_class not in self.store.neighbours(r, RDF_TYPE):
-            return []
+    def _contract(self, where: str, rule: str, prop: Iri, spec: PathSpec, t: Triple):
+        """Emit every conclusion of one shortcut spec through each node t can
+        complete a path at: a step's ends, the subject it types, or a far end's."""
         (p1, d1), (p2, d2) = spec.steps
-        through_t = Triple(r, RDF_TYPE, spec.through_class)
-        out = []
-        for x in self.store.neighbours(r, p1, d1 is Direction.INVERSE):
-            if isinstance(x, Literal):
+        through = (t.subject, t.object) if where == "ends" else (t.subject,)
+        if where == "far end":
+            through = self.store.neighbours(t.subject, p2, d2 is Direction.INVERSE)
+        for r in through:
+            if spec.through_class not in self.store.neighbours(r, RDF_TYPE):
                 continue
-            for m in self.store.neighbours(r, p2, d2 is Direction.FORWARD):
-                premises = (through_t, _step(x, p1, d1, r), _step(r, p2, d2, m))
-                if spec.object_class is not None:
-                    if spec.object_class not in self.store.neighbours(m, RDF_TYPE):
-                        continue
-                    premises += (Triple(m, RDF_TYPE, spec.object_class),)
-                out.append((Triple(x, prop, m), Derivation(rule, premises)))
-        return out
+            through_t = Triple(r, RDF_TYPE, spec.through_class)
+            for x in self.store.neighbours(r, p1, d1 is Direction.INVERSE):
+                if isinstance(x, Literal):
+                    continue
+                for m in self.store.neighbours(r, p2, d2 is Direction.FORWARD):
+                    premises = (through_t, _step(x, p1, d1, r), _step(r, p2, d2, m))
+                    if spec.object_class is not None:
+                        if spec.object_class not in self.store.neighbours(m, RDF_TYPE):
+                            continue
+                        premises += (Triple(m, RDF_TYPE, spec.object_class),)
+                    self._emit(Triple(x, prop, m), rule, premises)
 
 
 def _step(a: Term, p: Iri, d: Direction, b: Term) -> Triple:

@@ -16,19 +16,14 @@ from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
 from iconmodel.shapes import Severity
 from iconmodel.turtle_io import RDF_TYPE
-from iconmodel.vocab import DATA_NAMESPACE, AxiomKind, TermRegistry, curie_to_iri
+from iconmodel.vocab import (DATA_NAMESPACE, AxiomKind, Direction, TermRegistry,
+                             curie_to_iri)
 
 
 def naive_close(base: Graph, reg: TermRegistry, rules: RuleSet) -> set[Triple]:
     """Fixpoint by re-running every rule over the whole set each pass."""
     sub_class_of = reg.iri("rdfs:subClassOf")
     sub_property_of = reg.iri("rdfs:subPropertyOf")
-    recognition = reg.iri("icon:IconologicalRecognition")
-    phenomenon = reg.iri("icon:CulturalPhenomenon")
-    assigns_to = reg.iri("icon:assignsTo")
-    assigned = reg.iri("icon:assigned")
-    symbolizes = reg.iri("icon:symbolizes")
-    is_document_of = reg.iri("icon:isDocumentOf")
 
     ax_sub_c = [(a.subject, a.object) for a in reg.axioms
                 if a.kind is AxiomKind.SUB_CLASS_OF]
@@ -74,37 +69,52 @@ def naive_close(base: Graph, reg: TermRegistry, rules: RuleSet) -> set[Triple]:
                     if t.predicate == p and not isinstance(t.object, Literal):
                         new.add(Triple(t.object, RDF_TYPE, c))
         if rules.shortcut_contraction:
-            recognitions = {t.subject for t in out
-                            if t.predicate == RDF_TYPE and t.object == recognition}
-            phenomena = {t.subject for t in out
-                         if t.predicate == RDF_TYPE and t.object == phenomenon}
-            for r in recognitions:
-                targets = [t.object for t in out
-                           if t.subject == r and t.predicate == assigns_to
-                           and not isinstance(t.object, Literal)]
-                meanings = [t.object for t in out
-                            if t.subject == r and t.predicate == assigned]
-                for x in targets:
-                    for m in meanings:
-                        new.add(Triple(x, symbolizes, m))
-                        if m in phenomena:
-                            new.add(Triple(x, is_document_of, m))
+            for prop, spec in reg.shortcuts():
+                (p1, d1), (p2, d2) = spec.steps
+                ends = None if spec.object_class is None else typed(out, spec.object_class)
+                for r in typed(out, spec.through_class):
+                    # x reaches r along the first step, r reaches m along the second
+                    for x in walk(out, r, p1, d1 is not Direction.FORWARD):
+                        for m in walk(out, r, p2, d2 is Direction.FORWARD):
+                            if not isinstance(x, Literal) and (ends is None or m in ends):
+                                new.add(Triple(x, prop, m))
         if new <= out:
             return out
         out |= new
 
 
+def typed(triples, cls: Iri) -> set[Term]:
+    return {t.subject for t in triples if t.predicate == RDF_TYPE and t.object == cls}
+
+
+def walk(triples, a: Term, p: Iri, forward: bool) -> list[Term]:
+    """Every b with (a p b) when forward, else every b with (b p a)."""
+    if forward:
+        return [t.object for t in triples if t.subject == a and t.predicate == p]
+    return [t.subject for t in triples if t.object == a and t.predicate == p]
+
+
+def shortcut_rule_ids(reg: TermRegistry) -> dict:
+    """R6-<local name> per shortcut declaration, with an is...Of wrapper
+    dropped (isDocumentOf -> R6-document), mapped to (property, PathSpec)."""
+    out = {}
+    for prop, spec in reg.shortcuts():
+        local = prop.value.replace("#", "/").split("/")[-1]
+        if local.startswith("is") and local.endswith("Of") and local[2:3].isupper():
+            local = local[2:-2].lower()
+        out["R6-" + local] = (prop, spec)
+    return out
+
+
 def check_derivations(base: Graph, provenance: dict, reg: TermRegistry,
                       rules: RuleSet) -> list[str]:
     """Check every recorded derivation against its rule id, with the rules
-    written out for the shipped vocabulary. Each premise must be asserted
-    or recorded earlier in provenance. Returns one line per fault."""
+    written out and each R6 rule read from the registry's shortcut
+    declaration. Each premise must be asserted or recorded earlier in
+    provenance. Returns one line per fault."""
     sub_class_of = reg.iri("rdfs:subClassOf")
     sub_property_of = reg.iri("rdfs:subPropertyOf")
-    recognition = reg.iri("icon:IconologicalRecognition")
-    phenomenon = reg.iri("icon:CulturalPhenomenon")
-    assigns_to = reg.iri("icon:assignsTo")
-    assigned = reg.iri("icon:assigned")
+    shortcuts = shortcut_rule_ids(reg)
 
     def reachable(kind: AxiomKind) -> set[tuple[Iri, Iri]]:
         pairs = {(a.subject, a.object) for a in reg.axioms if a.kind is kind}
@@ -132,13 +142,22 @@ def check_derivations(base: Graph, provenance: dict, reg: TermRegistry,
     def typing(x: Triple, cls: Iri) -> bool:
         return x.predicate == RDF_TYPE and x.object == cls
 
-    def shortcut(c: Triple, ps: tuple, prop: str, needs_phenomenon: bool) -> bool:
-        if len(ps) != 3 + needs_phenomenon or c.predicate != reg.iri(prop):
+    def spo(t: Triple) -> tuple:
+        return (t.subject, t.predicate, t.object)
+
+    def step(a: Term, p: Iri, d: Direction, b: Term) -> tuple:
+        return (a, p, b) if d is Direction.FORWARD else (b, p, a)
+
+    def shortcut(c: Triple, ps: tuple, prop: Iri, spec) -> bool:
+        needs_object_class = spec.object_class is not None
+        if len(ps) != 3 + needs_object_class or c.predicate != prop:
             return False
+        (p1, d1), (p2, d2) = spec.steps
         r, x, m = ps[0].subject, c.subject, c.object
-        return (typing(ps[0], recognition) and not isinstance(x, Literal)
-                and ps[1] == Triple(r, assigns_to, x) and ps[2] == Triple(r, assigned, m)
-                and (not needs_phenomenon or ps[3] == Triple(m, RDF_TYPE, phenomenon)))
+        return (typing(ps[0], spec.through_class) and not isinstance(x, Literal)
+                and spo(ps[1]) == step(x, p1, d1, r) and spo(ps[2]) == step(r, p2, d2, m)
+                and (not needs_object_class
+                     or spo(ps[3]) == (m, RDF_TYPE, spec.object_class)))
 
     def licensed(rule: str, c: Triple, ps: tuple) -> bool:
         one = ps[0] if len(ps) == 1 else None
@@ -173,10 +192,8 @@ def check_derivations(base: Graph, provenance: dict, reg: TermRegistry,
                     and not isinstance(one.object, Literal)
                     and c.subject == one.object and c.predicate == RDF_TYPE
                     and (one.predicate, c.object) in ax_range)
-        if rule == "R6-symbolizes":
-            return rules.shortcut_contraction and shortcut(c, ps, "icon:symbolizes", False)
-        if rule == "R6-document":
-            return rules.shortcut_contraction and shortcut(c, ps, "icon:isDocumentOf", True)
+        if rule in shortcuts:
+            return rules.shortcut_contraction and shortcut(c, ps, *shortcuts[rule])
         return False
 
     faults = []

@@ -5,6 +5,8 @@ from importlib import resources
 import pytest
 
 from iconmodel.cli import main
+from iconmodel.graph import Iri, Literal
+from iconmodel.query import solutions_from_json
 
 from conftest import MUTATIONS_DIR
 
@@ -189,6 +191,18 @@ class TestQuery:
         assert {r["?rel"] for r in rows} == {
             "https://w3id.org/icon/ontology/symbolicallyRefersTo",
             "http://www.cidoc-crm.org/cidoc-crm/P9_consists_of"}
+
+    def test_variable_bound_to_iris_and_literals(self, capsys, tmp_path, fixture_path):
+        # ?o binds IRIs and literals, and rows tie on ?s and ?rel
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": ["?s", "?rel", "?o"],
+                                       "where": [["?s", "?rel", "?o"]]}))
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"), str(pattern))
+        assert code == 0 and err == ""
+        rows = json.loads(out)
+        solutions = solutions_from_json(rows)
+        assert len(solutions) == len(rows) > 0
+        assert {type(dict(x.bindings)["o"]) for x in solutions} >= {Iri, Literal}
 
     def test_bad_pattern_json(self, capsys, tmp_path, fixture_path):
         pattern = tmp_path / "q.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iconmodel.cli import main
+from iconmodel.query import solutions_from_json
 
 # Whole statements that reach the reasoner and the shapes; raw bytes, and
 # fragments mixed with raw bytes, that usually stop the reader or the lexer.
@@ -95,6 +96,7 @@ def run_main(where, argv, doc, pattern, text=""):
         code = main([fill.get(arg, arg) for arg in argv])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
@@ -111,3 +113,21 @@ def test_any_input_keeps_the_exit_code_contract(where, command, doc, pattern, te
 @given(doc=documents, pattern=pattern_bytes)
 def test_any_pattern_keeps_the_exit_code_contract(where, infer, doc, pattern):
     run_main(where, ["query", *infer, DOC, PATTERN], doc, pattern)
+
+
+# Objects of one predicate that are IRIs, blank nodes and literals, so one
+# variable binds all three across the rows of one answer.
+MIXED = ["e:x e:p e:y .", "e:x e:p _:b .", 'e:x e:p "v" .', 'e:x e:p "v"@en .',
+         'e:y e:p "1"^^e:t .', 'e:y e:q "v" .', "e:y e:q e:x ."]
+
+
+@pytest.mark.parametrize("infer", [[], ["--infer"]], ids=["asserted", "closure"])
+@settings(max_examples=30, deadline=None)
+@given(lines=st.lists(st.sampled_from(MIXED), min_size=1, max_size=7),
+       select=st.permutations(["?s", "?p", "?o"]))
+def test_a_variable_bound_to_iris_and_literals_is_exit_0(where, infer, lines, select):
+    doc = (HEADER + "\n".join(lines)).encode()
+    pattern = json.dumps({"select": select, "where": [["?s", "?p", "?o"]]}).encode()
+    code, out = run_main(where, ["query", *infer, DOC, PATTERN], doc, pattern)
+    rows = json.loads(out)
+    assert code == 0 and len(solutions_from_json(rows)) == len(rows) >= len(set(lines))

@@ -174,12 +174,6 @@ class TestGraph:
         with pytest.raises(GraphError, match="second argument is not frozen"):
             union(frozen, Graph([t(iri("s"), iri("p"), iri("o2"))]))
 
-    def test_sorted_triples_is_deterministic(self):
-        triples = [t(iri("b"), iri("p"), iri("o")),
-                   t(iri("a"), iri("p"), Literal("x")),
-                   t(iri("a"), iri("p"), iri("o"))]
-        assert Graph(triples).sorted_triples() == Graph(reversed(triples)).sorted_triples()
-
 
 class TestIsomorphism:
     def test_blank_rename_is_isomorphic(self):
@@ -297,7 +291,7 @@ def test_chained_unions_answer_as_a_fresh_graph(base_ts, delta_ts):
     assert len(g) == len(fresh)
     assert all(u in g for u in fresh)
     assert Triple(iri("absent"), iri("p"), iri("a")) not in g
-    assert g.sorted_triples() == fresh.sorted_triples()
+    assert sorted(g, key=triple_key) == sorted(fresh, key=triple_key)
     assert before[-1] == match_answers(fresh, fresh)
     terms = fresh.terms()
     for node in terms:

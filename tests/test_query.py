@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iconmodel.graph import Graph, Iri, Literal, Triple
+from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple
 from iconmodel.query import (Alt, Inv, Pattern, Plus, QueryError, Seq,
                              Solution, UnboundProjectionError,
                              UnknownQuestionError, Var, cq_catalog, evaluate,
@@ -266,6 +266,21 @@ class TestJsonFormats:
         solutions = {Solution.of({"x": e("b")}), Solution.of({"x": e("a")})}
         rows = solutions_to_json(solutions)
         assert rows == [{"?x": E + "a"}, {"?x": E + "b"}]
+
+    def test_solutions_to_json_orders_iris_blank_nodes_and_literals(self):
+        # ?y binds an IRI, a blank node and literals, and ?x ties across
+        # rows up to a literal
+        solutions = {Solution.of({"x": Literal("v"), "y": e("a")}),
+                     Solution.of({"x": Literal("v"), "y": Literal("w", lang="en")}),
+                     Solution.of({"x": Literal("v"), "y": Literal("w")}),
+                     Solution.of({"x": Literal("v"), "y": BlankNode("b")}),
+                     Solution.of({"x": e("a"), "y": Literal("3", datatype=e("int"))})}
+        rows = solutions_to_json(solutions)
+        assert [r["?y"] for r in rows] == [
+            {"lit": "3", "datatype": E + "int"}, E + "a", "_:b", {"lit": "w"},
+            {"lit": "w", "lang": "en"}]
+        assert solutions_to_json(set(reversed(list(solutions)))) == rows
+        assert solutions_from_json(rows) == solutions
 
 
 class TestCompetencyCatalog:

@@ -1,8 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import iconmodel
 from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple, union
 from iconmodel.reasoner import (Derivation, ReasonerError, RuleSet,
                                 WrongPredicateError, close, expand_shortcut)
@@ -260,6 +266,66 @@ class TestDerivationOracle:
             assert check_derivations(g, c.provenance, reg, rules) == []
             assert set(c.graph()) == naive_close(g, reg, rules)
 
+    @pytest.mark.parametrize("shortcut", ["through-is-object-class", "hierarchy-steps"])
+    def test_unusual_registries(self, reg, rules, shortcut):
+        ext, prop = extended_registry(reg, *UNUSUAL_SHORTCUTS[shortcut])
+        rng = random.Random(1107)
+        fired = 0
+        for _ in range(40):
+            g = with_shortcut_paths(rng, ext, prop, registry_random_graph(rng, ext))
+            c = close(g, ext, rules)
+            assert check_derivations(g, c.provenance, ext, rules) == []
+            assert set(c.graph()) == naive_close(g, ext, rules)
+            fired += sum(t.predicate == prop for t in c.inferred)
+        assert fired > 0 or not rules.shortcut_contraction
+
+
+# Shortcut declarations the shipped vocabulary does not make: local name,
+# steps, through class, object class.
+UNUSUAL_SHORTCUTS = {
+    # the far endpoint of a path must be a through node itself
+    "through-is-object-class": (
+        "chainsTo", (("icon:assignsTo", Direction.INVERSE), ("icon:assigned", Direction.FORWARD)),
+        "icon:IconologicalRecognition", "icon:IconologicalRecognition"),
+    # a step along an asserted rdfs:subClassOf edge, then along a property
+    # that has a registry superproperty
+    "hierarchy-steps": (
+        "narrowsTo", (("rdfs:subClassOf", Direction.FORWARD),
+                      ("icon:hasIdentifyingAttribute", Direction.FORWARD)),
+        "rdfs:Class", None),
+}
+
+
+def extended_registry(reg, local, steps, through, object_class):
+    """reg plus one shortcut property icon:<local>, and that property."""
+    prop = curie_to_iri(f"icon:{local}")
+    term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, "icon", local)
+    spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps), reg.iri(through),
+                    object_class=object_class and reg.iri(object_class))
+    return TermRegistry(list(reg.terms) + [term],
+                        list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)],
+                        reg.prefixes), prop
+
+
+def with_shortcut_paths(rng, reg, prop, g):
+    """g plus up to 8 paths of prop's declaration over five of
+    registry_random_graph's nodes, so that paths share nodes, plus nodes
+    typed with one another."""
+    spec = dict(reg.shortcuts())[prop]
+    (p1, d1), (p2, d2) = spec.steps
+    nodes = [Iri(f"https://w3id.org/icon/data/random/n{i}") for i in range(5)]
+    extra = []
+    for _ in range(rng.randrange(9)):
+        x, r, m = (rng.choice(nodes) for _ in range(3))
+        extra.append(Triple(r, RDF_TYPE, spec.through_class))
+        extra.append(Triple(x, p1, r) if d1 is Direction.FORWARD else Triple(r, p1, x))
+        extra.append(Triple(r, p2, m) if d2 is Direction.FORWARD else Triple(m, p2, r))
+        if spec.object_class is not None and rng.random() < 0.7:
+            extra.append(Triple(m, RDF_TYPE, spec.object_class))
+        if rng.random() < 0.5:
+            extra.append(Triple(rng.choice(nodes), RDF_TYPE, rng.choice(nodes)))
+    return union(g, Graph(extra).freeze())
+
 
 def test_derivation_oracle_reports_faults(reg):
     g = recognition_graph(reg, meaning_is_phenomenon=True)
@@ -288,6 +354,32 @@ def test_derivation_oracle_reports_faults(reg):
 def test_closure_equals_oracle_property(reg, seed):
     g = registry_random_graph(random.Random(seed), reg, max_triples=40)
     assert set(close(g, reg).graph()) == naive_close(g, reg, RuleSet())
+
+
+# Every case of the casebook closed: its serialized closure and its count
+# of inferred triples per rule.
+CLOSE_CASEBOOK = """
+import collections, json
+from iconmodel import NAMESPACES, build_registry, close, list_cases, load_case, serialize_turtle
+reg = build_registry()
+out = {}
+for case in list_cases():
+    c = close(load_case(case.id)[0], reg)
+    out[case.id] = [serialize_turtle(c.graph(), NAMESPACES),
+                    collections.Counter(d.rule for d in c.provenance.values())]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_closure_is_the_same_under_every_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(iconmodel.__file__).parents[1]))
+    runs = [subprocess.run([sys.executable, "-c", CLOSE_CASEBOOK],
+                           env={**env, "PYTHONHASHSEED": str(seed)},
+                           capture_output=True, check=True, timeout=120).stdout
+            for seed in (0, 1, 2)]
+    assert runs[0] == runs[1] == runs[2]
+    closed = json.loads(runs[0])
+    assert closed and all(counts for _, counts in closed.values())
 
 
 class TestExpandShortcut:
