@@ -27,7 +27,10 @@ FRAGMENTS = [
     "\\", "\\n", "\\t", '\\"', "@en", "@en-US", "<>", "<s>", "@base <s> .", "@prefix e: <> .",
     "@", "@İ", "@1", "^^", "^", "^^ex:d", "^^<http://e/d>", "a", "ab", "a-", "true", "false",
     "42", "+1", "-", "²", "½", "Ⅷ", "一", "İ", "é", "x", "_", ".", ";", ",", "[", "]", "(", ")",
-    " ", "\t", "\n", "\r", "#c", "# ", "\f", "%", "{", "|", "`", "~", "0", "9"]
+    " ", "\t", "\n", "\r", "#c", "# ", "\f", "%", "{", "|", "`", "~", "0", "9",
+    # comments holding tokens, which a lexer that backtracks into a
+    # comment would read
+    "#e:s a ", "# <http://e/a> ", '#"x" ', "#_:b "]
 PROLOGUES = ["@prefix e: <http://e/> .\n", "@prefix ex: <http://ex/> .\n",
              "@base <http://b/> .\n", ""]
 STATEMENTS = ["e:s e:p e:o .", 'e:s e:p "x"@en .', "_:b e:p [ e:q e:o ] .",

@@ -3,21 +3,26 @@
 
 Loads this checkout's iconmodel and the one under OLD_SRC (for example an
 older commit unpacked with `git archive`) under two different package
-names, so one process holds both. Each run times parse_turtle, close,
-validate, serialize_turtle and isomorphic(G, G) on the casebook x SCALE
-(perfbench's scaled_document) for both trees, alternating which goes
-first. It checks that both serialize the closure to the same text and
-record the same derivation (rule and premises, compared through
-triple_key) for every inferred triple, and exits 1 if they do not;
-"ingest" is the sum of the first four stages.
+names, so one process holds both. Each run times the lexer (turtle_io's
+_tokens), parse_turtle, close, validate, serialize_turtle and
+isomorphic(G, G) on the casebook x SCALE (perfbench's scaled_document)
+for both trees, alternating which goes first. It checks that both
+serialize the closure to the same text and record the same derivation
+(rule and premises, compared through triple_key) for every inferred
+triple, and exits 1 if they do not; "ingest" is the sum of parse, close,
+validate and serialize.
 Interleaving in one process keeps drift in machine speed from landing on
-one tree only. Prints the median milliseconds of each stage per tree.
+one tree only. Prints the median milliseconds of each stage per tree, and
+the median milliseconds of cyclic garbage collection inside each stage
+(from gc.callbacks): a collection runs when allocations cross a threshold,
+so a stage can pay for garbage an earlier stage left.
 
     python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
 
 SCALE defaults to 50 and RUNS to 12.
 """
 
+import gc
 import importlib
 import importlib.util
 import statistics
@@ -30,7 +35,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from scaled import scaled_document  # noqa: E402
 
-STAGES = ("parse", "close", "validate", "serialize", "isomorphic", "ingest")
+STAGES = ("lex", "parse", "close", "validate", "serialize", "isomorphic", "ingest")
+INGEST = ("parse", "close", "validate", "serialize")  # one perfbench ingest operation
+
+
+class GcClock:
+    """Milliseconds spent in cyclic garbage collection, as a gc callback."""
+
+    def __init__(self):
+        self.ms = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict):
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.ms += (time.perf_counter() - self._start) * 1000
 
 
 def load_as(name: str, src: Path):
@@ -45,32 +65,36 @@ def load_as(name: str, src: Path):
             for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
 
 
-def run_once(tree, text: str) -> tuple[dict[str, float], str, dict]:
-    """Milliseconds per stage, the serialized closure, and its provenance
-    keyed by triple_key."""
+def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict]:
+    """Milliseconds per stage, milliseconds of garbage collection per stage,
+    the serialized closure, and its provenance keyed by triple_key."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
-    ms = {}
+    ms, gc_ms = {}, {}
 
     def timed(stage, f, *args):
+        gc_before = clock.ms
         start = time.perf_counter()
         out = f(*args)
         ms[stage] = (time.perf_counter() - start) * 1000
+        gc_ms[stage] = clock.ms - gc_before
         return out
 
+    timed("lex", tree["turtle_io"]._tokens, text)
     parsed = timed("parse", tree["turtle_io"].parse_turtle, text)
     closure = timed("close", tree["reasoner"].close, parsed.graph, reg)
     full = closure.graph()
     timed("validate", tree["shapes"].validate, full, shapes, reg)
     out = timed("serialize", tree["turtle_io"].serialize_turtle, full,
                 tree["vocab"].NAMESPACES)
-    ms["ingest"] = sum(ms.values())  # the stages of one perfbench ingest operation
+    for by_stage in (ms, gc_ms):
+        by_stage["ingest"] = sum(by_stage[stage] for stage in INGEST)
     if not timed("isomorphic", tree["graph"].isomorphic, full, full):
         raise SystemExit("isomorphic(G, G) is False")
     key = tree["graph"].triple_key
     derivations = {key(t): (d.rule, tuple(map(key, d.premises)))
                    for t, d in closure.provenance.items()}
-    return ms, out, derivations
+    return ms, gc_ms, out, derivations
 
 
 def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
@@ -78,26 +102,35 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
              "new": load_as("new_iconmodel", ROOT / "src")}
     text = scaled_document(scale)
     times = {name: {stage: [] for stage in STAGES} for name in trees}
-    for i in range(runs):
-        order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
-        outputs, derivations = {}, {}
-        for name in order:
-            ms, outputs[name], derivations[name] = run_once(trees[name], text)
-            for stage in STAGES:
-                times[name][stage].append(ms[stage])
-        if outputs["old"] != outputs["new"]:
-            print("the trees serialize the closure differently")
-            return 1
-        old, new = derivations["old"], derivations["new"]
-        if old != new:
-            differ = sum(old.get(t) != new.get(t) for t in old.keys() | new.keys())
-            print(f"the trees record different derivations for {differ} inferred triples")
-            return 1
+    gc_times = {name: {stage: [] for stage in STAGES} for name in trees}
+    clock = GcClock()
+    gc.callbacks.append(clock)
+    try:
+        for i in range(runs):
+            order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
+            outputs, derivations = {}, {}
+            for name in order:
+                ms, gc_ms, outputs[name], derivations[name] = run_once(trees[name], text, clock)
+                for stage in STAGES:
+                    times[name][stage].append(ms[stage])
+                    gc_times[name][stage].append(gc_ms[stage])
+            if outputs["old"] != outputs["new"]:
+                print("the trees serialize the closure differently")
+                return 1
+            old, new = derivations["old"], derivations["new"]
+            if old != new:
+                differ = sum(old.get(t) != new.get(t) for t in old.keys() | new.keys())
+                print(f"the trees record different derivations for {differ} inferred triples")
+                return 1
+    finally:
+        gc.callbacks.remove(clock)
     print(f"x{scale}, {runs} runs each; closures and derivations identical; "
-          f"median ms (old -> new)")
+          f"median ms (old -> new), of which in cyclic GC")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
-        print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+.0%})")
+        gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))
+        print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+4.0%})"
+              f"   gc {gc_old:6.1f} -> {gc_new:6.1f}")
     return 0
 
 

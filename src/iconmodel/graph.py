@@ -146,13 +146,17 @@ class Graph:
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
+        self._triples: set[Triple] = set(triples)
         self._by_s: dict[Term, set[Triple]] = {}
         self._by_p: dict[Iri, set[Triple]] = {}
         self._by_o: dict[Term, set[Triple]] = {}
         self._frozen = False
-        for t in triples:
-            self.insert(t)
+        # one pass over the distinct triples, as in insert()
+        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
+        for t in self._triples:
+            (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
+            (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
+            (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
 
     @property
     def frozen(self) -> bool:

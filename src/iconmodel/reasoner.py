@@ -122,9 +122,17 @@ class _Engine:
                     plan.append(partial(self._axioms, rule, classes))
         for shortcut in self.shortcuts if rules.shortcut_contraction else ():
             spec = shortcut[2]
-            # one triple can complete paths in more than one of these ways
-            if p in (spec.steps[0][0], spec.steps[1][0]):
-                plan.append(partial(self._contract, "ends", *shortcut))
+            (p1, d1), (p2, d2) = spec.steps
+            # one triple can complete paths in more than one of these ways;
+            # a step triple completes them only at its through end
+            ends = set()
+            if p == p1:
+                ends.add("object" if d1 is Direction.FORWARD else "subject")
+            if p == p2:
+                ends.add("subject" if d2 is Direction.FORWARD else "object")
+            if ends:
+                plan.append(partial(self._contract, ends.pop() if len(ends) == 1
+                                    else "both ends", *shortcut))
             if cls is not None and cls == spec.through_class:
                 plan.append(partial(self._contract, "subject", *shortcut))
             if cls is not None and cls == spec.object_class:
@@ -179,11 +187,15 @@ class _Engine:
 
     def _contract(self, where: str, rule: str, prop: Iri, spec: PathSpec, t: Triple):
         """Emit every conclusion of one shortcut spec through each node t can
-        complete a path at: a step's ends, the subject it types, or a far end's."""
+        complete a path at: a step's through end ("subject", "object" or
+        "both ends"), the subject it types, or a far end's ("far end")."""
         (p1, d1), (p2, d2) = spec.steps
-        through = (t.subject, t.object) if where == "ends" else (t.subject,)
         if where == "far end":
             through = self.store.neighbours(t.subject, p2, d2 is Direction.INVERSE)
+        elif where == "both ends":
+            through = (t.subject, t.object)
+        else:
+            through = (t.object,) if where == "object" else (t.subject,)
         for r in through:
             if spec.through_class not in self.store.neighbours(r, RDF_TYPE):
                 continue

@@ -11,9 +11,11 @@ error, and so are "[" nesting more than 100 deep and a language tag whose
 lower-case form is not a tag.
 
 The token table _TABLE is the token grammar: the lexer matches its
-patterns and nothing else. The serializer checks each IRI, CURIE, blank
-node label, language tag and prefix it writes by matching it against the
-same table, so whatever it writes reads back as the token it meant.
+patterns and nothing else, reading each token and the whitespace and
+comments before it in one anchored regex match. The serializer checks
+each IRI, CURIE, blank node label, language tag and prefix it writes by
+matching it against the same table, so whatever it writes reads back as
+the token it meant.
 """
 
 from __future__ import annotations
@@ -80,39 +82,34 @@ _TABLE = [
     ("PNAME", rf"(?P<prefix>(?!_:)[^\W\d]{_NAME_CHAR}*|):{_LOCAL}"),
     ("EOF", r"\Z"),
 ]
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TABLE))
+# whitespace and comments
+_SKIP_BODY = r"(?:[ \t\r\n]|#[^\n]*)*"
+_SKIP = re.compile(_SKIP_BODY)
+# One anchored match reads the skip and then the first _TABLE pattern that
+# matches. The skip is captured in a lookahead and matched again through a
+# backreference, which makes it atomic: a token that fails to match cannot
+# backtrack into a comment and lex a token inside it.
+_TOKEN = re.compile(rf"(?=(?P<skip>{_SKIP_BODY}))(?P=skip)(?:"
+                    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TABLE) + ")")
 # the group holding a token's value, where that is not the whole token
 _VALUE = {"IRIREF": "iri", "STRING": "string", "BLANK": "label", "LANG": "lang"}
-# whitespace and comments; nothing follows it, so it never backtracks
-_SKIP = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(_NAME_CHAR + "*")
 _ESCAPE = re.compile(r'\\(["\\nrt])')
 _UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # a kind named in _TABLE
-    value: str
-    pos: int  # character offset into the document
-
-
-def _match(text: str, pos: int) -> Optional[re.Match]:
-    """The token at text[pos], or None where no token starts there."""
-    m = _TOKEN.match(text, pos)
-    # \w also admits numerals such as "²", which cannot start a name
-    if m is not None and m.lastgroup == "PNAME":
-        c = m["prefix"][:1]
-        if c and not (c.isalpha() or c == "_"):
-            return None
-    return m
+def _starts_name(c: str) -> bool:
+    """Can a PNAME start with c: a letter, "_", or the ":" of an empty
+    prefix? The pattern's \\w also admits numerals such as "²"."""
+    return c.isalpha() or c == "_" or c == ":"
 
 
 def _lexes_as(kind: str, text: str) -> bool:
     """Would the lexer read all of text as one token of this kind?"""
-    m = _match(text, 0)
-    return m is not None and m.lastgroup == kind and m.end() == len(text)
+    m = _TOKEN.match(text)
+    return (m is not None and m.lastgroup == kind and m.start(kind) == 0
+            and m.end() == len(text) and (kind != "PNAME" or _starts_name(text[0])))
 
 
 def _error_at(text: str, pos: int, message: str, kind: ErrorKind) -> ParseError:
@@ -154,19 +151,25 @@ def _lex_error(text: str, pos: int) -> ParseError:
     return _error_at(text, pos, message, kind)
 
 
-def _tokens(text: str) -> list[_Token]:
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The document's tokens, one anchored match each, ending with EOF. A
+    token is (kind, value, pos): a kind named in _TABLE, its value, and its
+    character offset into the document."""
     out = []
+    append, match = out.append, _TOKEN.match
     pos = 0
     while True:
-        pos = _SKIP.match(text, pos).end()
-        m = _match(text, pos)
+        m = match(text, pos)
         if m is None:
-            raise _lex_error(text, pos)
+            raise _lex_error(text, _SKIP.match(text, pos).end())
         kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "PNAME" and not _starts_name(text[start]):
+            raise _lex_error(text, start)
         value = m[_VALUE.get(kind, kind)]
         if kind == "STRING" and "\\" in value:
             value = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], value)
-        out.append(_Token(kind, value, pos))
+        append((kind, value, start))
         if kind == "EOF":
             return out
         pos = m.end()
@@ -176,183 +179,186 @@ def _tokens(text: str) -> list[_Token]:
 # parser
 
 class _Parser:
+    """Recursive descent over the token list. self.i indexes the next token;
+    taking the EOF token always ends in a ParseError, so self.i never runs
+    past it."""
+
     def __init__(self, text: str, base: Optional[Iri]):
         self.text = text
         self.toks = _tokens(text)
         self.i = 0
-        self.graph = Graph()
+        self.triples: list[Triple] = []
         self.prefixes: PrefixMap = {}
         self.base = base
         # one Iri per distinct IRI: each is checked and built once, and
         # equal terms are the same object
         self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE}
+        # CURIE text -> Iri under the prefixes declared so far
+        self._curies: dict[str, Iri] = {}
         self._anon = 0
         self._depth = 0
-        # "[ ]" labels must not collide with any explicit "_:" label
-        self._explicit = {tok.value for tok in self.toks if tok.kind == "BLANK"}
+        # "[ ]" labels must not collide with any explicit "_:" label;
+        # collected at the first "["
+        self._explicit: Optional[set[str]] = None
 
-    def _peek(self) -> _Token:
-        return self.toks[self.i]
-
-    def _take(self) -> _Token:
-        tok = self.toks[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
-
-    def _err(self, tok: _Token, message: str, kind: ErrorKind):
-        raise _error_at(self.text, tok.pos, message, kind)
+    def _err(self, tok: tuple[str, str, int], message: str, kind: ErrorKind):
+        raise _error_at(self.text, tok[2], message, kind)
 
     def parse(self) -> ParseResult:
-        while self._peek().kind != "EOF":
-            tok = self._peek()
-            if tok.kind == "KEYWORD" and tok.value in ("@prefix", "@base"):
+        while (tok := self.toks[self.i])[0] != "EOF":
+            if tok[0] == "KEYWORD" and tok[1] in ("@prefix", "@base"):
                 self._directive()
             else:
                 self._triples()
-        return ParseResult(self.graph.freeze(), dict(self.prefixes), self.base)
+        del self.toks  # spent: the graph's indexes can reuse their memory
+        return ParseResult(Graph(self.triples).freeze(), dict(self.prefixes), self.base)
+
+    def _take(self) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
 
     def _directive(self):
         kw = self._take()
-        if kw.value == "@prefix":
+        if kw[1] == "@prefix":
             name = self._take()
-            if name.kind != "PNAME" or not name.value.endswith(":"):
+            if name[0] != "PNAME" or not name[1].endswith(":"):
                 self._err(name, "prefix label expected after @prefix",
                           ErrorKind.UNEXPECTED_TOKEN)
             iriref = self._take()
-            if iriref.kind != "IRIREF":
+            if iriref[0] != "IRIREF":
                 self._err(iriref, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            self.prefixes[name.value[:-1]] = iriref.value
+            self.prefixes[name[1][:-1]] = iriref[1]
+            self._curies.clear()
         else:
             iriref = self._take()
-            if iriref.kind != "IRIREF":
+            if iriref[0] != "IRIREF":
                 self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
             self.base = self._resolve_iri(iriref)
         dot = self._take()
-        if not (dot.kind == "PUNCT" and dot.value == "."):
+        if dot[:2] != ("PUNCT", "."):
             self._err(dot, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
 
     def _triples(self):
         subject = self._subject()
         self._predicate_object_list(subject)
-        dot = self._take()
-        if not (dot.kind == "PUNCT" and dot.value == "."):
-            self._err(dot, "'.' expected at end of statement",
+        kind, value, _ = tok = self._take()
+        if not (kind == "PUNCT" and value == "."):
+            self._err(tok, "'.' expected at end of statement",
                       ErrorKind.UNTERMINATED_STATEMENT)
 
     def _subject(self):
-        tok = self._peek()
-        if tok.kind == "PUNCT" and tok.value == "[":
+        kind, value, _ = tok = self.toks[self.i]
+        if kind == "PUNCT" and value == "[":
             return self._anon_node()
-        tok = self._take()
-        if tok.kind == "IRIREF":
+        self.i += 1
+        if kind == "PNAME":
+            return self._curies.get(value) or self._resolve_curie(tok)
+        if kind == "IRIREF":
             return self._resolve_iri(tok)
-        if tok.kind == "PNAME":
-            return self._resolve_curie(tok)
-        if tok.kind == "BLANK":
-            return BlankNode(tok.value)
+        if kind == "BLANK":
+            return BlankNode(value)
         self._err(tok, "subject expected", ErrorKind.UNEXPECTED_TOKEN)
 
     def _predicate_object_list(self, subject):
+        toks, curies, append = self.toks, self._curies, self.triples.append
         while True:
-            pred = self._predicate()
+            kind, value, _ = tok = toks[self.i]
+            self.i += 1
+            if kind == "PNAME":
+                pred = curies.get(value) or self._resolve_curie(tok)
+            elif kind == "KEYWORD" and value == "a":
+                pred = RDF_TYPE
+            elif kind == "IRIREF":
+                pred = self._resolve_iri(tok)
+            else:
+                self._err(tok, "predicate expected", ErrorKind.UNEXPECTED_TOKEN)
             while True:
-                obj = self._object()
-                self.graph.insert(Triple(subject, pred, obj))
-                nxt = self._peek()
-                if nxt.kind == "PUNCT" and nxt.value == ",":
-                    self._take()
-                    continue
-                break
-            nxt = self._peek()
-            if nxt.kind == "PUNCT" and nxt.value == ";":
-                self._take()
-                # tolerate trailing ';' before '.' or ']'
-                after = self._peek()
-                if after.kind == "PUNCT" and after.value in (".", "]"):
+                append(Triple(subject, pred, self._object()))
+                kind, value, _ = toks[self.i]
+                if not (kind == "PUNCT" and value == ","):
                     break
-                continue
-            break
-
-    def _predicate(self) -> Iri:
-        tok = self._take()
-        if tok.kind == "KEYWORD" and tok.value == "a":
-            return RDF_TYPE
-        if tok.kind == "IRIREF":
-            return self._resolve_iri(tok)
-        if tok.kind == "PNAME":
-            return self._resolve_curie(tok)
-        self._err(tok, "predicate expected", ErrorKind.UNEXPECTED_TOKEN)
+                self.i += 1
+            if not (kind == "PUNCT" and value == ";"):
+                return
+            self.i += 1
+            # tolerate trailing ';' before '.' or ']'
+            kind, value, _ = toks[self.i]
+            if kind == "PUNCT" and value in (".", "]"):
+                return
 
     def _object(self) -> Term:
-        tok = self._peek()
-        if tok.kind == "PUNCT" and tok.value == "[":
+        kind, value, _ = tok = self.toks[self.i]
+        if kind == "PUNCT" and value == "[":
             return self._anon_node()
-        tok = self._take()
-        if tok.kind == "IRIREF":
+        self.i += 1
+        if kind == "PNAME":
+            return self._curies.get(value) or self._resolve_curie(tok)
+        if kind == "IRIREF":
             return self._resolve_iri(tok)
-        if tok.kind == "PNAME":
-            return self._resolve_curie(tok)
-        if tok.kind == "BLANK":
-            return BlankNode(tok.value)
-        if tok.kind == "STRING":
-            return self._literal(tok)
+        if kind == "BLANK":
+            return BlankNode(value)
+        if kind == "STRING":
+            return self._literal(value)
         self._err(tok, "object expected", ErrorKind.UNEXPECTED_TOKEN)
 
-    def _literal(self, tok: _Token) -> Literal:
-        nxt = self._peek()
-        if nxt.kind == "LANG":
-            self._take()
+    def _literal(self, lexical: str) -> Literal:
+        kind, value, _ = tok = self.toks[self.i]
+        if kind == "LANG":
+            self.i += 1
             # Literal lower-cases the tag, and the serializer writes that form
-            if not _lexes_as("LANG", "@" + nxt.value.lower()):
-                self._err(nxt, f"language tag {nxt.value!r} is not a tag once lower-cased",
+            if not _lexes_as("LANG", "@" + value.lower()):
+                self._err(tok, f"language tag {value!r} is not a tag once lower-cased",
                           ErrorKind.BAD_LITERAL)
-            return Literal(tok.value, lang=nxt.value)
-        if nxt.kind == "DTSEP":
-            self._take()
+            return Literal(lexical, lang=value)
+        if kind == "DTSEP":
+            self.i += 1
             dtok = self._take()
-            if dtok.kind == "IRIREF":
-                return Literal(tok.value, datatype=self._resolve_iri(dtok))
-            if dtok.kind == "PNAME":
-                return Literal(tok.value, datatype=self._resolve_curie(dtok))
+            if dtok[0] == "IRIREF":
+                return Literal(lexical, datatype=self._resolve_iri(dtok))
+            if dtok[0] == "PNAME":
+                return Literal(lexical, datatype=self._resolve_curie(dtok))
             self._err(dtok, "datatype IRI expected", ErrorKind.BAD_LITERAL)
-        return Literal(tok.value)
+        return Literal(lexical)
 
     def _anon_node(self) -> BlankNode:
         opener = self._take()  # '['
         if self._depth == _MAX_NESTING:
             self._err(opener, f"'[' nested deeper than {_MAX_NESTING}",
                       ErrorKind.UNEXPECTED_TOKEN)
+        if self._explicit is None:
+            self._explicit = {value for kind, value, _ in self.toks if kind == "BLANK"}
         self._anon += 1
         while f"b{self._anon}" in self._explicit:
             self._anon += 1
         node = BlankNode(f"b{self._anon}")
-        nxt = self._peek()
-        if not (nxt.kind == "PUNCT" and nxt.value == "]"):
+        if self.toks[self.i][:2] != ("PUNCT", "]"):
             self._depth += 1
             self._predicate_object_list(node)
             self._depth -= 1
         closer = self._take()
-        if not (closer.kind == "PUNCT" and closer.value == "]"):
+        if closer[:2] != ("PUNCT", "]"):
             self._err(closer, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
         return node
 
-    def _resolve_iri(self, tok: _Token) -> Iri:
-        value = tok.value
+    def _resolve_iri(self, tok: tuple[str, str, int]) -> Iri:
+        value = tok[1]
         if ":" not in value:
             if self.base is None:
                 self._err(tok, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
             value = self.base.value + value
         return self._iri(tok, value)
 
-    def _resolve_curie(self, tok: _Token) -> Iri:
-        prefix, _, local = tok.value.partition(":")
+    def _resolve_curie(self, tok: tuple[str, str, int]) -> Iri:
+        prefix, _, local = tok[1].partition(":")
         ns = self.prefixes.get(prefix)
         if ns is None:
             self._err(tok, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
-        return self._iri(tok, ns + local)  # a relative namespace gives no IRI
+        # a relative namespace gives no IRI
+        iri = self._curies[tok[1]] = self._iri(tok, ns + local)
+        return iri
 
-    def _iri(self, tok: _Token, value: str) -> Iri:
+    def _iri(self, tok: tuple[str, str, int], value: str) -> Iri:
         iri = self._iris.get(value)
         if iri is None:
             try:

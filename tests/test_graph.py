@@ -1,5 +1,6 @@
 import copy
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from iconmodel.graph import (BlankNode, FrozenGraphError, Graph, GraphError, Iri
                              Literal, Triple, XSD_STRING, isomorphic, term_key,
                              triple_key, union)
 
+from conftest import turtle_random_graph
 from oracles import oracle_isomorphic
 
 EX = "http://example.org/"
@@ -306,6 +308,40 @@ def test_chained_unions_answer_as_a_fresh_graph(base_ts, delta_ts):
     for h in chain[:-1]:
         union(h, Graph([Triple(BlankNode("late"), iri("p"), iri("a"))]).freeze())
     assert [match_answers(h, fresh) for h in chain] == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_bulk_built_graph_answers_as_an_insert_built_one(seed):
+    rng = random.Random(seed)
+    ts = list(turtle_random_graph(rng))
+    ts += rng.choices(ts, k=len(ts) // 2)  # duplicates
+    rng.shuffle(ts)
+    inserted = Graph()
+    for u in ts:
+        inserted.insert(u)
+    for bulk in (Graph(ts), Graph(u for u in ts)):
+        assert len(bulk) == len(inserted)
+        assert set(bulk) == set(inserted)
+        assert match_answers(bulk, inserted) == match_answers(inserted, inserted)
+        for node in inserted.terms():
+            for p in {u.predicate for u in inserted}:
+                for forward in (True, False):
+                    assert (bulk.neighbours(node, p, forward)
+                            == inserted.neighbours(node, p, forward))
+        assert bulk.blank_labels() == inserted.blank_labels()
+
+
+def test_bulk_built_graph_is_unfrozen_and_grows():
+    assert len(Graph([])) == 0 and Graph([]).match() == set()
+    a, b = t(iri("s"), iri("p"), iri("o")), t(iri("s"), iri("p"), iri("o2"))
+    g = Graph([a, a])
+    assert not g.frozen
+    assert g.insert(b) is True and g.insert(a) is False
+    assert g.match(s=iri("s")) == g.match(p=iri("p")) == {a, b}
+    assert g.match(o=iri("o2")) == {b}
+    assert g.neighbours(iri("s"), iri("p")) == {iri("o"), iri("o2")}
+    assert len(g.freeze()) == 2
 
 
 datatyped = st.sampled_from([Literal("3", datatype=Iri(EX + "a")),

@@ -266,7 +266,8 @@ class TestDerivationOracle:
             assert check_derivations(g, c.provenance, reg, rules) == []
             assert set(c.graph()) == naive_close(g, reg, rules)
 
-    @pytest.mark.parametrize("shortcut", ["through-is-object-class", "hierarchy-steps"])
+    @pytest.mark.parametrize("shortcut", ["through-is-object-class", "hierarchy-steps",
+                                          "repeated-step", "turnaround"])
     def test_unusual_registries(self, reg, rules, shortcut):
         ext, prop = extended_registry(reg, *UNUSUAL_SHORTCUTS[shortcut])
         rng = random.Random(1107)
@@ -293,6 +294,17 @@ UNUSUAL_SHORTCUTS = {
         "narrowsTo", (("rdfs:subClassOf", Direction.FORWARD),
                       ("icon:hasIdentifyingAttribute", Direction.FORWARD)),
         "rdfs:Class", None),
+    # both steps along one predicate: a step triple is the first step at
+    # its object and the second at its subject
+    "repeated-step": (
+        "assignsOnwardTo", (("icon:assigned", Direction.FORWARD),
+                            ("icon:assigned", Direction.FORWARD)),
+        "icon:IconologicalRecognition", None),
+    # both steps along one predicate, each with the through node as subject
+    "turnaround": (
+        "coAssigned", (("icon:assigned", Direction.INVERSE),
+                       ("icon:assigned", Direction.FORWARD)),
+        "icon:IconologicalRecognition", None),
 }
 
 

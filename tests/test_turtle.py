@@ -205,11 +205,25 @@ class TestParseErrors:
         ("true", 12, "UNEXPECTED_TOKEN", "boolean shorthand"),
         ("foo", 12, "UNEXPECTED_TOKEN", "unexpected token 'foo'"),
         ("%bad", 12, "UNEXPECTED_TOKEN", "unexpected character '%'"),
+        # after a comment that holds tokens and then no token, the error
+        # opens line 4
+        ("# ex:a %\n%", 1, "UNEXPECTED_TOKEN", "unexpected character '%'"),
+        ("# see a ~\n42", 1, "UNEXPECTED_TOKEN", "numeric shorthand"),
+        ('#"x" <http://e/a> %\n"open', 1, "BAD_LITERAL", "unterminated string"),
+        ("#_:b ex:a |\n²x:o", 1, "UNEXPECTED_TOKEN", "numeric shorthand"),
     ])
     def test_lexer_error_positions(self, obj, column, kind, message):
         e = self.err(EX + "# a comment\n\tex:s ex:p " + obj + " .")
-        assert (e.line, e.column, e.kind) == (3, column, ErrorKind[kind])
+        line = 3 + obj.count("\n")
+        assert (e.line, e.column, e.kind) == (line, column, ErrorKind[kind])
         assert message in e.message
+
+    def test_no_token_is_read_inside_a_comment(self):
+        # the skip over whitespace and comments never gives back a part of
+        # a comment for a token to match, such as the keyword "a" here
+        e = self.err(EX + "ex:s ex:p ex:o . # see a %\n%")
+        assert (e.line, e.column, e.kind) == (3, 1, ErrorKind.UNEXPECTED_TOKEN)
+        assert e.message == "unexpected character '%'"
 
 
 # Characters that start, end or break tokens, and ones that look like name
