@@ -12,13 +12,13 @@ counts and exits 0.
     PYTHONPATH=src python3 scripts/fuzz_turtle_against.py OTHER_SRC N SEED
 """
 
-import importlib.util
 import random
 import sys
 from pathlib import Path
 
 from iconmodel.graph import GraphError, isomorphic
 from iconmodel.turtle_io import ParseError, parse_turtle, serialize_turtle
+from stage_times_against import load_as
 
 FRAGMENTS = [
     "@prefix", "@base", "@PREFIX", "ex:", "e:", ":", "ex:a", "e:s", "e:p", "e:o", "ex:a.b",
@@ -50,16 +50,6 @@ def document(rng: random.Random) -> str:
     return "".join(parts)
 
 
-def load_other(src: Path):
-    spec = importlib.util.spec_from_file_location(
-        "other_iconmodel", src / "iconmodel" / "__init__.py",
-        submodule_search_locations=[str(src / "iconmodel")])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = package
-    spec.loader.exec_module(package)
-    return importlib.import_module("other_iconmodel.turtle_io")
-
-
 def outcome(parse, error_type, text):
     try:
         r = parse(text)
@@ -80,7 +70,7 @@ def reads_back(text: str) -> bool:
 
 
 def main(other_src: str, n: int, seed: int) -> int:
-    other = load_other(Path(other_src))
+    other = load_as("other_iconmodel", Path(other_src))["turtle_io"]
     rng = random.Random(seed)
     counts = {"parsed by the other": 0, "identical": 0,
               "language tag now refused": 0, "ValueError there, not here": 0}

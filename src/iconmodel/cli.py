@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .casebook import UnknownCaseError, case_document, list_cases, load_case
+from .casebook import UnknownCaseError, case_document, case_meta, list_cases, load_case
 from .graph import GraphError
 from .query import (QueryError, UnknownQuestionError, cq_catalog, evaluate,
                     find_cq, pattern_from_json, run_cq, solutions_to_json)
@@ -227,9 +227,10 @@ def cmd_cases(args) -> int:
         return EXIT_ERROR
     try:
         if args.out is not None:
+            # an unknown id raises before the directory is made
+            targets = [case_meta(args.id).id] if args.id else [c.id for c in list_cases()]
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            targets = [args.id] if args.id else [c.id for c in list_cases()]
             for case_id in targets:
                 (out_dir / f"{case_id}.ttl").write_text(case_document(case_id),
                                                         "utf-8")

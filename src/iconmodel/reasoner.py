@@ -8,7 +8,8 @@ Rules (all driven by the registry's axioms):
          treated as validation constraints, not inference licenses)
   R6     shortcut contraction, interpreting the registry's shortcut
          declarations: a node of a PathSpec's through class that links
-         x to m along its steps yields (x shortcut m)
+         x to m along its steps yields (x shortcut m); specs that share
+         steps and through class are contracted in one walk per path
 
 Evaluation is semi-naive: only newly derived triples re-fire rules. The
 engine derives into the store it returns, inserting each triple when it
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, KeysView, Optional
 
 from .graph import BlankNode, Graph, Iri, Literal, Term, Triple
 from .turtle_io import RDF_TYPE
-from .vocab import Direction, PathSpec, TermRegistry
+from .vocab import Direction, TermRegistry
 
 
 class ReasonerError(Exception):
@@ -85,7 +86,11 @@ class _Engine:
         self.rules = rules
         self.sub_class_of = reg.iri("rdfs:subClassOf")
         self.sub_property_of = reg.iri("rdfs:subPropertyOf")
-        self.shortcuts = [(_rule_id(prop), prop, spec) for prop, spec in reg.shortcuts()]
+        # R6's (rule id, property, object class) per spec, grouped by shared paths
+        self.shortcuts: dict[tuple, list[tuple[str, Iri, Optional[Iri]]]] = {}
+        for prop, spec in reg.shortcuts() if rules.shortcut_contraction else ():
+            self.shortcuts.setdefault((spec.steps, spec.through_class), []).append(
+                (_rule_id(prop), prop, spec.object_class))
         self.store = Graph()
         self.provenance: dict[Triple, Derivation] = {}
         # unlike set order, hash order depends only on the triple set
@@ -120,23 +125,11 @@ class _Engine:
                                  ("R5-range", reg.range_axioms())):
                 if classes := [c for q, c in axioms if q == p]:
                     plan.append(partial(self._axioms, rule, classes))
-        for shortcut in self.shortcuts if rules.shortcut_contraction else ():
-            spec = shortcut[2]
-            (p1, d1), (p2, d2) = spec.steps
-            # one triple can complete paths in more than one of these ways;
-            # a step triple completes them only at its through end
-            ends = set()
-            if p == p1:
-                ends.add("object" if d1 is Direction.FORWARD else "subject")
-            if p == p2:
-                ends.add("subject" if d2 is Direction.FORWARD else "object")
-            if ends:
-                plan.append(partial(self._contract, ends.pop() if len(ends) == 1
-                                    else "both ends", *shortcut))
-            if cls is not None and cls == spec.through_class:
-                plan.append(partial(self._contract, "subject", *shortcut))
-            if cls is not None and cls == spec.object_class:
-                plan.append(partial(self._contract, "far end", *shortcut))
+        for (steps, through), specs in self.shortcuts.items():
+            if p in (steps[0][0], steps[1][0]) or cls == through:
+                plan.append(partial(self._contract, steps, through, specs, False))
+            if cls is not None and any(cls == c for _, _, c in specs):
+                plan.append(partial(self._contract, steps, through, specs, True))
         return tuple(plan)
 
     def _emit(self, conclusion: Triple, rule: str, premises: tuple[Triple, ...]):
@@ -185,31 +178,31 @@ class _Engine:
 
     # -- R6 ---------------------------------------------------------------
 
-    def _contract(self, where: str, rule: str, prop: Iri, spec: PathSpec, t: Triple):
-        """Emit every conclusion of one shortcut spec through each node t can
-        complete a path at: a step's through end ("subject", "object" or
-        "both ends"), the subject it types, or a far end's ("far end")."""
-        (p1, d1), (p2, d2) = spec.steps
-        if where == "far end":
-            through = self.store.neighbours(t.subject, p2, d2 is Direction.INVERSE)
-        elif where == "both ends":
-            through = (t.subject, t.object)
-        else:
-            through = (t.object,) if where == "object" else (t.subject,)
-        for r in through:
-            if spec.through_class not in self.store.neighbours(r, RDF_TYPE):
+    def _contract(self, steps: tuple, through: Iri, specs: list, far_end: bool, t: Triple):
+        """Walk each path of one group of shortcut specs (shared steps and
+        through class) through either end of t, or, for far_end, through
+        each through node one step 2 from the node t types; emit the
+        conclusion of each spec whose object class, if any, types the far
+        end. A path through t's other end that lacks t was walked already."""
+        (p1, d1), (p2, d2) = steps
+        neighbours = self.store.neighbours
+        ends = (neighbours(t.subject, p2, d2 is Direction.INVERSE) if far_end
+                else (t.subject, t.object))
+        for r in ends:
+            if through not in neighbours(r, RDF_TYPE):
                 continue
-            through_t = Triple(r, RDF_TYPE, spec.through_class)
-            for x in self.store.neighbours(r, p1, d1 is Direction.INVERSE):
+            through_t = Triple(r, RDF_TYPE, through)
+            for x in neighbours(r, p1, d1 is Direction.INVERSE):
                 if isinstance(x, Literal):
                     continue
-                for m in self.store.neighbours(r, p2, d2 is Direction.FORWARD):
+                for m in neighbours(r, p2, d2 is Direction.FORWARD):
                     premises = (through_t, _step(x, p1, d1, r), _step(r, p2, d2, m))
-                    if spec.object_class is not None:
-                        if spec.object_class not in self.store.neighbours(m, RDF_TYPE):
-                            continue
-                        premises += (Triple(m, RDF_TYPE, spec.object_class),)
-                    self._emit(Triple(x, prop, m), rule, premises)
+                    for rule, prop, cls in specs:
+                        if cls is None:
+                            self._emit(Triple(x, prop, m), rule, premises)
+                        elif cls in neighbours(m, RDF_TYPE):
+                            self._emit(Triple(x, prop, m), rule,
+                                       premises + (Triple(m, RDF_TYPE, cls),))
 
 
 def _step(a: Term, p: Iri, d: Direction, b: Term) -> Triple:

@@ -318,6 +318,11 @@ class TestCases:
         code, out, err = run(capsys, "cases", "export", "nope")
         assert code == 2
 
+    def test_export_unknown_case_makes_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "exported"
+        code, out, err = run(capsys, "cases", "export", "nope", "--out", str(out_dir))
+        assert code == 2 and not out_dir.exists()
+
     def test_export_under_a_regular_file_is_exit_2(self, capsys, tmp_path):
         blocker = tmp_path / "FILE"
         blocker.write_text("")

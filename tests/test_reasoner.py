@@ -267,7 +267,8 @@ class TestDerivationOracle:
             assert set(c.graph()) == naive_close(g, reg, rules)
 
     @pytest.mark.parametrize("shortcut", ["through-is-object-class", "hierarchy-steps",
-                                          "repeated-step", "turnaround"])
+                                          "repeated-step", "turnaround",
+                                          "same-steps-other-through"])
     def test_unusual_registries(self, reg, rules, shortcut):
         ext, prop = extended_registry(reg, *UNUSUAL_SHORTCUTS[shortcut])
         rng = random.Random(1107)
@@ -305,6 +306,12 @@ UNUSUAL_SHORTCUTS = {
         "coAssigned", (("icon:assigned", Direction.INVERSE),
                        ("icon:assigned", Direction.FORWARD)),
         "icon:IconologicalRecognition", None),
+    # the shipped steps through a superclass of the shipped through class,
+    # so two groups of specs walk the same step predicates
+    "same-steps-other-through": (
+        "attributionAssigned", (("icon:assignsTo", Direction.INVERSE),
+                                ("icon:assigned", Direction.FORWARD)),
+        "crm:E13_Attribute_Assignment", None),
 }
 
 
