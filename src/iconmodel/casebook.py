@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .graph import Graph, Iri, Term
-from .reasoner import ClosureGraph
 from .turtle_io import RDF_TYPE, parse_turtle
 from .vocab import Direction, build_registry, curie_to_iri, data_iri
+
+if TYPE_CHECKING:  # annotations only: listing or exporting cases runs no reasoner
+    from .reasoner import ClosureGraph
 
 
 class CasebookError(Exception):
@@ -99,10 +103,13 @@ _E28 = curie_to_iri("crm:E28_Conceptual_Object")
 _PHENOMENON = curie_to_iri("icon:CulturalPhenomenon")
 _ATOM = curie_to_iri("vir:IC1_Iconographical_Atom")
 
-# (through class, predicate, direction) of the last step of every shortcut
-# path: the step from an interpretation act to its meaning
-_MEANING_STEPS = frozenset((spec.through_class,) + spec.steps[-1]
-                           for _, spec in build_registry().shortcuts())
+
+@cache
+def _meaning_steps() -> frozenset:
+    """(through class, predicate, direction) of the last step of every
+    shortcut path: the step from an interpretation act to its meaning."""
+    return frozenset((spec.through_class,) + spec.steps[-1]
+                     for _, spec in build_registry().shortcuts())
 
 
 def level_of(closure: ClosureGraph, node: Term) -> InterpretationLevel:
@@ -117,12 +124,13 @@ def level_of(closure: ClosureGraph, node: Term) -> InterpretationLevel:
     if not g.has_term(node):
         raise NodeAbsentError(f"node {node!r} does not occur in the graph")
 
+    steps = _meaning_steps()
     types = g.neighbours(node, RDF_TYPE)
-    meaning_types = [g.neighbours(m, RDF_TYPE) for through, p, d in _MEANING_STEPS
+    meaning_types = [g.neighbours(m, RDF_TYPE) for through, p, d in steps
                      if through in types
                      for m in g.neighbours(node, p, d is Direction.FORWARD)]
     is_meaning = any(g.neighbours(node, p, d is not Direction.FORWARD)
-                     for _, p, d in _MEANING_STEPS)
+                     for _, p, d in steps)
     if any(_PHENOMENON in ts for ts in [types, *meaning_types]):
         return InterpretationLevel.LEV4
     if (_E28 in types and is_meaning) or any(_E28 in ts for ts in meaning_types):

@@ -4,6 +4,9 @@ Exit codes: 0 success (conforms / golden match), 1 violations or golden
 mismatch, 2 usage, I/O, or parse errors. All diagnostics go to stderr;
 data output goes to stdout so subcommands compose in pipelines. "-" as a
 path reads from stdin. Set ICON_NO_COLOR to disable ANSI styling.
+
+Each subcommand imports the library modules it runs, and no others, so a
+short run does not pay for importing the whole package.
 """
 
 from __future__ import annotations
@@ -15,15 +18,6 @@ import os
 import sys
 from pathlib import Path
 from typing import Optional
-
-from .casebook import UnknownCaseError, case_document, case_meta, list_cases, load_case
-from .graph import GraphError
-from .query import (QueryError, UnknownQuestionError, cq_catalog, evaluate,
-                    find_cq, pattern_from_json, run_cq, solutions_to_json)
-from .reasoner import RuleSet, close
-from .shapes import default_shapes, focus_str, validate
-from .turtle_io import ParseError, parse_turtle, serialize_turtle
-from .vocab import NAMESPACES, build_registry
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,6 +65,7 @@ def _read_source(path: str) -> str:
 
 def _parse_source(path: str):
     """Parse a Turtle document or exit with status 2."""
+    from .turtle_io import ParseError, parse_turtle
     text = _read_source(path)
     try:
         return parse_turtle(text)
@@ -89,6 +84,9 @@ def cmd_parse(args) -> int:
 
 def cmd_validate(args) -> int:
     result = _parse_source(args.path)
+    from .reasoner import RuleSet, close
+    from .shapes import default_shapes, validate
+    from .vocab import build_registry
     reg = build_registry()
     g = result.graph
     if not args.no_axioms:
@@ -104,6 +102,7 @@ def cmd_validate(args) -> int:
 
 
 def _print_report(report):
+    from .shapes import focus_str
     for e in report.entries:
         tag = e.severity.value.upper()
         if e.severity.value == "violation":
@@ -119,6 +118,10 @@ _RULE_NAMES = {"hierarchy": "hierarchy", "shortcuts": "shortcut_contraction",
 
 def cmd_infer(args) -> int:
     result = _parse_source(args.path)
+    from .graph import GraphError
+    from .reasoner import RuleSet, close
+    from .turtle_io import serialize_turtle
+    from .vocab import NAMESPACES, build_registry
     names = [n for n in args.rules.split(",") if n]
     if not names:
         _err("no rules selected")
@@ -151,14 +154,20 @@ def cmd_infer(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.graph == "-" and args.pattern == "-":
+        _err("the graph and the pattern cannot both come from stdin")
+        return EXIT_ERROR
     result = _parse_source(args.graph)
     try:
         doc = json.loads(_read_source(args.pattern))
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         _err(f"{args.pattern}: bad JSON: {exc}")
         return EXIT_ERROR
+    from .query import QueryError, evaluate, pattern_from_json, solutions_to_json
     g = result.graph
     if args.infer:
+        from .reasoner import close
+        from .vocab import build_registry
         g = close(g, build_registry()).graph()
     try:
         pattern, projection = pattern_from_json(doc, result.prefixes)
@@ -170,53 +179,70 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
-def _run_one_cq(cq_id: str, closures: dict) -> bool:
-    cq = find_cq(cq_id)
-    if cq.case_id not in closures:
-        closures[cq.case_id] = close(load_case(cq.case_id)[0], build_registry())
-    result = run_cq(closures[cq.case_id], cq.id)
-    print(f"{cq.id} ({cq.case_id}): {cq.prose}")
-    for row in solutions_to_json(result.solutions):
-        parts = [f"{k} = {json.dumps(v) if isinstance(v, dict) else v}"
-                 for k, v in sorted(row.items())]
-        print("  " + "  ".join(parts))
-    if not result.solutions:
-        print("  (no solutions)")
-    print("  " + (_green("GOLDEN MATCH") if result.matches_golden
-                  else _red("GOLDEN MISMATCH")))
-    return result.matches_golden
+def _run_cqs(questions) -> bool:
+    """Run each question over its case's closure, printing its solutions,
+    and say whether every answer matched its golden. Each case is closed
+    once, with one registry."""
+    from .casebook import load_case
+    from .query import run_cq, solutions_to_json
+    from .reasoner import close
+    from .vocab import build_registry
+    reg = build_registry()
+    closures: dict = {}
+    all_ok = True
+    for cq in questions:
+        if cq.case_id not in closures:
+            closures[cq.case_id] = close(load_case(cq.case_id)[0], reg)
+        result = run_cq(closures[cq.case_id], cq.id)
+        print(f"{cq.id} ({cq.case_id}): {cq.prose}")
+        for row in solutions_to_json(result.solutions):
+            parts = [f"{k} = {json.dumps(v) if isinstance(v, dict) else v}"
+                     for k, v in sorted(row.items())]
+            print("  " + "  ".join(parts))
+        if not result.solutions:
+            print("  (no solutions)")
+        print("  " + (_green("GOLDEN MATCH") if result.matches_golden
+                      else _red("GOLDEN MISMATCH")))
+        all_ok &= result.matches_golden
+    return all_ok
 
 
 def cmd_cq(args) -> int:
+    if args.id is not None and args.action != "run":
+        _err(f"cq {args.action} takes no question id")
+        return EXIT_ERROR
+    if args.case is not None and args.action != "run-all":
+        _err(f"cq {args.action} takes no --case; it applies to cq run-all")
+        return EXIT_ERROR
+    from .query import UnknownQuestionError, cq_catalog, find_cq
     if args.action == "list":
         for cq in cq_catalog():
             print(f"{cq.id} ({cq.case_id}): {cq.prose}")
         return EXIT_OK
-    closures: dict = {}
     if args.action == "run":
         if not args.id:
             _err("cq run needs a question id")
             return EXIT_ERROR
         try:
-            ok = _run_one_cq(args.id, closures)
+            questions = [find_cq(args.id)]
         except UnknownQuestionError as exc:
             _err(str(exc))
             return EXIT_ERROR
-        return EXIT_OK if ok else EXIT_FAIL
-    # run-all
-    questions = cq_catalog()
-    if args.case:
-        questions = [cq for cq in questions if cq.case_id == args.case]
-        if not questions:
-            _err(f"no questions for case {args.case!r}")
-            return EXIT_ERROR
-    all_ok = True
-    for cq in questions:
-        all_ok &= _run_one_cq(cq.id, closures)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    else:
+        questions = cq_catalog()
+        if args.case:
+            questions = [cq for cq in questions if cq.case_id == args.case]
+            if not questions:
+                _err(f"no questions for case {args.case!r}")
+                return EXIT_ERROR
+    return EXIT_OK if _run_cqs(questions) else EXIT_FAIL
 
 
 def cmd_cases(args) -> int:
+    if args.action == "list" and (args.id is not None or args.out is not None):
+        _err("cases list takes no case id and no --out")
+        return EXIT_ERROR
+    from .casebook import UnknownCaseError, case_document, case_meta, list_cases
     if args.action == "list":
         for case in list_cases():
             print(f"{case.id}  typology {case.typology}  {case.title}")

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term, term_key
 from .turtle_io import PrefixMap
 from .vocab import (NAMESPACES, BadCurieError, UnknownTermError, curie_to_iri,
                     data_iri, expand_curie)
-from .reasoner import ClosureGraph
+
+if TYPE_CHECKING:  # annotations only: a query over an asserted graph runs no reasoner
+    from .reasoner import ClosureGraph
 
 
 class QueryError(Exception):

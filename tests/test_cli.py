@@ -261,6 +261,14 @@ class TestQuery:
                              str(pattern))
         assert code == 2 and err.startswith("icon:") and "Traceback" not in err
 
+    def test_graph_and_pattern_both_from_stdin_is_exit_2(self, capsys, monkeypatch):
+        stdin = io.StringIO("@prefix ex: <http://example.org/> .\nex:s ex:p ex:o .\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "query", "-", "-")
+        assert (code, out) == (2, "")
+        assert err == "icon: the graph and the pattern cannot both come from stdin\n"
+        assert stdin.tell() == 0  # rejected before anything was read
+
     @pytest.mark.parametrize("path", [{"plus": "?p"}, {"inv": {"seq": ["?p", "?q"]}}])
     def test_path_variable_is_exit_2(self, capsys, tmp_path, fixture_path, path):
         pattern = tmp_path / "q.json"
@@ -294,6 +302,18 @@ class TestCq:
         code, out, err = run(capsys, "cq", "run", "CQ99")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cq", "run-all", "CQ1a"], "cq run-all takes no question id"),
+        (["cq", "list", "CQ1"], "cq list takes no question id"),
+        (["cq", "list", "--case", "laocoon"],
+         "cq list takes no --case; it applies to cq run-all"),
+        (["cq", "run", "CQ3", "--case", "laocoon"],
+         "cq run takes no --case; it applies to cq run-all"),
+    ])
+    def test_extra_argument_is_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"icon: {message}\n")
+
 
 class TestCases:
     def test_list(self, capsys):
@@ -301,6 +321,14 @@ class TestCases:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 4 and lines[0].startswith("hercules-salvation")
+
+    @pytest.mark.parametrize("argv", [["x"], ["--out", "dir"], ["x", "--out", "dir"]])
+    def test_list_with_extra_argument_is_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "cases", "list", *argv)
+        assert (code, out) == (2, "")
+        assert err == "icon: cases list takes no case id and no --out\n"
+        assert not (tmp_path / "dir").exists()
 
     def test_export_to_stdout(self, capsys):
         code, out, err = run(capsys, "cases", "export", "neptune")
