@@ -15,20 +15,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alt", "Axiom", "AxiomKind", "BlankNode", "CaseStudy", "ClosureGraph",
-    "CompetencyQuestion", "Derivation", "Graph", "GraphError",
-    "InterpretationLevel", "Inv", "Iri", "Literal", "NAMESPACES", "ParseError",
-    "ParseResult", "PathSpec", "Pattern", "Plus", "RuleSet", "Seq", "Severity",
-    "Shape", "Solution", "Term", "TermRegistry", "Triple", "ValidationEntry",
-    "ValidationReport", "Var", "VocabTerm", "axioms_graph", "build_registry",
-    "case_meta", "close", "cq_catalog", "curie_to_iri", "default_shapes",
-    "evaluate", "expand_shortcut", "find_cq", "isomorphic",
-    "level_of", "list_cases", "load_case", "load_golden", "parse_turtle",
-    "path_match", "path_pairs", "pattern_from_json", "run_cq",
-    "serialize_turtle", "solutions_to_json", "union", "validate",
-]
-
 # each library submodule and the exported names it defines
 _EXPORTS = {
     "graph": ("BlankNode", "Graph", "GraphError", "Iri", "Literal", "Term",
@@ -47,6 +33,7 @@ _EXPORTS = {
                  "list_cases", "load_case"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

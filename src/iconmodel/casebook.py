@@ -18,8 +18,7 @@ from functools import cache
 from importlib import resources
 from typing import TYPE_CHECKING
 
-from .graph import Graph, Iri, Term
-from .turtle_io import RDF_TYPE, parse_turtle
+from .graph import RDF_TYPE, Graph, Iri, Term
 from .vocab import Direction, build_registry, curie_to_iri, data_iri
 
 if TYPE_CHECKING:  # annotations only: listing or exporting cases runs no reasoner
@@ -91,6 +90,7 @@ def case_document(case_id: str) -> str:
 
 def load_case(case_id: str) -> tuple[Graph, CaseStudy]:
     """Parse one case fixture into a frozen graph, with its metadata."""
+    from .turtle_io import parse_turtle  # listing or exporting cases parses nothing
     meta = case_meta(case_id)
     result = parse_turtle(case_document(case_id))
     return result.graph, meta

@@ -102,12 +102,12 @@ def cmd_validate(args) -> int:
 
 
 def _print_report(report):
-    from .shapes import focus_str
+    from .graph import term_str
     for e in report.entries:
         tag = e.severity.value.upper()
         if e.severity.value == "violation":
             tag = _red(tag)
-        print(f"{tag} [{e.shape_id}] {focus_str(e.focus)}: {e.message}")
+        print(f"{tag} [{e.shape_id}] {term_str(e.focus)}: {e.message}")
     verdict = _green("conforms") if report.conforms else _red("does not conform")
     print(verdict)
 

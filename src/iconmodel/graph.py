@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, Optional, Union
 
 XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
+PrefixMap = dict[str, str]
+
 
 class GraphError(Exception):
     pass
@@ -97,6 +99,8 @@ class Literal:
 
 _XSD_STRING = Iri(XSD_STRING)
 
+RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+
 Term = Union[Iri, BlankNode, Literal]
 
 # Total order over terms: IRIs < blank nodes < literals, each by canonical string.
@@ -106,6 +110,15 @@ def term_key(t: Term) -> tuple:
     if isinstance(t, BlankNode):
         return (1, t.label)
     return (2, t.lexical, t.lang or "", t.datatype.value if t.datatype else "")
+
+
+def term_str(t: Term) -> str:
+    """A term as plain text: IRI, _:label, or literal lexical form."""
+    if isinstance(t, Iri):
+        return t.value
+    if isinstance(t, BlankNode):
+        return f"_:{t.label}"
+    return t.lexical
 
 
 @dataclass(frozen=True, slots=True)

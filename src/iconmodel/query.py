@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Term, term_key
-from .turtle_io import PrefixMap
+from .graph import (XSD_STRING, BlankNode, Graph, Iri, Literal, PrefixMap, Term,
+                    term_key, term_str)
 from .vocab import (NAMESPACES, BadCurieError, UnknownTermError, curie_to_iri,
                     data_iri, expand_curie)
 
@@ -82,32 +82,40 @@ class Solution:
         return cls(tuple(sorted(mapping.items())))
 
 
-def path_pairs(g: Graph, path: PathExpr) -> set[tuple[Term, Term]]:
+Pairs = set[tuple[Term, Term]]
+
+
+def _by_start(pairs: Pairs) -> dict[Term, list[Term]]:
+    ends: dict[Term, list[Term]] = {}
+    for a, b in pairs:
+        ends.setdefault(a, []).append(b)
+    return ends
+
+
+def _join(left: Pairs, ends: dict[Term, list[Term]]) -> Pairs:
+    """{(a, c) | (a, b) in left and c in ends[b]}."""
+    return {(a, c) for a, b in left for c in ends.get(b, ())}
+
+
+def path_pairs(g: Graph, path: PathExpr) -> Pairs:
     """All (start, end) pairs related by the path over the frozen graph."""
     if isinstance(path, Iri):
         return {(t.subject, t.object) for t in g.match(p=path)}
     if isinstance(path, Inv):
         return {(b, a) for a, b in path_pairs(g, path.path)}
     if isinstance(path, Seq):
-        left = path_pairs(g, path.first)
-        right = path_pairs(g, path.second)
-        by_start: dict[Term, set[Term]] = {}
-        for a, b in right:
-            by_start.setdefault(a, set()).add(b)
-        return {(a, c) for a, b in left for c in by_start.get(b, ())}
+        return _join(path_pairs(g, path.first), _by_start(path_pairs(g, path.second)))
     if isinstance(path, Alt):
         return path_pairs(g, path.left) | path_pairs(g, path.right)
     if isinstance(path, Plus):
-        pairs = path_pairs(g, path.path)
-        out = set(pairs)
-        while True:
-            by_start: dict[Term, set[Term]] = {}
-            for a, b in out:
-                by_start.setdefault(a, set()).add(b)
-            new = {(a, c) for a, b in out for c in by_start.get(b, ())} - out
-            if not new:
-                return out
-            out |= new
+        # semi-naive: each round extends by one step only the pairs the
+        # last round found
+        step = path_pairs(g, path.path)
+        ends, out, last = _by_start(step), set(step), step
+        while last:
+            last = _join(last, ends) - out
+            out |= last
+        return out
     raise QueryError(f"bad path expression {path!r}")
 
 
@@ -274,10 +282,8 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
 
 
 def term_to_json(t: Term):
-    if isinstance(t, Iri):
-        return t.value
-    if isinstance(t, BlankNode):
-        return f"_:{t.label}"
+    if not isinstance(t, Literal):
+        return term_str(t)
     out = {"lit": t.lexical}
     if t.lang:
         out["lang"] = t.lang

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, Iterable, KeysView, Optional
 
-from .graph import BlankNode, Graph, Iri, Literal, Term, Triple
-from .turtle_io import RDF_TYPE
+from .graph import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
 from .vocab import Direction, TermRegistry
 
 
@@ -233,6 +232,7 @@ def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,
 
     Returns a delta graph with a fresh blank node on the registry's path
     for t's predicate; shortcut contraction over the delta re-derives t.
+    ReasonerError when the delta would need t's literal object as a subject.
     """
     spec = dict(reg.shortcuts()).get(t.predicate)
     if spec is None:
@@ -240,11 +240,15 @@ def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,
             f"cannot expand {t.predicate!r}: not a shortcut property")
     if t not in g:
         raise ReasonerError("triple to expand is not in the graph")
+    (p1, d1), (p2, d2) = spec.steps
+    if isinstance(t.object, Literal) and (d2 is Direction.INVERSE
+                                          or spec.object_class is not None):
+        raise ReasonerError(f"cannot expand {t!r}: its path would need the "
+                            "literal object as a subject")
     n = 1
     while g.has_term(BlankNode(f"r{n}")):
         n += 1
     r = BlankNode(f"r{n}")
-    (p1, d1), (p2, d2) = spec.steps
     delta = Graph()
     delta.insert(Triple(r, RDF_TYPE, spec.through_class))
     delta.insert(_step(t.subject, p1, d1, r))

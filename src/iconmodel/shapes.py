@@ -15,8 +15,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .graph import BlankNode, Graph, Iri, Literal, Term, Triple, term_key
-from .turtle_io import RDF_TYPE
+from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_str
 from .vocab import DATA_NAMESPACE, TermRegistry
 
 
@@ -58,15 +57,6 @@ class ValidationEntry:
     message: str
 
 
-def focus_str(t: Term) -> str:
-    """A focus node as report text: IRI, _:label, or literal lexical form."""
-    if isinstance(t, BlankNode):
-        return f"_:{t.label}"
-    if isinstance(t, Literal):
-        return t.lexical
-    return t.value
-
-
 @dataclass
 class ValidationReport:
     conforms: bool
@@ -79,7 +69,7 @@ class ValidationReport:
         payload = {
             "conforms": self.conforms,
             "entries": [
-                {"focus": focus_str(e.focus), "shape": e.shape_id,
+                {"focus": term_str(e.focus), "shape": e.shape_id,
                  "severity": e.severity.value, "message": e.message}
                 for e in self.entries
             ],

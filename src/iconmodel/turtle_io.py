@@ -25,12 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import (XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal, Term,
-                    Triple, term_key)
-
-PrefixMap = dict[str, str]
-
-RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+from .graph import (RDF_TYPE, XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
+                    PrefixMap, Term, Triple, term_key)
 
 _MAX_NESTING = 100  # keeps the recursive descent inside the recursion limit
 
@@ -183,13 +179,13 @@ class _Parser:
     taking the EOF token always ends in a ParseError, so self.i never runs
     past it."""
 
-    def __init__(self, text: str, base: Optional[Iri]):
+    def __init__(self, text: str):
         self.text = text
         self.toks = _tokens(text)
         self.i = 0
         self.triples: list[Triple] = []
         self.prefixes: PrefixMap = {}
-        self.base = base
+        self.base: Optional[Iri] = None
         # one Iri per distinct IRI: each is checked and built once, and
         # equal terms are the same object
         self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE}
@@ -368,8 +364,8 @@ class _Parser:
         return iri
 
 
-def parse_turtle(text: str, base: Optional[Iri] = None) -> ParseResult:
-    return _Parser(text, base).parse()
+def parse_turtle(text: str) -> ParseResult:
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

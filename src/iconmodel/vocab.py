@@ -12,8 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graph import Graph, Iri, Triple
-from .turtle_io import PrefixMap, RDF_TYPE
+from .graph import RDF_TYPE, Graph, Iri, PrefixMap, Triple
 
 NAMESPACES: PrefixMap = {
     "icon": "https://w3id.org/icon/ontology/",
@@ -69,7 +68,6 @@ class VocabTerm:
     iri: Iri
     curie: str
     kind: TermKind
-    source: str  # prefix label: icon, crm, vir, hico, cito, pro, rdf, rdfs
     label: str
 
 
@@ -169,10 +167,9 @@ _TERMS = [
 
 
 class TermRegistry:
-    def __init__(self, terms: list[VocabTerm], axioms: list[Axiom], prefixes: PrefixMap):
+    def __init__(self, terms: list[VocabTerm], axioms: list[Axiom]):
         self.terms = tuple(terms)
         self.axioms = tuple(axioms)
-        self.prefixes = dict(prefixes)
         self._by_curie = {t.curie: t for t in terms}
         self._by_iri = {t.iri: t for t in terms}
         self._check()
@@ -221,9 +218,9 @@ class TermRegistry:
         classes = {t.iri for t in self.terms if t.kind is TermKind.CLASS}
         props = {t.iri for t in self.terms if t.kind is TermKind.PROPERTY}
         for t in self.terms:
-            prefix = t.curie.split(":", 1)[0]
-            if prefix != t.source or not t.iri.value.startswith(NAMESPACES[t.source]):
-                raise VocabError(f"curie/source mismatch for {t.curie}")
+            ns = NAMESPACES.get(t.curie.split(":", 1)[0])
+            if ns is None or not t.iri.value.startswith(ns):
+                raise VocabError(f"curie/namespace mismatch for {t.curie}")
         for a in self.axioms:
             operands = [a.subject]
             if isinstance(a.object, Iri):
@@ -289,8 +286,7 @@ class TermRegistry:
 
 
 def build_registry() -> TermRegistry:
-    terms = [VocabTerm(curie_to_iri(c), c, k, c.split(":", 1)[0], lbl)
-             for c, k, lbl in _TERMS]
+    terms = [VocabTerm(curie_to_iri(c), c, k, lbl) for c, k, lbl in _TERMS]
 
     def i(curie: str) -> Iri:
         return curie_to_iri(curie)
@@ -322,7 +318,7 @@ def build_registry() -> TermRegistry:
               PathSpec(assignment_path.steps, assignment_path.through_class,
                        object_class=i("icon:CulturalPhenomenon"))),
     ]
-    return TermRegistry(terms, axioms, dict(NAMESPACES))
+    return TermRegistry(terms, axioms)
 
 
 def axioms_graph(reg: TermRegistry) -> Graph:

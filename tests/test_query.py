@@ -57,6 +57,12 @@ class TestPaths:
         assert path_pairs(g, Plus(e("p"))) == {
             (e("x"), e("y")), (e("y"), e("x")), (e("x"), e("x")), (e("y"), e("y"))}
 
+    def test_plus_over_a_300_step_chain(self):
+        nodes = [e(f"n{k}") for k in range(301)]
+        g = Graph([Triple(a, e("p"), b) for a, b in zip(nodes, nodes[1:])]).freeze()
+        assert path_pairs(g, Plus(e("p"))) == {
+            (nodes[i], nodes[j]) for i in range(301) for j in range(i + 1, 301)}
+
     def test_path_match_from_start(self, chain):
         assert path_match(chain, e("a"), Plus(e("p"))) == {e("b"), e("c")}
 

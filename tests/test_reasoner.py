@@ -318,12 +318,11 @@ UNUSUAL_SHORTCUTS = {
 def extended_registry(reg, local, steps, through, object_class):
     """reg plus one shortcut property icon:<local>, and that property."""
     prop = curie_to_iri(f"icon:{local}")
-    term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, "icon", local)
+    term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, local)
     spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps), reg.iri(through),
                     object_class=object_class and reg.iri(object_class))
     return TermRegistry(list(reg.terms) + [term],
-                        list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)],
-                        reg.prefixes), prop
+                        list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)]), prop
 
 
 def with_shortcut_paths(rng, reg, prop, g):
@@ -449,6 +448,23 @@ class TestExpandShortcut:
         with pytest.raises(ReasonerError):
             expand_shortcut(g, Triple(d("x"), reg.iri("icon:symbolizes"), d("m")), reg)
 
+    def test_literal_that_would_be_a_subject_rejected(self, reg):
+        # the object class would type the literal; the second step would
+        # run from the literal to the through node
+        ext, inverse_end = extended_registry(
+            reg, "assignedFrom", (("icon:assignsTo", Direction.INVERSE),
+                                  ("icon:assigned", Direction.INVERSE)),
+            "icon:IconologicalRecognition", None)
+        for prop in (reg.iri("icon:isDocumentOf"), inverse_end):
+            t = Triple(d("a"), prop, Literal("x"))
+            with pytest.raises(ReasonerError, match="literal object"):
+                expand_shortcut(Graph([t]).freeze(), t, ext)
+
+    def test_literal_that_stays_an_object_expands(self, reg):
+        t = Triple(d("a"), reg.iri("icon:symbolizes"), Literal("x"))
+        delta = expand_shortcut(Graph([t]).freeze(), t, reg)
+        assert t in close(delta, reg)
+
     def test_every_fixture_shortcut_round_trips(self, reg, case_closures):
         sym, doc = reg.iri("icon:symbolizes"), reg.iri("icon:isDocumentOf")
         seen = 0
@@ -490,13 +506,12 @@ class TestDeclaredShortcut:
     def test_close_and_expand_read_the_declaration(self, reg, local, steps,
                                                    subject, obj):
         prop = curie_to_iri(f"icon:{local}")
-        term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, "icon", local)
+        term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, local)
         e28 = reg.iri("crm:E28_Conceptual_Object")
         spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps),
                         reg.iri("icon:IconologicalRecognition"), object_class=e28)
         extended = TermRegistry(list(reg.terms) + [term],
-                                list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)],
-                                reg.prefixes)
+                                list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)])
         t = Triple(d(subject), prop, d(obj))
         plain = recognition_graph(reg)
         assert t not in close(plain, extended)  # the object class is required

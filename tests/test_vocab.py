@@ -94,12 +94,12 @@ class TestAlignmentAxioms:
 
 class TestRegistryInvariants:
     def mk(self, axioms):
-        terms = [VocabTerm(i(c), c, k, c.split(":")[0], c)
+        terms = [VocabTerm(i(c), c, k, c)
                  for c, k in [("icon:CulturalPhenomenon", TermKind.CLASS),
                               ("crm:E4_Period", TermKind.CLASS),
                               ("icon:symbolizes", TermKind.PROPERTY),
                               ("vir:K14_symbolize", TermKind.PROPERTY)]]
-        return TermRegistry(terms, axioms, dict(NAMESPACES))
+        return TermRegistry(terms, axioms)
 
     def test_symbolizes_under_k14_rejected(self):
         bad = Axiom(AxiomKind.SUB_PROPERTY_OF, i("icon:symbolizes"),
@@ -118,14 +118,14 @@ class TestRegistryInvariants:
     @staticmethod
     def chain(n, closed):
         curies = [f"icon:C{k}" for k in range(n)]
-        terms = [VocabTerm(i(c), c, TermKind.CLASS, "icon", c) for c in curies]
+        terms = [VocabTerm(i(c), c, TermKind.CLASS, c) for c in curies]
         links = list(zip(curies, curies[1:] + curies[:1] if closed else curies[1:]))
         axioms = [Axiom(AxiomKind.SUB_CLASS_OF, i(a), i(b)) for a, b in links]
         return terms, axioms
 
     def test_long_chain_is_walked_without_recursion(self):
         terms, axioms = self.chain(2000, closed=False)
-        reg = TermRegistry(terms, axioms, dict(NAMESPACES))
+        reg = TermRegistry(terms, axioms)
         assert len(reg.superclasses(i("icon:C0"))) == 1999
         assert reg.superclasses(i("icon:C1998")) == {i("icon:C1999")}
         assert reg.superclasses(i("icon:C1999")) == frozenset()
@@ -133,20 +133,29 @@ class TestRegistryInvariants:
     def test_second_path_to_an_ancestor_is_not_a_cycle(self):
         terms, axioms = self.chain(4, closed=False)
         axioms.append(Axiom(AxiomKind.SUB_CLASS_OF, i("icon:C0"), i("icon:C2")))
-        reg = TermRegistry(terms, axioms, dict(NAMESPACES))
+        reg = TermRegistry(terms, axioms)
         assert reg.superclasses(i("icon:C0")) == {i("icon:C1"), i("icon:C2"),
                                                  i("icon:C3")}
 
     def test_long_cycle_rejected(self):
         terms, axioms = self.chain(2000, closed=True)
         with pytest.raises(VocabError, match="cycle in SubClassOf axioms"):
-            TermRegistry(terms, axioms, dict(NAMESPACES))
+            TermRegistry(terms, axioms)
 
     def test_unregistered_axiom_operand_rejected(self):
         bad = Axiom(AxiomKind.SUB_CLASS_OF, i("icon:CulturalPhenomenon"),
                     i("crm:E5_Event"))
         with pytest.raises(VocabError):
             self.mk([bad])
+
+    @pytest.mark.parametrize("curie, iri", [
+        ("ex:x", "http://ex.org/x"),  # a prefix outside NAMESPACES
+        ("icon:x", "http://ex.org/x"),  # an IRI outside the prefix's namespace
+    ])
+    def test_term_outside_its_namespace_rejected(self, reg, curie, iri):
+        term = VocabTerm(Iri(iri), curie, TermKind.CLASS, "x")
+        with pytest.raises(VocabError, match=curie):
+            TermRegistry(list(reg.terms) + [term], list(reg.axioms))
 
     def test_class_property_kind_mismatch_rejected(self):
         bad = Axiom(AxiomKind.SUB_CLASS_OF, i("icon:symbolizes"),
