@@ -7,10 +7,12 @@ names, so one process holds both. Each run times the lexer (turtle_io's
 _tokens), parse_turtle, close, validate, serialize_turtle and
 isomorphic(G, G) on the casebook x SCALE (perfbench's scaled_document)
 for both trees, alternating which goes first. It checks that both
-serialize the closure to the same text and record the same derivation
+serialize the closure to the same text, record the same derivation
 (rule and premises, compared through triple_key) for every inferred
-triple, and exits 1 if they do not; "ingest" is the sum of parse, close,
-validate and serialize.
+triple, and iterate the closure store in the same order (which holds
+only if every term and triple hashes the same in both), and exits 1 if
+they do not; "ingest" is the sum of parse, close, validate and
+serialize.
 Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
@@ -65,9 +67,10 @@ def load_as(name: str, src: Path):
             for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
 
 
-def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict]:
+def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict, list]:
     """Milliseconds per stage, milliseconds of garbage collection per stage,
-    the serialized closure, and its provenance keyed by triple_key."""
+    the serialized closure, its provenance keyed by triple_key, and the
+    triple_key of each closure triple in the store's iteration order."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
     ms, gc_ms = {}, {}
@@ -94,7 +97,7 @@ def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict]:
     key = tree["graph"].triple_key
     derivations = {key(t): (d.rule, tuple(map(key, d.premises)))
                    for t, d in closure.provenance.items()}
-    return ms, gc_ms, out, derivations
+    return ms, gc_ms, out, derivations, [key(t) for t in full]
 
 
 def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
@@ -108,9 +111,10 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     try:
         for i in range(runs):
             order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
-            outputs, derivations = {}, {}
+            outputs, derivations, orders = {}, {}, {}
             for name in order:
-                ms, gc_ms, outputs[name], derivations[name] = run_once(trees[name], text, clock)
+                ms, gc_ms, outputs[name], derivations[name], orders[name] = run_once(
+                    trees[name], text, clock)
                 for stage in STAGES:
                     times[name][stage].append(ms[stage])
                     gc_times[name][stage].append(gc_ms[stage])
@@ -122,10 +126,13 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
                 differ = sum(old.get(t) != new.get(t) for t in old.keys() | new.keys())
                 print(f"the trees record different derivations for {differ} inferred triples")
                 return 1
+            if orders["old"] != orders["new"]:
+                print("the trees iterate the closure store in different orders")
+                return 1
     finally:
         gc.callbacks.remove(clock)
-    print(f"x{scale}, {runs} runs each; closures and derivations identical; "
-          f"median ms (old -> new), of which in cyclic GC")
+    print(f"x{scale}, {runs} runs each; closures, derivations and iteration order "
+          f"identical; median ms (old -> new), of which in cyclic GC")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))

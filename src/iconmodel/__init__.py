@@ -26,7 +26,7 @@ _EXPORTS = {
     "shapes": ("Severity", "Shape", "ValidationEntry", "ValidationReport",
                "default_shapes", "validate"),
     "query": ("Alt", "CompetencyQuestion", "Inv", "Pattern", "Plus", "Seq",
-              "Solution", "Var", "cq_catalog", "evaluate", "find_cq", "load_golden",
+              "Solution", "Var", "check_cq", "cq_catalog", "evaluate", "find_cq", "load_golden",
               "path_match", "path_pairs", "pattern_from_json", "run_cq",
               "solutions_to_json"),
     "casebook": ("CaseStudy", "InterpretationLevel", "case_meta", "level_of",

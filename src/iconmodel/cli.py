@@ -181,19 +181,21 @@ def cmd_query(args) -> int:
 
 def _run_cqs(questions) -> bool:
     """Run each question over its case's closure, printing its solutions,
-    and say whether every answer matched its golden. Each case is closed
-    once, with one registry."""
+    and say whether every answer matched its golden. Each case is closed,
+    and its golden read, once, with one registry."""
     from .casebook import load_case
-    from .query import run_cq, solutions_to_json
+    from .query import check_cq, load_golden, solutions_to_json
     from .reasoner import close
     from .vocab import build_registry
     reg = build_registry()
     closures: dict = {}
+    goldens: dict = {}
     all_ok = True
     for cq in questions:
         if cq.case_id not in closures:
             closures[cq.case_id] = close(load_case(cq.case_id)[0], reg)
-        result = run_cq(closures[cq.case_id], cq.id)
+            goldens[cq.case_id] = load_golden(cq.case_id)
+        result = check_cq(closures[cq.case_id], cq, goldens[cq.case_id])
         print(f"{cq.id} ({cq.case_id}): {cq.prose}")
         for row in solutions_to_json(result.solutions):
             parts = [f"{k} = {json.dumps(v) if isinstance(v, dict) else v}"

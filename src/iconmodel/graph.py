@@ -1,10 +1,14 @@
 """RDF-style terms, triples, and an indexed in-memory graph.
 
-Terms hash by value: an IRI or blank node by its string, whose hash the
-string caches. Triples and literals compute their hash once, when built,
-and rebuild it from their fields when copied or unpickled, so it never
-carries one process's string hash seed into another. The Turtle parser
-shares one Iri object per distinct IRI within a parse.
+Terms and triples are built-in values, so hashing, equality and field
+access run in C: an Iri is a str subclass that is its own text, and a
+Literal (lexical, datatype, lang) and a Triple (subject, predicate,
+object) are tuples with named fields. Each hashes as its text or its
+tuple of fields, and never carries one process's string hash seed into
+another. Equality widens in one way: an Iri equals the plain str of its
+text, and a Triple or Literal the plain tuple of its fields. A blank
+node hashes as its label but equals only a blank node, so no term
+equals one of another kind. A parse shares one Iri per distinct IRI.
 
 Graphs are append-only while being built and are frozen before they
 are handed out. A union shares its larger frozen input's untouched
@@ -17,12 +21,13 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
-
 PrefixMap = dict[str, str]
+
+_new_tuple = tuple.__new__
 
 
 class GraphError(Exception):
@@ -33,19 +38,22 @@ class FrozenGraphError(GraphError):
     """Raised on any attempt to mutate a frozen graph."""
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+class Iri(str):
+    """An absolute IRI: the str of its own text, which must hold a ':'."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.value or ":" not in self.value:
-            raise ValueError(f"not an absolute IRI: {self.value!r}")
+    def __new__(cls, value: str) -> "Iri":
+        if not value or ":" not in value:
+            raise ValueError(f"not an absolute IRI: {value!r}")
+        return str.__new__(cls, value)
 
-    def __hash__(self):
-        return hash(self.value)  # str caches its own hash
+    value = property(str.__str__, doc="The IRI as a plain str.")
 
     def __repr__(self):
-        return f"<{self.value}>"
+        return f"<{self}>"
+
+
+XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,41 +71,30 @@ class BlankNode:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: Optional[Iri] = None
-    lang: Optional[str] = None
-    _hash: int = field(init=False, compare=False, repr=False)
+class Literal(namedtuple("_Literal", "lexical datatype lang")):
+    """A literal: a language tag (lower-cased) or a datatype, which is
+    xsd:string when neither is given."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lang is not None and self.datatype is not None:
-            raise ValueError("literal cannot carry both a language tag and a datatype")
-        if self.lang == "":
-            raise ValueError("language tag must be non-empty")
-        if self.lang is not None:
-            object.__setattr__(self, "lang", self.lang.lower())
-        elif self.datatype is None:
-            object.__setattr__(self, "datatype", _XSD_STRING)
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype, self.lang)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from its fields, so the hash is computed under the
-        # unpickling process's string hash seed
-        return Literal, (self.lexical, self.datatype, self.lang)
+    def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
+                lang: Optional[str] = None) -> "Literal":
+        if lang is not None:
+            if datatype is not None:
+                raise ValueError("literal cannot carry both a language tag and a datatype")
+            if lang == "":
+                raise ValueError("language tag must be non-empty")
+            lang = lang.lower()
+        elif datatype is None:
+            datatype = XSD_STRING
+        return _new_tuple(cls, (lexical, datatype, lang))
 
     def __repr__(self):
         if self.lang:
             return f'"{self.lexical}"@{self.lang}'
-        if self.datatype and self.datatype.value != XSD_STRING:
+        if self.datatype and self.datatype != XSD_STRING:
             return f'"{self.lexical}"^^{self.datatype!r}'
         return f'"{self.lexical}"'
 
-
-_XSD_STRING = Iri(XSD_STRING)
 
 RDF_TYPE = Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
@@ -106,42 +103,33 @@ Term = Union[Iri, BlankNode, Literal]
 # Total order over terms: IRIs < blank nodes < literals, each by canonical string.
 def term_key(t: Term) -> tuple:
     if isinstance(t, Iri):
-        return (0, t.value)
+        return (0, t)
     if isinstance(t, BlankNode):
         return (1, t.label)
-    return (2, t.lexical, t.lang or "", t.datatype.value if t.datatype else "")
+    return (2, t.lexical, t.lang or "", t.datatype or "")
 
 
 def term_str(t: Term) -> str:
     """A term as plain text: IRI, _:label, or literal lexical form."""
     if isinstance(t, Iri):
-        return t.value
+        return t
     if isinstance(t, BlankNode):
         return f"_:{t.label}"
     return t.lexical
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Union[Iri, BlankNode]
-    predicate: Iri
-    object: Term
-    _hash: int = field(init=False, compare=False, repr=False)
+class Triple(namedtuple("_Triple", "subject predicate object")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise ValueError(f"bad triple subject: {self.subject!r}")
-        if not isinstance(self.predicate, Iri):
-            raise ValueError(f"bad triple predicate: {self.predicate!r}")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
-            raise ValueError(f"bad triple object: {self.object!r}")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Triple, (self.subject, self.predicate, self.object)
+    def __new__(cls, subject: Union[Iri, BlankNode], predicate: Iri,
+                object: Term) -> "Triple":
+        if not isinstance(subject, (Iri, BlankNode)):
+            raise ValueError(f"bad triple subject: {subject!r}")
+        if not isinstance(predicate, Iri):
+            raise ValueError(f"bad triple predicate: {predicate!r}")
+        if not isinstance(object, (Iri, BlankNode, Literal)):
+            raise ValueError(f"bad triple object: {object!r}")
+        return _new_tuple(cls, (subject, predicate, object))
 
     def __repr__(self):
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
@@ -286,8 +274,10 @@ def union(a: Graph, b: Graph) -> Graph:
     return g.freeze()
 
 
-def _ground(t: Triple) -> bool:
-    return not (isinstance(t.subject, BlankNode) or isinstance(t.object, BlankNode))
+def _blank_triples(g: Graph) -> set[Triple]:
+    """The triples with a blank subject or object, read from the indexes."""
+    return {t for index in (g._by_s, g._by_o) for x, bucket in index.items()
+            if isinstance(x, BlankNode) for t in bucket}
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -296,9 +286,9 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     Backtracking search over candidate bijections with signature-based
     pruning; exponential in the worst case, fine at fixture scale.
     """
-    ground_a = {t for t in a if _ground(t)}
-    ground_b = {t for t in b if _ground(t)}
-    if ground_a != ground_b or len(a) != len(b):
+    blank_a, blank_b = _blank_triples(a), _blank_triples(b)
+    # compares the ground triples; a set difference reuses stored hashes
+    if len(a) != len(b) or a._triples - blank_a != b._triples - blank_b:
         return False
     bnodes_a = sorted(a.blank_labels())
     bnodes_b = sorted(b.blank_labels())
@@ -312,10 +302,10 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         n = BlankNode(label)
         rows = []
         for t in g.match(s=n):
-            rows.append(("s", t.predicate.value,
+            rows.append(("s", t.predicate,
                          () if isinstance(t.object, BlankNode) else term_key(t.object)))
         for t in g.match(o=n):
-            rows.append(("o", t.predicate.value,
+            rows.append(("o", t.predicate,
                          () if isinstance(t.subject, BlankNode) else term_key(t.subject)))
         return tuple(sorted(rows))
 
@@ -336,7 +326,7 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         o = BlankNode(mapping[t.object.label]) if isinstance(t.object, BlankNode) else t.object
         return Triple(s, t.predicate, o)
 
-    bset = set(b)
+    bset = b._triples
     # the triples touching each blank node, with the labels they need mapped
     touching = {x: [(t, {n.label for n in (t.subject, t.object)
                          if isinstance(n, BlankNode)})
@@ -358,7 +348,7 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     while next_try:
         i = len(next_try) - 1
         if i == len(order):
-            if all(rename(t, mapping) in bset for t in a if not _ground(t)):
+            if all(rename(t, mapping) in bset for t in blank_a):
                 return True
             next_try.pop()
             continue

@@ -287,8 +287,8 @@ def term_to_json(t: Term):
     out = {"lit": t.lexical}
     if t.lang:
         out["lang"] = t.lang
-    elif t.datatype and t.datatype.value != XSD_STRING:
-        out["datatype"] = t.datatype.value
+    elif t.datatype and t.datatype != XSD_STRING:
+        out["datatype"] = t.datatype
     return out
 
 
@@ -410,10 +410,16 @@ class CqResult:
     matches_golden: bool
 
 
+def check_cq(closure: ClosureGraph, cq: CompetencyQuestion,
+             golden: dict[str, set[Solution]]) -> CqResult:
+    """Evaluate a catalog question over its case closure and compare the
+    result against its entry in the case's golden (from load_golden)."""
+    solutions = evaluate(closure.graph(), cq.pattern, cq.projection)
+    return CqResult(solutions, solutions == golden.get(cq.id, set()))
+
+
 def run_cq(closure: ClosureGraph, cq_id: str) -> CqResult:
     """Evaluate one catalog question over a case closure and compare the
     result against the golden solution set shipped with the fixture."""
     cq = find_cq(cq_id)
-    solutions = evaluate(closure.graph(), cq.pattern, cq.projection)
-    golden = load_golden(cq.case_id).get(cq.id, set())
-    return CqResult(solutions, solutions == golden)
+    return check_cq(closure, cq, load_golden(cq.case_id))

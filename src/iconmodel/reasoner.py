@@ -211,7 +211,7 @@ def _step(a: Term, p: Iri, d: Direction, b: Term) -> Triple:
 
 def _rule_id(prop: Iri) -> str:
     """R6-<local name>, minus an is...Of wrapper: isDocumentOf -> R6-document."""
-    local = re.split(r"[/#]", prop.value)[-1]
+    local = re.split(r"[/#]", prop)[-1]
     wrapped = re.fullmatch(r"is([A-Z]\w*)Of", local)
     return "R6-" + (wrapped.group(1).lower() if wrapped else local)
 

@@ -142,11 +142,11 @@ def _hygiene_entries(g: Graph, shape: Shape, reg: TermRegistry) -> list[Validati
     flagged: set[Iri] = set()
     for t in g:
         if not reg.is_registered(t.predicate) \
-                and not t.predicate.value.startswith(DATA_NAMESPACE):
+                and not t.predicate.startswith(DATA_NAMESPACE):
             flagged.add(t.predicate)
         if t.predicate == RDF_TYPE and isinstance(t.object, Iri) \
                 and not reg.is_registered(t.object) \
-                and not t.object.value.startswith(DATA_NAMESPACE):
+                and not t.object.startswith(DATA_NAMESPACE):
             flagged.add(t.object)
     return [ValidationEntry(iri, shape.id, shape.severity, shape.message)
             for iri in flagged]

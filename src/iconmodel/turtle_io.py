@@ -342,7 +342,7 @@ class _Parser:
         if ":" not in value:
             if self.base is None:
                 self._err(tok, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
-            value = self.base.value + value
+            value = self.base + value
         return self._iri(tok, value)
 
     def _resolve_curie(self, tok: tuple[str, str, int]) -> Iri:
@@ -379,8 +379,8 @@ def _escape(s: str) -> str:
 def _contract(iri: Iri, by_ns: list[tuple[str, str]]) -> Optional[str]:
     # by_ns is sorted longest-namespace-first
     for ns, label in by_ns:
-        if iri.value.startswith(ns):
-            curie = f"{label}:{iri.value[len(ns):]}"
+        if iri.startswith(ns):
+            curie = f"{label}:{iri[len(ns):]}"
             if _lexes_as("PNAME", curie):
                 return curie
     return None
@@ -399,13 +399,13 @@ def _checked(kind: str, text: str, t: Term) -> str:
 
 def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
     if isinstance(t, Iri):
-        return _contract(t, by_ns) or _checked("IRIREF", f"<{t.value}>", t)
+        return _contract(t, by_ns) or _checked("IRIREF", f"<{t}>", t)
     if isinstance(t, BlankNode):
         return _checked("BLANK", f"_:{t.label}", t)
     body = f'"{_escape(t.lexical)}"'
     if t.lang:
         return body + _checked("LANG", f"@{t.lang}", t)
-    if t.datatype and t.datatype.value != XSD_STRING:
+    if t.datatype and t.datatype != XSD_STRING:
         return f"{body}^^{_render_term(t.datatype, by_ns)}"
     return body
 

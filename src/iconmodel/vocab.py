@@ -218,8 +218,9 @@ class TermRegistry:
         classes = {t.iri for t in self.terms if t.kind is TermKind.CLASS}
         props = {t.iri for t in self.terms if t.kind is TermKind.PROPERTY}
         for t in self.terms:
-            ns = NAMESPACES.get(t.curie.split(":", 1)[0])
-            if ns is None or not t.iri.value.startswith(ns):
+            prefix, _, local = t.curie.partition(":")
+            ns = NAMESPACES.get(prefix)
+            if ns is None or t.iri != ns + local:
                 raise VocabError(f"curie/namespace mismatch for {t.curie}")
         for a in self.axioms:
             operands = [a.subject]
@@ -234,7 +235,7 @@ class TermRegistry:
                     operands.append(a.object.object_class)
             for iri in operands:
                 if iri not in self._by_iri:
-                    raise VocabError(f"axiom references unregistered term {iri}")
+                    raise VocabError(f"axiom references unregistered term {iri!r}")
             if a.kind is AxiomKind.SUB_CLASS_OF:
                 if a.subject not in classes or a.object not in classes:
                     raise VocabError(f"SubClassOf operand is not a class: {a}")
@@ -278,7 +279,7 @@ class TermRegistry:
                         acc |= out[parent]
                     out[n] = frozenset(acc)
                 elif m in on_path:
-                    raise VocabError(f"cycle in {kind.value} axioms at {m}")
+                    raise VocabError(f"cycle in {kind.value} axioms at {m!r}")
                 elif m not in out:
                     on_path.add(m)
                     stack.append((m, iter(edges.get(m, ()))))

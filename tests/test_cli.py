@@ -294,6 +294,25 @@ class TestCq:
         code, out, err = run(capsys, "cq", "run-all")
         assert code == 0 and out.count("GOLDEN MATCH") == 8
 
+    def test_run_all_reads_each_golden_once(self, capsys, monkeypatch):
+        import iconmodel.query as query
+        calls = []
+
+        def counted(name):
+            real = getattr(query, name)
+
+            def wrapper(*args):
+                calls.append((name, *args))
+                return real(*args)
+            monkeypatch.setattr(query, name, wrapper)
+
+        counted("load_golden")
+        counted("cq_catalog")
+        code, out, err = run(capsys, "cq", "run-all")
+        assert code == 0 and out.count("GOLDEN MATCH") == 8
+        cases = ["hercules-salvation", "laocoon", "neptune", "vermeer-balance"]
+        assert sorted(calls) == [("cq_catalog",), *(("load_golden", c) for c in cases)]
+
     def test_run_all_single_case(self, capsys):
         code, out, err = run(capsys, "cq", "run-all", "--case", "laocoon")
         assert code == 0 and out.count("GOLDEN MATCH") == 2

@@ -106,6 +106,8 @@ hash_terms = st.one_of(
               st.sampled_from([XSD_STRING, "e:a", "e:b"])))
 hash_triples = st.builds(Triple, st.one_of(st.builds(Iri, texts), st.builds(BlankNode, texts)),
                          st.builds(Iri, texts), hash_terms)
+# a literal and a triple are both tuples of three
+terms_and_triples = st.one_of(hash_terms, hash_triples)
 
 
 def check_equality_hash_and_key_agree(xs, key):
@@ -118,9 +120,37 @@ def check_equality_hash_and_key_agree(xs, key):
     assert len(set(xs)) == len({key(x) for x in xs})
 
 
-@given(st.lists(hash_terms, max_size=12))
+def term_or_triple_key(x) -> tuple:
+    return triple_key(x) if isinstance(x, Triple) else term_key(x)
+
+
+@given(st.lists(terms_and_triples, max_size=12))
 def test_term_equality_hash_and_key_agree(xs):
-    check_equality_hash_and_key_agree(xs, term_key)
+    check_equality_hash_and_key_agree(xs, term_or_triple_key)
+
+
+def plain(x):
+    """What x hashes as: a blank node's label, an IRI's text as a plain
+    str, a literal's or triple's fields as a plain tuple."""
+    if isinstance(x, BlankNode):
+        return x.label
+    if isinstance(x, tuple):
+        return tuple(map(plain, x))
+    return x if x is None else str(x)
+
+
+@given(terms_and_triples)
+def test_terms_and_triples_hash_as_plain_values(x):
+    assert hash(x) == hash(plain(x))
+    assert type(plain(x)) in (str, tuple)
+    if isinstance(x, (Iri, Literal)):
+        assert x == plain(x)  # the widened equality
+    if isinstance(x, Iri):
+        assert x.value == x and type(x.value) is str
+    if isinstance(x, Triple):
+        s, p, o = x
+        assert (s, p, o) == (x.subject, x.predicate, x.object) == x
+        assert s is x.subject and p is x.predicate and o is x.object
 
 
 @given(st.lists(hash_triples, max_size=12))

@@ -151,6 +151,8 @@ class TestRegistryInvariants:
     @pytest.mark.parametrize("curie, iri", [
         ("ex:x", "http://ex.org/x"),  # a prefix outside NAMESPACES
         ("icon:x", "http://ex.org/x"),  # an IRI outside the prefix's namespace
+        # in the namespace, but not the CURIE's local name
+        ("icon:x", "https://w3id.org/icon/ontology/y"),
     ])
     def test_term_outside_its_namespace_rejected(self, reg, curie, iri):
         term = VocabTerm(Iri(iri), curie, TermKind.CLASS, "x")
