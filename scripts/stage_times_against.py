@@ -17,7 +17,11 @@ Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
 (from gc.callbacks): a collection runs when allocations cross a threshold,
-so a stage can pay for garbage an earlier stage left.
+so a stage can pay for garbage an earlier stage left. Last, for each tree,
+the tracemalloc bytes that one ingest result holds (the parse result,
+closure, validation report and serialized text, which perfbench's ingest
+loop keeps until the next operation) and the traced peak while building
+it.
 
     python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
 
@@ -30,6 +34,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +105,27 @@ def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict, li
     return ms, gc_ms, out, derivations, [key(t) for t in full]
 
 
+def ingest_memory(tree, text: str) -> tuple[int, int]:
+    """Bytes that tracemalloc sees held by one ingest result, and the peak
+    while building it. Run after the timed runs, so that caches filled on
+    a first run are not counted."""
+    reg = tree["vocab"].build_registry()
+    shapes = tree["shapes"].default_shapes(reg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = tree["turtle_io"].parse_turtle(text)
+        closure = tree["reasoner"].close(parsed.graph, reg)
+        full = closure.graph()
+        report = tree["shapes"].validate(full, shapes, reg)
+        out = tree["turtle_io"].serialize_turtle(full, tree["vocab"].NAMESPACES)
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak
+
+
 def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     trees = {"old": load_as("old_iconmodel", Path(old_src)),
              "new": load_as("new_iconmodel", ROOT / "src")}
@@ -138,6 +164,11 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))
         print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+4.0%})"
               f"   gc {gc_old:6.1f} -> {gc_new:6.1f}")
+    (old_held, old_peak), (new_held, new_peak) = (ingest_memory(trees[name], text)
+                                                  for name in ("old", "new"))
+    print(f"  one ingest result holds {old_held / 1e6:.1f} -> {new_held / 1e6:.1f} MB"
+          f" ({new_held / old_held - 1:+.0%}), traced peak {old_peak / 1e6:.1f}"
+          f" -> {new_peak / 1e6:.1f} MB ({new_peak / old_peak - 1:+.0%})")
     return 0
 
 

@@ -11,12 +11,20 @@ node hashes as its label but equals only a blank node, so no term
 equals one of another kind. A parse shares one Iri per distinct IRI.
 
 Graphs are append-only while being built and are frozen before they
-are handed out. A union shares its larger frozen input's untouched
-index buckets and never mutates them. The reasoner's engine derives
-into the store it returns, joining against that graph's indexes as it
-inserts, and a closure hands out that same frozen graph on every call.
-Nothing mutates a frozen graph, so it can be shared freely between
-threads.
+are handed out. A graph builds its subject, predicate and object
+indexes on the first read that needs one, or on its first insert, so a
+graph that is only iterated and probed for membership (a parsed graph
+handed to the reasoner) never builds them. A union shares its larger
+frozen input's untouched index buckets and never mutates them. The
+reasoner's engine derives into the store it returns, joining against
+that graph's indexes as it inserts, and a closure hands out that same
+frozen graph on every call.
+
+A frozen graph can be shared freely between threads. Nothing mutates
+its triple set, and its indexes are built into locals and published by
+one attribute assignment: two threads making their first read each
+build equal indexes from the same triples, and neither sees a partial
+one.
 """
 
 from __future__ import annotations
@@ -139,8 +147,12 @@ def triple_key(t: Triple) -> tuple:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
+# a graph's triples by subject, by predicate and by object
+_Indexes = tuple[dict[Term, set[Triple]], dict[Iri, set[Triple]], dict[Term, set[Triple]]]
+
+
 class Graph:
-    """Triple set with subject/predicate/object indexes.
+    """Triple set with subject/predicate/object indexes, built on first read.
 
     Build with insert(), then freeze(). Lookups see every triple
     inserted so far, so code filling a graph can join against it.
@@ -148,16 +160,25 @@ class Graph:
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set(triples)
-        self._by_s: dict[Term, set[Triple]] = {}
-        self._by_p: dict[Iri, set[Triple]] = {}
-        self._by_o: dict[Term, set[Triple]] = {}
+        self._index: Optional[_Indexes] = None  # until the first read
         self._frozen = False
-        # one pass over the distinct triples, as in insert()
-        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
-        for t in self._triples:
-            (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
-            (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
-            (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
+
+    def _indexes(self) -> _Indexes:
+        """The three indexes, built in one pass over the triples the first
+        time and published whole by one assignment (see the module
+        docstring). Readers write `self._index or self._indexes()`, which
+        skips the call once the indexes exist."""
+        index = self._index
+        if index is None:
+            by_s: dict[Term, set[Triple]] = {}
+            by_p: dict[Iri, set[Triple]] = {}
+            by_o: dict[Term, set[Triple]] = {}
+            for t in self._triples:
+                (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
+                (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
+                (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
+            index = self._index = (by_s, by_p, by_o)
+        return index
 
     @property
     def frozen(self) -> bool:
@@ -173,11 +194,12 @@ class Graph:
             raise FrozenGraphError("cannot insert into a frozen graph")
         if t in self._triples:
             return False
+        by_s, by_p, by_o = self._index or self._indexes()
         self._triples.add(t)
         # buckets are never empty, so only a new key builds a set
-        (self._by_s.get(t.subject) or self._by_s.setdefault(t.subject, set())).add(t)
-        (self._by_p.get(t.predicate) or self._by_p.setdefault(t.predicate, set())).add(t)
-        (self._by_o.get(t.object) or self._by_o.setdefault(t.object, set())).add(t)
+        (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
+        (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
+        (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
         return True
 
     def __len__(self) -> int:
@@ -192,30 +214,32 @@ class Graph:
     def match(self, s: Optional[Term] = None, p: Optional[Iri] = None,
               o: Optional[Term] = None) -> set[Triple]:
         """All triples agreeing with every bound position."""
+        if s is None and p is None and o is None:
+            return set(self._triples)
+        by_s, by_p, by_o = self._index or self._indexes()
         candidates = None
         if s is not None:
-            candidates = self._by_s.get(s, set())
+            candidates = by_s.get(s, set())
         if p is not None:
-            bucket = self._by_p.get(p, set())
+            bucket = by_p.get(p, set())
             candidates = bucket if candidates is None else candidates & bucket
         if o is not None:
-            bucket = self._by_o.get(o, set())
+            bucket = by_o.get(o, set())
             candidates = bucket if candidates is None else candidates & bucket
-        if candidates is None:
-            return set(self._triples)
         return set(candidates)
 
     def neighbours(self, node: Term, p: Iri, forward: bool = True) -> set[Term]:
         """{o | (node p o)} when forward, else {s | (s p node)}, from node's bucket."""
+        by_s, _, by_o = self._index or self._indexes()
         if forward:
-            return {t.object for t in self._by_s.get(node, ()) if t.predicate == p}
-        return {t.subject for t in self._by_o.get(node, ()) if t.predicate == p}
+            return {t.object for t in by_s.get(node, ()) if t.predicate == p}
+        return {t.subject for t in by_o.get(node, ()) if t.predicate == p}
 
     def subjects(self) -> set[Term]:
-        return set(self._by_s)
+        return set((self._index or self._indexes())[0])
 
     def objects(self) -> set[Term]:
-        return set(self._by_o)
+        return set((self._index or self._indexes())[2])
 
     def terms(self) -> set[Term]:
         out: set[Term] = set()
@@ -228,14 +252,16 @@ class Graph:
     def has_term(self, x: Term) -> bool:
         """True iff x occurs as a subject, predicate or object; a literal's
         datatype IRI does not count, as in terms()."""
-        return x in self._by_s or x in self._by_p or x in self._by_o
+        by_s, by_p, by_o = self._index or self._indexes()
+        return x in by_s or x in by_p or x in by_o
 
     def has_subject(self, x: Term) -> bool:
-        return x in self._by_s
+        return x in (self._index or self._indexes())[0]
 
     def blank_labels(self) -> set[str]:
+        by_s, _, by_o = self._index or self._indexes()
         # blank nodes never occur as predicates
-        return {x.label for keys in (self._by_s, self._by_o) for x in keys
+        return {x.label for keys in (by_s, by_o) for x in keys
                 if isinstance(x, BlankNode)}
 
 
@@ -243,11 +269,14 @@ def union(a: Graph, b: Graph) -> Graph:
     """Set union of two frozen graphs, returned frozen.
 
     Both inputs must be frozen; GraphError names an argument that is
-    not. The result starts from C-level copies of the larger input's
-    triple set and index dicts, so it shares that input's index buckets.
-    Each index key that gains a triple from the smaller input gets a new
-    bucket, and no bucket is ever mutated. Python code runs only for the
-    smaller input's triples.
+    not. The result's triple set is a C-level copy of the larger input's
+    plus the smaller input's new triples. If the larger input has built
+    its indexes, the result starts from C-level copies of its index
+    dicts, so it shares that input's index buckets: each index key that
+    gains a triple from the smaller input gets a new bucket, and no
+    bucket is ever mutated. Python code then runs only for the smaller
+    input's triples. Otherwise there is nothing to share, and the result
+    builds its own indexes on its first read, like any other graph.
 
     Blank node labels are merged as-is: callers must keep labels
     disjoint unless identification across the inputs is intended.
@@ -261,22 +290,23 @@ def union(a: Graph, b: Graph) -> Graph:
     new = b._triples - a._triples
     g = Graph()
     g._triples = a._triples | new
-    g._by_s, g._by_p, g._by_o = dict(a._by_s), dict(a._by_p), dict(a._by_o)
-    for index, position in ((g._by_s, "subject"), (g._by_p, "predicate"),
-                            (g._by_o, "object")):
-        fresh: dict[Term, set[Triple]] = {}
-        for t in new:
-            key = getattr(t, position)
-            if key not in fresh:
-                fresh[key] = set(index.get(key, ()))
-            fresh[key].add(t)
-        index.update(fresh)
+    if a._index is not None:
+        g._index = tuple(map(dict, a._index))
+        for index, position in zip(g._index, ("subject", "predicate", "object")):
+            fresh: dict[Term, set[Triple]] = {}
+            for t in new:
+                key = getattr(t, position)
+                if key not in fresh:
+                    fresh[key] = set(index.get(key, ()))
+                fresh[key].add(t)
+            index.update(fresh)
     return g.freeze()
 
 
 def _blank_triples(g: Graph) -> set[Triple]:
     """The triples with a blank subject or object, read from the indexes."""
-    return {t for index in (g._by_s, g._by_o) for x, bucket in index.items()
+    by_s, _, by_o = g._index or g._indexes()
+    return {t for index in (by_s, by_o) for x, bucket in index.items()
             if isinstance(x, BlankNode) for t in bucket}
 
 

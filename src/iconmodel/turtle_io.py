@@ -147,12 +147,15 @@ def _lex_error(text: str, pos: int) -> ParseError:
     return _error_at(text, pos, message, kind)
 
 
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """The document's tokens, one anchored match each, ending with EOF. A
-    token is (kind, value, pos): a kind named in _TABLE, its value, and its
-    character offset into the document."""
-    out = []
-    append, match = out.append, _TOKEN.match
+def _tokens(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The document's tokens, one anchored match each, ending with EOF, as
+    three parallel lists: each token's kind (a kind named in _TABLE), its
+    value, and its character offset into the document. Flat lists of
+    strings and ints hold no per-token container for the cyclic garbage
+    collector to count and traverse, as a tuple per token would."""
+    kinds, values, starts = [], [], []
+    add_kind, add_value, add_start = kinds.append, values.append, starts.append
+    match, value_group = _TOKEN.match, _VALUE.get
     pos = 0
     while True:
         m = match(text, pos)
@@ -162,12 +165,14 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
         start = m.start(kind)
         if kind == "PNAME" and not _starts_name(text[start]):
             raise _lex_error(text, start)
-        value = m[_VALUE.get(kind, kind)]
+        value = m[value_group(kind, kind)]
         if kind == "STRING" and "\\" in value:
             value = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], value)
-        append((kind, value, start))
+        add_kind(kind)
+        add_value(value)
+        add_start(start)
         if kind == "EOF":
-            return out
+            return kinds, values, starts
         pos = m.end()
 
 
@@ -175,13 +180,14 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
 # parser
 
 class _Parser:
-    """Recursive descent over the token list. self.i indexes the next token;
-    taking the EOF token always ends in a ParseError, so self.i never runs
-    past it."""
+    """Recursive descent over the token lists. Token i is (kinds[i],
+    values[i], starts[i]), and a token is passed around by its index.
+    self.i indexes the next token; taking the EOF token always ends in a
+    ParseError, so self.i never runs past it."""
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokens(text)
+        self.kinds, self.values, self.starts = _tokens(text)
         self.i = 0
         self.triples: list[Triple] = []
         self.prefixes: PrefixMap = {}
@@ -197,81 +203,93 @@ class _Parser:
         # collected at the first "["
         self._explicit: Optional[set[str]] = None
 
-    def _err(self, tok: tuple[str, str, int], message: str, kind: ErrorKind):
-        raise _error_at(self.text, tok[2], message, kind)
+    def _err(self, i: int, message: str, kind: ErrorKind):
+        raise _error_at(self.text, self.starts[i], message, kind)
+
+    def _is(self, i: int, punct: str) -> bool:
+        return self.kinds[i] == "PUNCT" and self.values[i] == punct
 
     def parse(self) -> ParseResult:
-        while (tok := self.toks[self.i])[0] != "EOF":
-            if tok[0] == "KEYWORD" and tok[1] in ("@prefix", "@base"):
+        kinds, values = self.kinds, self.values
+        while kinds[i := self.i] != "EOF":
+            if kinds[i] == "KEYWORD" and values[i] in ("@prefix", "@base"):
                 self._directive()
             else:
                 self._triples()
-        del self.toks  # spent: the graph's indexes can reuse their memory
+        del self.kinds, self.values, self.starts  # spent: free them before the graph
         return ParseResult(Graph(self.triples).freeze(), dict(self.prefixes), self.base)
 
-    def _take(self) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
+    def _take(self) -> int:
         self.i += 1
-        return tok
+        return self.i - 1
 
     def _directive(self):
-        kw = self._take()
-        if kw[1] == "@prefix":
+        kinds, values = self.kinds, self.values
+        if values[self._take()] == "@prefix":
             name = self._take()
-            if name[0] != "PNAME" or not name[1].endswith(":"):
+            if kinds[name] != "PNAME" or not values[name].endswith(":"):
                 self._err(name, "prefix label expected after @prefix",
                           ErrorKind.UNEXPECTED_TOKEN)
             iriref = self._take()
-            if iriref[0] != "IRIREF":
+            if kinds[iriref] != "IRIREF":
                 self._err(iriref, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            self.prefixes[name[1][:-1]] = iriref[1]
-            self._curies.clear()
+            label, ns = values[name][:-1], values[iriref]
+            if self.prefixes.get(label) != ns:
+                self.prefixes[label] = ns
+                # forget the CURIEs resolved under the old namespace
+                stale = label + ":"
+                for curie in [c for c in self._curies if c.startswith(stale)]:
+                    del self._curies[curie]
         else:
             iriref = self._take()
-            if iriref[0] != "IRIREF":
+            if kinds[iriref] != "IRIREF":
                 self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
             self.base = self._resolve_iri(iriref)
         dot = self._take()
-        if dot[:2] != ("PUNCT", "."):
+        if not self._is(dot, "."):
             self._err(dot, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
 
     def _triples(self):
         subject = self._subject()
         self._predicate_object_list(subject)
-        kind, value, _ = tok = self._take()
-        if not (kind == "PUNCT" and value == "."):
-            self._err(tok, "'.' expected at end of statement",
+        dot = self._take()
+        if not self._is(dot, "."):
+            self._err(dot, "'.' expected at end of statement",
                       ErrorKind.UNTERMINATED_STATEMENT)
 
     def _subject(self):
-        kind, value, _ = tok = self.toks[self.i]
+        i = self.i
+        kind, value = self.kinds[i], self.values[i]
         if kind == "PUNCT" and value == "[":
             return self._anon_node()
         self.i += 1
         if kind == "PNAME":
-            return self._curies.get(value) or self._resolve_curie(tok)
+            return self._curies.get(value) or self._resolve_curie(i)
         if kind == "IRIREF":
-            return self._resolve_iri(tok)
+            return self._resolve_iri(i)
         if kind == "BLANK":
             return BlankNode(value)
-        self._err(tok, "subject expected", ErrorKind.UNEXPECTED_TOKEN)
+        self._err(i, "subject expected", ErrorKind.UNEXPECTED_TOKEN)
 
     def _predicate_object_list(self, subject):
-        toks, curies, append = self.toks, self._curies, self.triples.append
+        kinds, values = self.kinds, self.values
+        curies, append = self._curies, self.triples.append
         while True:
-            kind, value, _ = tok = toks[self.i]
+            i = self.i
+            kind, value = kinds[i], values[i]
             self.i += 1
             if kind == "PNAME":
-                pred = curies.get(value) or self._resolve_curie(tok)
+                pred = curies.get(value) or self._resolve_curie(i)
             elif kind == "KEYWORD" and value == "a":
                 pred = RDF_TYPE
             elif kind == "IRIREF":
-                pred = self._resolve_iri(tok)
+                pred = self._resolve_iri(i)
             else:
-                self._err(tok, "predicate expected", ErrorKind.UNEXPECTED_TOKEN)
+                self._err(i, "predicate expected", ErrorKind.UNEXPECTED_TOKEN)
             while True:
                 append(Triple(subject, pred, self._object()))
-                kind, value, _ = toks[self.i]
+                i = self.i
+                kind, value = kinds[i], values[i]
                 if not (kind == "PUNCT" and value == ","):
                     break
                 self.i += 1
@@ -279,42 +297,44 @@ class _Parser:
                 return
             self.i += 1
             # tolerate trailing ';' before '.' or ']'
-            kind, value, _ = toks[self.i]
-            if kind == "PUNCT" and value in (".", "]"):
+            i = self.i
+            if kinds[i] == "PUNCT" and values[i] in (".", "]"):
                 return
 
     def _object(self) -> Term:
-        kind, value, _ = tok = self.toks[self.i]
+        i = self.i
+        kind, value = self.kinds[i], self.values[i]
         if kind == "PUNCT" and value == "[":
             return self._anon_node()
         self.i += 1
         if kind == "PNAME":
-            return self._curies.get(value) or self._resolve_curie(tok)
+            return self._curies.get(value) or self._resolve_curie(i)
         if kind == "IRIREF":
-            return self._resolve_iri(tok)
+            return self._resolve_iri(i)
         if kind == "BLANK":
             return BlankNode(value)
         if kind == "STRING":
             return self._literal(value)
-        self._err(tok, "object expected", ErrorKind.UNEXPECTED_TOKEN)
+        self._err(i, "object expected", ErrorKind.UNEXPECTED_TOKEN)
 
     def _literal(self, lexical: str) -> Literal:
-        kind, value, _ = tok = self.toks[self.i]
+        i = self.i
+        kind, value = self.kinds[i], self.values[i]
         if kind == "LANG":
             self.i += 1
             # Literal lower-cases the tag, and the serializer writes that form
             if not _lexes_as("LANG", "@" + value.lower()):
-                self._err(tok, f"language tag {value!r} is not a tag once lower-cased",
+                self._err(i, f"language tag {value!r} is not a tag once lower-cased",
                           ErrorKind.BAD_LITERAL)
             return Literal(lexical, lang=value)
         if kind == "DTSEP":
             self.i += 1
-            dtok = self._take()
-            if dtok[0] == "IRIREF":
-                return Literal(lexical, datatype=self._resolve_iri(dtok))
-            if dtok[0] == "PNAME":
-                return Literal(lexical, datatype=self._resolve_curie(dtok))
-            self._err(dtok, "datatype IRI expected", ErrorKind.BAD_LITERAL)
+            dt = self._take()
+            if self.kinds[dt] == "IRIREF":
+                return Literal(lexical, datatype=self._resolve_iri(dt))
+            if self.kinds[dt] == "PNAME":
+                return Literal(lexical, datatype=self._resolve_curie(dt))
+            self._err(dt, "datatype IRI expected", ErrorKind.BAD_LITERAL)
         return Literal(lexical)
 
     def _anon_node(self) -> BlankNode:
@@ -323,44 +343,46 @@ class _Parser:
             self._err(opener, f"'[' nested deeper than {_MAX_NESTING}",
                       ErrorKind.UNEXPECTED_TOKEN)
         if self._explicit is None:
-            self._explicit = {value for kind, value, _ in self.toks if kind == "BLANK"}
+            self._explicit = {value for kind, value in zip(self.kinds, self.values)
+                              if kind == "BLANK"}
         self._anon += 1
         while f"b{self._anon}" in self._explicit:
             self._anon += 1
         node = BlankNode(f"b{self._anon}")
-        if self.toks[self.i][:2] != ("PUNCT", "]"):
+        if not self._is(self.i, "]"):
             self._depth += 1
             self._predicate_object_list(node)
             self._depth -= 1
         closer = self._take()
-        if closer[:2] != ("PUNCT", "]"):
+        if not self._is(closer, "]"):
             self._err(closer, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
         return node
 
-    def _resolve_iri(self, tok: tuple[str, str, int]) -> Iri:
-        value = tok[1]
+    def _resolve_iri(self, i: int) -> Iri:
+        value = self.values[i]
         if ":" not in value:
             if self.base is None:
-                self._err(tok, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
+                self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
             value = self.base + value
-        return self._iri(tok, value)
+        return self._iri(i, value)
 
-    def _resolve_curie(self, tok: tuple[str, str, int]) -> Iri:
-        prefix, _, local = tok[1].partition(":")
+    def _resolve_curie(self, i: int) -> Iri:
+        curie = self.values[i]
+        prefix, _, local = curie.partition(":")
         ns = self.prefixes.get(prefix)
         if ns is None:
-            self._err(tok, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
+            self._err(i, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
         # a relative namespace gives no IRI
-        iri = self._curies[tok[1]] = self._iri(tok, ns + local)
+        iri = self._curies[curie] = self._iri(i, ns + local)
         return iri
 
-    def _iri(self, tok: tuple[str, str, int], value: str) -> Iri:
+    def _iri(self, i: int, value: str) -> Iri:
         iri = self._iris.get(value)
         if iri is None:
             try:
                 iri = self._iris[value] = Iri(value)
             except ValueError:
-                self._err(tok, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
+                self._err(i, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
         return iri
 
 

@@ -3,17 +3,23 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import iconmodel
-from iconmodel.graph import (BlankNode, FrozenGraphError, Graph, GraphError, Iri,
-                             Literal, Triple, XSD_STRING, isomorphic, term_key,
-                             triple_key, union)
+from iconmodel.casebook import case_document
+from iconmodel.graph import (RDF_TYPE, BlankNode, FrozenGraphError, Graph, GraphError,
+                             Iri, Literal, Triple, XSD_STRING, _blank_triples, isomorphic,
+                             term_key, triple_key, union)
+from iconmodel.reasoner import close
+from iconmodel.shapes import default_shapes, validate
+from iconmodel.turtle_io import parse_turtle, serialize_turtle
+from iconmodel.vocab import NAMESPACES
 
-from conftest import turtle_random_graph
+from conftest import CASE_IDS, plain_random_graph, turtle_random_graph
 from oracles import oracle_isomorphic
 
 EX = "http://example.org/"
@@ -340,6 +346,34 @@ def test_chained_unions_answer_as_a_fresh_graph(base_ts, delta_ts):
     assert [match_answers(h, fresh) for h in chain] == before
 
 
+def read_answers(g: Graph, probe: Graph) -> dict:
+    """What each read method of g answers over probe's terms."""
+    terms = probe.terms() | {iri("absent"), BlankNode("absent"), Literal("absent")}
+    predicates = {u.predicate for u in probe}
+    return {"match": match_answers(g, probe),
+            "neighbours": {(x, p, forward): g.neighbours(x, p, forward)
+                           for x in terms for p in predicates
+                           for forward in (True, False)},
+            "subjects": g.subjects(), "objects": g.objects(),
+            "has_term": {x for x in terms if g.has_term(x)},
+            "has_subject": {x for x in terms if g.has_subject(x)},
+            "blank_labels": g.blank_labels(), "blank_triples": _blank_triples(g)}
+
+
+# Each read that can be a graph's first, building its indexes.
+FIRST_READS = {
+    "match": lambda g: g.match(p=RDF_TYPE),
+    "neighbours": lambda g: g.neighbours(iri("r0"), RDF_TYPE),
+    "subjects": Graph.subjects,
+    "objects": Graph.objects,
+    "has_term": lambda g: g.has_term(BlankNode("n0")),
+    "has_subject": lambda g: g.has_subject(iri("r1")),
+    "blank_labels": Graph.blank_labels,
+    "union": lambda g: union(g.freeze(), Graph([]).freeze()),
+    "blank_triples": _blank_triples,
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_bulk_built_graph_answers_as_an_insert_built_one(seed):
@@ -350,16 +384,62 @@ def test_bulk_built_graph_answers_as_an_insert_built_one(seed):
     inserted = Graph()
     for u in ts:
         inserted.insert(u)
-    for bulk in (Graph(ts), Graph(u for u in ts)):
-        assert len(bulk) == len(inserted)
-        assert set(bulk) == set(inserted)
-        assert match_answers(bulk, inserted) == match_answers(inserted, inserted)
-        for node in inserted.terms():
-            for p in {u.predicate for u in inserted}:
-                for forward in (True, False):
-                    assert (bulk.neighbours(node, p, forward)
-                            == inserted.neighbours(node, p, forward))
-        assert bulk.blank_labels() == inserted.blank_labels()
+    expected = read_answers(inserted, inserted)
+    for name, first_read in FIRST_READS.items():
+        for bulk in (Graph(ts), Graph(u for u in ts)):
+            first_read(bulk)
+            assert len(bulk) == len(inserted)
+            assert set(bulk) == set(inserted)
+            assert read_answers(bulk, inserted) == expected, name
+    # the first insert into a never-read graph builds its indexes
+    more = list(turtle_random_graph(rng)) + ts[:3]
+    grown = Graph(ts)
+    for u in more:
+        assert grown.insert(u) == inserted.insert(u)
+    assert set(grown) == set(inserted)
+    assert read_answers(grown, inserted) == read_answers(inserted, inserted)
+
+
+@given(st.lists(triples, max_size=20), st.lists(triples, max_size=20))
+def test_union_of_never_read_graphs_answers_as_the_set_union(ts1, ts2):
+    g = union(Graph(ts1).freeze(), Graph(ts2).freeze())
+    fresh = Graph(set(ts1) | set(ts2)).freeze()
+    assert g.frozen and set(g) == set(fresh)
+    assert read_answers(g, fresh) == read_answers(fresh, fresh)
+
+
+def test_ingest_builds_no_index_on_the_parsed_graph(reg):
+    # close only iterates its base graph and tests membership in it;
+    # validating and serializing read the closure's own store
+    base = parse_turtle(case_document(CASE_IDS[0])).graph
+    full = close(base, reg).graph()
+    validate(full, default_shapes(reg), reg)
+    serialize_turtle(full, NAMESPACES)
+    assert base._index is None
+
+
+def test_threads_making_first_reads_of_a_frozen_graph_agree():
+    probe = plain_random_graph(random.Random(7), 2000)
+    g = Graph(probe).freeze()
+    start = threading.Barrier(8)
+    answers = [None] * 8
+
+    def first_reads(k):
+        start.wait(timeout=30)
+        answers[k] = read_answers(g, probe)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, also inside _indexes
+    try:
+        threads = [threading.Thread(target=first_reads, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(a == read_answers(probe, probe) for a in answers)
 
 
 def test_bulk_built_graph_is_unfrozen_and_grows():

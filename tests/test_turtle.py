@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from iconmodel.graph import (BlankNode, Graph, GraphError, Iri, Literal, Triple,
                              isomorphic)
-from iconmodel.turtle_io import (ErrorKind, ParseError, RDF_TYPE, parse_turtle,
+from iconmodel.turtle_io import (ErrorKind, ParseError, RDF_TYPE, _Parser, parse_turtle,
                                  serialize_turtle)
 from iconmodel.vocab import NAMESPACES
 from iconmodel.casebook import case_document, list_cases
@@ -69,6 +69,11 @@ class TestParseBasics:
         assert anon.subject != explicit.subject
         assert r.graph.match(s=anon.subject, p=Iri("http://example.org/q"))
 
+    def test_anonymous_labels_skip_explicit_ones_written_later(self):
+        r = parse_turtle(EX + "[ ex:q ex:y ] ex:r ex:z . _:b1 ex:p ex:x .")
+        [anon] = r.graph.match(p=Iri("http://example.org/r"))
+        assert anon.subject == BlankNode("b2")
+
     def test_string_escapes(self):
         r = parse_turtle(EX + 'ex:s ex:p "a\\"b\\\\c\\nd\\te\\rf" .')
         [t] = list(r.graph)
@@ -104,6 +109,23 @@ class TestParseBasics:
                          "@prefix e: <http://b/> .\n@base <http://b/> .\ne:s e:p <o> .")
         assert set(r.graph) == {Triple(Iri(f"http://{x}/s"), Iri(f"http://{x}/p"),
                                        Iri(f"http://{x}/o")) for x in "ab"}
+
+    def test_redeclared_prefix_drops_only_its_own_cached_curies(self, monkeypatch):
+        resolved = []
+        resolve = _Parser._resolve_curie
+
+        def spy(parser, i):
+            resolved.append(parser.values[i])
+            return resolve(parser, i)
+
+        monkeypatch.setattr(_Parser, "_resolve_curie", spy)
+        r = parse_turtle("@prefix e: <http://a/> .\n@prefix f: <http://f/> .\n"
+                         "e:s e:p f:o .\n"
+                         "@prefix e: <http://a/> .\ne:s e:p f:o .\n"  # same namespace
+                         "@prefix e: <http://b/> .\ne:s e:p f:o .\n")  # a new one
+        assert resolved == ["e:s", "e:p", "f:o", "e:s", "e:p"]
+        assert set(r.graph) == {Triple(Iri(f"http://{x}/s"), Iri(f"http://{x}/p"),
+                                       Iri("http://f/o")) for x in "ab"}
 
     def test_dotted_local_names(self):
         r = parse_turtle("@prefix vir: <http://w3id.org/vir#> .\n"
@@ -217,6 +239,17 @@ class TestParseErrors:
         line = 3 + obj.count("\n")
         assert (e.line, e.column, e.kind) == (line, column, ErrorKind[kind])
         assert message in e.message
+
+    @pytest.mark.parametrize("last,offset", [
+        ("ex:s ex:p %bad .", 10),  # the lexer's error
+        ("ex:s ex:p ex:o", 14),  # the parser's, at the end of input
+    ])
+    def test_error_in_the_last_statement_of_a_long_document(self, last, offset):
+        fixtures = "\n".join(case_document(c.id) for c in list_cases())
+        text = "\n".join([fixtures] * 5) + "\n" + EX + "\t" + last
+        e = self.err(text)
+        lines = text[:len(text) - len(last) + offset].split("\n")
+        assert (e.line, e.column) == (len(lines), len(lines[-1]) + 1)
 
     def test_no_token_is_read_inside_a_comment(self):
         # the skip over whitespace and comments never gives back a part of
