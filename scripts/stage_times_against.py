@@ -6,13 +6,19 @@ older commit unpacked with `git archive`) under two different package
 names, so one process holds both. Each run times the lexer (turtle_io's
 _tokens), parse_turtle, close, validate, serialize_turtle and
 isomorphic(G, G) on the casebook x SCALE (perfbench's scaled_document)
-for both trees, alternating which goes first. It checks that both
-serialize the closure to the same text, record the same derivation
-(rule and premises, compared through triple_key) for every inferred
-triple, and iterate the closure store in the same order (which holds
-only if every term and triple hashes the same in both), and exits 1 if
-they do not; "ingest" is the sum of parse, close, validate and
-serialize.
+for both trees, alternating which goes first. The closure has no blank
+nodes, so isomorphic(G, G) never reaches the blank-node search; the
+"blank-iso" stage does what perfbench's author workload does. Once per
+tree, it expands 20 shortcuts of the closure (a seeded sample) into
+blank recognition nodes, closes again and serializes that closure. Each
+run parses the text back and times isomorphic against that closure
+(True) plus against a copy whose first icon:assignsTo edge is moved
+(False). It checks that both trees serialize the closure to the same
+text, record the same derivation (rule and premises, compared through
+triple_key) for every inferred triple, iterate the closure store in the
+same order (which holds only if every term and triple hashes the same
+in both) and give the same two blank-iso answers, and exits 1 if they
+do not; "ingest" is the sum of parse, close, validate and serialize.
 Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
@@ -31,6 +37,7 @@ SCALE defaults to 50 and RUNS to 12.
 import gc
 import importlib
 import importlib.util
+import random
 import statistics
 import sys
 import time
@@ -42,7 +49,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from scaled import scaled_document  # noqa: E402
 
-STAGES = ("lex", "parse", "close", "validate", "serialize", "isomorphic", "ingest")
+STAGES = ("lex", "parse", "close", "validate", "serialize", "isomorphic", "blank-iso",
+          "ingest")
 INGEST = ("parse", "close", "validate", "serialize")  # one perfbench ingest operation
 
 
@@ -72,10 +80,34 @@ def load_as(name: str, src: Path):
             for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
 
 
-def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict, list]:
+def authored(tree, text: str, expansions: int = 20) -> tuple:
+    """The closure of text with `expansions` shortcuts expanded, that closure
+    serialized, and its first expansion's icon:assignsTo edge moved to
+    another entity, as perfbench's author workload builds them."""
+    g, reg = tree["graph"], tree["vocab"].build_registry()
+    parsed = tree["turtle_io"].parse_turtle(text)
+    closure = tree["reasoner"].close(parsed.graph, reg)
+    shortcut_iris = {reg.iri("icon:symbolizes"), reg.iri("icon:isDocumentOf")}
+    shortcuts = sorted((t for t in closure.inferred if t.predicate in shortcut_iris), key=repr)
+    full, deltas = closure.graph(), []
+    for t in random.Random(0).sample(shortcuts, expansions):
+        deltas.append(tree["reasoner"].expand_shortcut(full, t, reg))
+        full = g.union(full, deltas[-1])
+    merged = g.Graph(u for d in deltas for u in d).freeze()
+    full = tree["reasoner"].close(g.union(parsed.graph, merged), reg).graph()
+    assigns_to = reg.iri("icon:assignsTo")
+    edge = min((t for t in deltas[0] if t.predicate == assigns_to), key=repr)
+    target = next(t.subject for t in shortcuts if t.subject != edge.object)
+    moved = g.Triple(edge.subject, assigns_to, target)
+    return full, tree["turtle_io"].serialize_turtle(full, tree["vocab"].NAMESPACES), edge, moved
+
+
+def run_once(tree, text: str, session: tuple,
+             clock: GcClock) -> tuple[dict, dict, str, dict, list, tuple]:
     """Milliseconds per stage, milliseconds of garbage collection per stage,
-    the serialized closure, its provenance keyed by triple_key, and the
-    triple_key of each closure triple in the store's iteration order."""
+    the serialized closure, its provenance keyed by triple_key, the
+    triple_key of each closure triple in the store's iteration order, and
+    the two blank-iso answers. session is authored(tree, text)."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
     ms, gc_ms = {}, {}
@@ -99,10 +131,15 @@ def run_once(tree, text: str, clock: GcClock) -> tuple[dict, dict, str, dict, li
         by_stage["ingest"] = sum(by_stage[stage] for stage in INGEST)
     if not timed("isomorphic", tree["graph"].isomorphic, full, full):
         raise SystemExit("isomorphic(G, G) is False")
+    session_full, session_text, edge, moved = session
+    back = tree["turtle_io"].parse_turtle(session_text).graph
+    changed = tree["graph"].Graph([t for t in session_full if t != edge] + [moved]).freeze()
+    answers = timed("blank-iso", lambda: (tree["graph"].isomorphic(back, session_full),
+                                          tree["graph"].isomorphic(back, changed)))
     key = tree["graph"].triple_key
     derivations = {key(t): (d.rule, tuple(map(key, d.premises)))
                    for t, d in closure.provenance.items()}
-    return ms, gc_ms, out, derivations, [key(t) for t in full]
+    return ms, gc_ms, out, derivations, [key(t) for t in full], answers
 
 
 def ingest_memory(tree, text: str) -> tuple[int, int]:
@@ -130,6 +167,7 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     trees = {"old": load_as("old_iconmodel", Path(old_src)),
              "new": load_as("new_iconmodel", ROOT / "src")}
     text = scaled_document(scale)
+    sessions = {name: authored(tree, text) for name, tree in trees.items()}
     times = {name: {stage: [] for stage in STAGES} for name in trees}
     gc_times = {name: {stage: [] for stage in STAGES} for name in trees}
     clock = GcClock()
@@ -137,10 +175,10 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     try:
         for i in range(runs):
             order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
-            outputs, derivations, orders = {}, {}, {}
+            outputs, derivations, orders, answers = {}, {}, {}, {}
             for name in order:
-                ms, gc_ms, outputs[name], derivations[name], orders[name] = run_once(
-                    trees[name], text, clock)
+                (ms, gc_ms, outputs[name], derivations[name], orders[name],
+                 answers[name]) = run_once(trees[name], text, sessions[name], clock)
                 for stage in STAGES:
                     times[name][stage].append(ms[stage])
                     gc_times[name][stage].append(gc_ms[stage])
@@ -155,10 +193,15 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
             if orders["old"] != orders["new"]:
                 print("the trees iterate the closure store in different orders")
                 return 1
+            if answers["old"] != answers["new"]:
+                print(f"the trees answer blank-iso differently: old {answers['old']}, "
+                      f"new {answers['new']}")
+                return 1
     finally:
         gc.callbacks.remove(clock)
-    print(f"x{scale}, {runs} runs each; closures, derivations and iteration order "
-          f"identical; median ms (old -> new), of which in cyclic GC")
+    print(f"x{scale}, {runs} runs each; closures, derivations, iteration order and "
+          f"blank-iso answers {answers['new']} identical; median ms (old -> new), "
+          f"of which in cyclic GC")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))

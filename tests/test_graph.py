@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,45 @@ class TestIsomorphism:
         assert isomorphic(g, g)
 
 
+def blank_edges(edges) -> Graph:
+    return Graph(t(BlankNode(f"n{x}"), iri("p"), BlankNode(f"n{y}"))
+                 for x, y in edges).freeze()
+
+
+def cycle(nodes: list[int]) -> list[tuple[int, int]]:
+    return list(zip(nodes, nodes[1:] + nodes[:1]))
+
+
+def timed_isomorphic(a: Graph, b: Graph) -> tuple[bool, float]:
+    start = time.perf_counter()
+    return isomorphic(a, b), time.perf_counter() - start
+
+
+# Shapes that made a search without colour refinement exponential. Each
+# decides in well under half a second on 2 cores with CPython 3.11.7.
+class TestIsomorphismSize:
+    def test_shuffled_long_chain(self):
+        shuffled = list(range(3000))
+        random.Random(3).shuffle(shuffled)
+        answer, seconds = timed_isomorphic(blank_edges(zip(range(3000), range(1, 3000))),
+                                           blank_edges(zip(shuffled, shuffled[1:])))
+        assert answer and seconds < 2
+
+    def test_one_cycle_against_two_halves(self):
+        answer, seconds = timed_isomorphic(
+            blank_edges(cycle(list(range(200)))),
+            blank_edges(cycle(list(range(100))) + cycle(list(range(100, 200)))))
+        assert not answer and seconds < 2
+
+    def test_relabelled_binary_tree(self):
+        shuffled = list(range(255))
+        random.Random(5).shuffle(shuffled)
+        answer, seconds = timed_isomorphic(
+            blank_edges(((i - 1) // 2, i) for i in range(1, 255)),
+            blank_edges((shuffled[(i - 1) // 2], shuffled[i]) for i in range(1, 255)))
+        assert answer and seconds < 2
+
+
 iris = st.sampled_from([Iri(EX + n) for n in "abcdef"])
 blanks = st.sampled_from([BlankNode(n) for n in "xyz"])
 literals = st.sampled_from([Literal("1"), Literal("2", lang="en")])
@@ -494,3 +534,61 @@ def test_isomorphic_agrees_with_oracle(ts1, ts2, image):
     assert isomorphic(a, renamed)
     b = Graph(ts2).freeze()
     assert isomorphic(a, b) == oracle_isomorphic(a, b)
+
+
+XSD_INTEGER = Iri("http://www.w3.org/2001/XMLSchema#integer")
+two_predicates = st.sampled_from([iri("p"), iri("q")])
+# three literals that share a lexical form, so only their tags tell them apart
+leaves = st.sampled_from([iri("a"), Literal("1"), Literal("1", lang="en"),
+                          Literal("1", datatype=XSD_INTEGER)])
+
+
+@st.composite
+def blank_shapes(draw, max_nodes: int = 12) -> list[Triple]:
+    """A blank chain, cycle or tree, each edge drawn in either direction
+    with one of two predicates, and a ground leaf on some nodes."""
+    n = draw(st.integers(2, max_nodes))
+    shape = draw(st.sampled_from(["chain", "cycle", "tree"]))
+    edges = [(draw(st.integers(0, i - 1)) if shape == "tree" else i - 1, i)
+             for i in range(1, n)]
+    if shape == "cycle":
+        edges.append((n - 1, 0))
+    ts = []
+    for x, y in edges:
+        if draw(st.booleans()):
+            x, y = y, x
+        ts.append(Triple(BlankNode(f"n{x}"), draw(two_predicates), BlankNode(f"n{y}")))
+    for x in range(n):
+        leaf = draw(st.none() | leaves)
+        if leaf is not None:
+            ts.append(Triple(BlankNode(f"n{x}"), draw(two_predicates), leaf))
+    return ts
+
+
+def relabelled(g: Graph, rnd: random.Random) -> Graph:
+    labels = sorted(g.blank_labels())
+    image = dict(zip(labels, rnd.sample(labels, len(labels))))
+
+    def rename(x):
+        return BlankNode(image[x.label]) if isinstance(x, BlankNode) else x
+
+    return Graph(Triple(rename(u.subject), u.predicate, rename(u.object))
+                 for u in g).freeze()
+
+
+@settings(max_examples=200, deadline=None)
+@given(blank_shapes(), blank_shapes(max_nodes=6), st.randoms(use_true_random=False))
+def test_blank_shapes_are_isomorphic_to_their_relabellings(ts1, ts2, rnd):
+    a = Graph(ts1).freeze()
+    assert isomorphic(a, relabelled(a, rnd))
+    if len(a.blank_labels()) > 6:
+        return
+    b = Graph(ts2).freeze()
+    assert isomorphic(a, b) == oracle_isomorphic(a, b)
+    # One blank object moved to a new node keeps the triple count, and adds
+    # a blank node unless the old one occurred only there.
+    moved = next(u for u in a if isinstance(u.object, BlankNode))
+    split = Graph(set(a) - {moved} | {Triple(moved.subject, moved.predicate,
+                                             BlankNode("new"))}).freeze()
+    assert len(split) == len(a)
+    assert isomorphic(a, split) == oracle_isomorphic(a, split)

@@ -341,6 +341,26 @@ class TestRoundTrip:
                                         "rdf": NAMESPACES["rdf"]})
             assert isomorphic(g, parse_turtle(text).graph)
 
+    def test_nested_anonymous_binary_tree(self):
+        # 63 blank nodes on six levels; both children share one predicate,
+        # so only the tree's shape pairs the nodes up
+        def tree(depth):
+            if depth == 1:
+                return '[ ex:value "1" ]'
+            return f"[ ex:child {tree(depth - 1)}, {tree(depth - 1)} ]"
+
+        g = parse_turtle(EX + f"ex:root ex:child {tree(6)} .").graph
+        # node[0] is ex:root, node[i]'s children are node[2i] and node[2i + 1],
+        # and node[32..63] are the leaves
+        node = [Iri("http://example.org/root")]
+        node += [BlankNode(f"t{i}") for i in range(63, 0, -1)]
+        child, value = Iri("http://example.org/child"), Iri("http://example.org/value")
+        built = Graph([Triple(node[i // 2], child, node[i]) for i in range(1, 64)]
+                      + [Triple(node[i], value, Literal("1")) for i in range(32, 64)]).freeze()
+        assert len(g.blank_labels()) == 63 and isomorphic(g, built)
+        text = serialize_turtle(g, {"ex": "http://example.org/"})
+        assert isomorphic(parse_turtle(text).graph, built)
+
 
 @settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
