@@ -26,8 +26,10 @@ the median milliseconds of cyclic garbage collection inside each stage
 so a stage can pay for garbage an earlier stage left. Last, for each tree,
 the tracemalloc bytes that one ingest result holds (the parse result,
 closure, validation report and serialized text, which perfbench's ingest
-loop keeps until the next operation) and the traced peak while building
-it.
+loop keeps until the next operation), and each ingest stage's traced peak
+above the operation's start while the previous result is still held.
+The largest of these is the operation's peak, so it shows which stage
+sets it.
 
     python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
 
@@ -142,25 +144,41 @@ def run_once(tree, text: str, session: tuple,
     return ms, gc_ms, out, derivations, [key(t) for t in full], answers
 
 
-def ingest_memory(tree, text: str) -> tuple[int, int]:
-    """Bytes that tracemalloc sees held by one ingest result, and the peak
-    while building it. Run after the timed runs, so that caches filled on
-    a first run are not counted."""
+def ingest_memory(tree, text: str) -> tuple[int, dict[str, int]]:
+    """Bytes that tracemalloc sees held by one ingest result, and each
+    ingest stage's traced peak above the operation's start. A previous
+    result is held throughout, as perfbench's ingest loop holds it, and
+    the peak of the operation is the largest stage's. Run after the timed
+    runs, so that caches filled on a first run are not counted."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
+    peaks: dict[str, int] = {}
+
+    def stage(name, f, *args):
+        tracemalloc.reset_peak()
+        out = f(*args)
+        peaks[name] = tracemalloc.get_traced_memory()[1]
+        return out
+
+    def ingest(timed):
+        parsed = timed("parse", tree["turtle_io"].parse_turtle, text)
+        closure = timed("close", tree["reasoner"].close, parsed.graph, reg)
+        full = closure.graph()
+        report = timed("validate", tree["shapes"].validate, full, shapes, reg)
+        out = timed("serialize", tree["turtle_io"].serialize_turtle, full,
+                    tree["vocab"].NAMESPACES)
+        return parsed, closure, report, out
+
+    previous = ingest(lambda name, f, *args: f(*args))  # noqa: F841 (held)
     gc.collect()
     tracemalloc.start()
     try:
-        parsed = tree["turtle_io"].parse_turtle(text)
-        closure = tree["reasoner"].close(parsed.graph, reg)
-        full = closure.graph()
-        report = tree["shapes"].validate(full, shapes, reg)
-        out = tree["turtle_io"].serialize_turtle(full, tree["vocab"].NAMESPACES)
+        result = ingest(stage)  # noqa: F841 (held)
         gc.collect()
-        held, peak = tracemalloc.get_traced_memory()
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return held, peak
+    return held, peaks
 
 
 def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
@@ -207,11 +225,14 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))
         print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+4.0%})"
               f"   gc {gc_old:6.1f} -> {gc_new:6.1f}")
-    (old_held, old_peak), (new_held, new_peak) = (ingest_memory(trees[name], text)
-                                                  for name in ("old", "new"))
+    (old_held, old_peaks), (new_held, new_peaks) = (ingest_memory(trees[name], text)
+                                                    for name in ("old", "new"))
     print(f"  one ingest result holds {old_held / 1e6:.1f} -> {new_held / 1e6:.1f} MB"
-          f" ({new_held / old_held - 1:+.0%}), traced peak {old_peak / 1e6:.1f}"
-          f" -> {new_peak / 1e6:.1f} MB ({new_peak / old_peak - 1:+.0%})")
+          f" ({new_held / old_held - 1:+.0%}); traced peak above the operation's start,"
+          " with the previous result held:")
+    for stage in INGEST:
+        old, new = old_peaks[stage] / 1e6, new_peaks[stage] / 1e6
+        print(f"  {stage:<10} {old:9.1f} -> {new:9.1f} MB ({new / old - 1:+4.0%})")
     return 0
 
 

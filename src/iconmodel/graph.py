@@ -304,10 +304,10 @@ def union(a: Graph, b: Graph) -> Graph:
 
 
 def _blank_triples(g: Graph) -> set[Triple]:
-    """The triples with a blank subject or object, read from the indexes."""
-    by_s, _, by_o = g._index or g._indexes()
-    return {t for index in (by_s, by_o) for x, bucket in index.items()
-            if isinstance(x, BlankNode) for t in bucket}
+    """The triples with a blank subject or object, selected from the
+    triple set, so that a graph with no indexes builds none for this."""
+    return {t for t in g._triples
+            if type(t.subject) is BlankNode or type(t.object) is BlankNode}
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:

@@ -10,12 +10,17 @@ triple-quoted strings, quoted triples, and the bare blank-node statement
 error, and so are "[" nesting more than 100 deep and a language tag whose
 lower-case form is not a tag.
 
-The token table _TABLE is the token grammar: the lexer matches its
-patterns and nothing else, reading each token and the whitespace and
-comments before it in one anchored regex match. The serializer checks
-each IRI, CURIE, blank node label, language tag and prefix it writes by
-matching it against the same table, so whatever it writes reads back as
-the token it meant.
+The token table _TABLE is the token grammar. The lexer reads a whole
+document with one findall over a pattern built from it: each match
+skips whitespace and comments possessively, so no token starts inside a
+comment, and captures the first _TABLE pattern that matches. A token is
+its own text, and its kind is told from that text. Where no token
+matches, the pattern's last branch takes the rest of the text, so a lex
+error ends the scan. A token's offset is found only for an error, by
+lexing the document again. The serializer checks each IRI, CURIE, blank
+node label, language tag and prefix it writes by matching it against
+the same pattern, so whatever it writes reads back as the token it
+meant, and it builds its output in one join.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .graph import (RDF_TYPE, XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
@@ -68,31 +74,36 @@ _LOCAL = r"[A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*"  # a "." must lead to more name
 # another starts with a character the inner one cannot match, so matching
 # takes time linear in the input.
 _TABLE = [
-    ("IRIREF", rf"<(?P<iri>{_IRI_BODY})>"),
-    ("STRING", rf'"(?!"")(?P<string>{_STRING_BODY})"'),
-    ("BLANK", rf"_:(?P<label>{_NAME_CHAR}+)"),
+    ("IRIREF", rf"<{_IRI_BODY}>"),
+    ("STRING", rf'"(?!""){_STRING_BODY}"'),
+    ("BLANK", rf"_:{_NAME_CHAR}+"),
     ("PUNCT", r"[.;,\[\]]"),
     ("KEYWORD", rf"@(?:prefix|base)(?!{_NAME_CHAR})|a(?!{_NAME_CHAR}|:)"),
-    ("LANG", rf"@(?P<lang>{_NAME_CHAR}+)"),
+    ("LANG", rf"@{_NAME_CHAR}+"),
     ("DTSEP", r"\^\^"),
-    ("PNAME", rf"(?P<prefix>(?!_:)[^\W\d]{_NAME_CHAR}*|):{_LOCAL}"),
+    ("PNAME", rf"(?:(?!_:)[^\W\d]{_NAME_CHAR}*)?:{_LOCAL}"),
     ("EOF", r"\Z"),
 ]
-# whitespace and comments
-_SKIP_BODY = r"(?:[ \t\r\n]|#[^\n]*)*"
-_SKIP = re.compile(_SKIP_BODY)
-# One anchored match reads the skip and then the first _TABLE pattern that
-# matches. The skip is captured in a lookahead and matched again through a
-# backreference, which makes it atomic: a token that fails to match cannot
-# backtrack into a comment and lex a token inside it.
-_TOKEN = re.compile(rf"(?=(?P<skip>{_SKIP_BODY}))(?P=skip)(?:"
-                    + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _TABLE) + ")")
-# the group holding a token's value, where that is not the whole token
-_VALUE = {"IRIREF": "iri", "STRING": "string", "BLANK": "label", "LANG": "lang"}
+# A possessive skip over whitespace and comments, which no token can
+# backtrack into, then the token as the one group. Where no _TABLE pattern
+# matches, the last branch takes the rest of the text: findall then never
+# searches on past a lex error, and the scan ends there.
+_LEX = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*+("
+                  + "|".join(pattern for _, pattern in _TABLE) + r"|[\s\S]+)")
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(_NAME_CHAR + "*")
 _ESCAPE = re.compile(r'\\(["\\nrt])')
 _UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
+# the kind of every other token but BLANK and PNAME, by its first character
+_KIND_BY_START = {"<": "IRIREF", '"': "STRING", "@": "LANG", "^": "DTSEP", "": "EOF",
+                  **dict.fromkeys(".;,[]", "PUNCT")}
+
+
+def _kind(token: str) -> str:
+    """The _TABLE kind of a token the lexer read, told from its text."""
+    if token in ("@prefix", "@base", "a"):
+        return "KEYWORD"
+    return "BLANK" if token.startswith("_:") else _KIND_BY_START.get(token[:1], "PNAME")
 
 
 def _starts_name(c: str) -> bool:
@@ -102,10 +113,12 @@ def _starts_name(c: str) -> bool:
 
 
 def _lexes_as(kind: str, text: str) -> bool:
-    """Would the lexer read all of text as one token of this kind?"""
-    m = _TOKEN.match(text)
-    return (m is not None and m.lastgroup == kind and m.start(kind) == 0
-            and m.end() == len(text) and (kind != "PNAME" or _starts_name(text[0])))
+    """Would the lexer read all of text as one token of this kind? The
+    space appended ends every token and starts none, so the last branch,
+    which takes the rest of the text, cannot match just the text."""
+    m = _LEX.match(text + " ")
+    return (m.span(1) == (0, len(text)) and _kind(text) == kind
+            and (kind != "PNAME" or _starts_name(text[0])))
 
 
 def _error_at(text: str, pos: int, message: str, kind: ErrorKind) -> ParseError:
@@ -147,47 +160,49 @@ def _lex_error(text: str, pos: int) -> ParseError:
     return _error_at(text, pos, message, kind)
 
 
-def _tokens(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The document's tokens, one anchored match each, ending with EOF, as
-    three parallel lists: each token's kind (a kind named in _TABLE), its
-    value, and its character offset into the document. Flat lists of
-    strings and ints hold no per-token container for the cyclic garbage
-    collector to count and traverse, as a tuple per token would."""
-    kinds, values, starts = [], [], []
-    add_kind, add_value, add_start = kinds.append, values.append, starts.append
-    match, value_group = _TOKEN.match, _VALUE.get
-    pos = 0
-    while True:
-        m = match(text, pos)
-        if m is None:
-            raise _lex_error(text, _SKIP.match(text, pos).end())
-        kind = m.lastgroup
-        start = m.start(kind)
-        if kind == "PNAME" and not _starts_name(text[start]):
-            raise _lex_error(text, start)
-        value = m[value_group(kind, kind)]
-        if kind == "STRING" and "\\" in value:
-            value = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], value)
-        add_kind(kind)
-        add_value(value)
-        add_start(start)
-        if kind == "EOF":
-            return kinds, values, starts
-        pos = m.end()
+def _ends_in_error(tokens: list[str]) -> bool:
+    """Did the last branch, where no token matched, take the rest of the text?"""
+    last = tokens[-2] if len(tokens) > 1 else ""
+    return last != "" and not _lexes_as(_kind(last), last)
+
+
+def _located(text: str, tokens: list[str], i: int, message: str,
+             kind: ErrorKind) -> ParseError:
+    """The error to raise at tokens[i]: text's first lex error if it has
+    one, as a lexer that refused text before the parser read it would, and
+    otherwise this one. Its offset is found by lexing text again."""
+    # a PNAME such as "²x:o", which the pattern admits
+    bad = next((j for j, t in enumerate(tokens)
+                if _kind(t) == "PNAME" and not _starts_name(t[0])), None)
+    if bad is None and _ends_in_error(tokens):
+        bad = len(tokens) - 2
+    start = next(islice(_LEX.finditer(text), i if bad is None else bad, None)).start(1)
+    return _error_at(text, start, message, kind) if bad is None else _lex_error(text, start)
+
+
+def _tokens(text: str) -> list[str]:
+    """The token texts of text from one findall, ending with the EOF token
+    "" (twice after trailing whitespace or a comment). A text that ends in
+    a lex error raises its first one; _Parser._directive says how "²x:o"
+    is refused."""
+    tokens = _LEX.findall(text)
+    if _ends_in_error(tokens):
+        raise _located(text, tokens, len(tokens) - 2, "", ErrorKind.UNEXPECTED_TOKEN)
+    return tokens
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 class _Parser:
-    """Recursive descent over the token lists. Token i is (kinds[i],
-    values[i], starts[i]), and a token is passed around by its index.
-    self.i indexes the next token; taking the EOF token always ends in a
+    """Recursive descent over the token texts. A token is passed around by
+    its index into self.tokens, and its kind is told from its text.
+    self.i indexes the next token; taking the EOF token "" always ends in a
     ParseError, so self.i never runs past it."""
 
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.values, self.starts = _tokens(text)
+        self.tokens = _tokens(text)
         self.i = 0
         self.triples: list[Triple] = []
         self.prefixes: PrefixMap = {}
@@ -195,28 +210,24 @@ class _Parser:
         # one Iri per distinct IRI: each is checked and built once, and
         # equal terms are the same object
         self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE}
-        # CURIE text -> Iri under the prefixes declared so far
-        self._curies: dict[str, Iri] = {}
+        # CURIE and <IRI> token text -> Iri, under the current prefixes and base
+        self._terms: dict[str, Iri] = {}
         self._anon = 0
         self._depth = 0
-        # "[ ]" labels must not collide with any explicit "_:" label;
-        # collected at the first "["
+        # the explicit "_:" labels, which "[ ]" labels avoid; read at the first "["
         self._explicit: Optional[set[str]] = None
 
     def _err(self, i: int, message: str, kind: ErrorKind):
-        raise _error_at(self.text, self.starts[i], message, kind)
-
-    def _is(self, i: int, punct: str) -> bool:
-        return self.kinds[i] == "PUNCT" and self.values[i] == punct
+        raise _located(self.text, self.tokens, i, message, kind)
 
     def parse(self) -> ParseResult:
-        kinds, values = self.kinds, self.values
-        while kinds[i := self.i] != "EOF":
-            if kinds[i] == "KEYWORD" and values[i] in ("@prefix", "@base"):
+        tokens = self.tokens
+        while token := tokens[self.i]:
+            if token == "@prefix" or token == "@base":
                 self._directive()
             else:
                 self._triples()
-        del self.kinds, self.values, self.starts  # spent: free them before the graph
+        del self.tokens  # spent: free them before the graph
         return ParseResult(Graph(self.triples).freeze(), dict(self.prefixes), self.base)
 
     def _take(self) -> int:
@@ -224,117 +235,115 @@ class _Parser:
         return self.i - 1
 
     def _directive(self):
-        kinds, values = self.kinds, self.values
-        if values[self._take()] == "@prefix":
+        tokens = self.tokens
+        if tokens[self._take()] == "@prefix":
             name = self._take()
-            if kinds[name] != "PNAME" or not values[name].endswith(":"):
+            label = tokens[name]
+            # a "²x:" label is refused, so "²x:o" always names an undeclared
+            # prefix, and _err reports both as the lex errors they are
+            if not (_kind(label) == "PNAME" and label.endswith(":")
+                    and _starts_name(label[0])):
                 self._err(name, "prefix label expected after @prefix",
                           ErrorKind.UNEXPECTED_TOKEN)
             iriref = self._take()
-            if kinds[iriref] != "IRIREF":
+            if _kind(tokens[iriref]) != "IRIREF":
                 self._err(iriref, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            label, ns = values[name][:-1], values[iriref]
-            if self.prefixes.get(label) != ns:
-                self.prefixes[label] = ns
+            ns = tokens[iriref][1:-1]
+            if self.prefixes.get(label[:-1]) != ns:
+                self.prefixes[label[:-1]] = ns
                 # forget the CURIEs resolved under the old namespace
-                stale = label + ":"
-                for curie in [c for c in self._curies if c.startswith(stale)]:
-                    del self._curies[curie]
+                for token in [t for t in self._terms if t.startswith(label)]:
+                    del self._terms[token]
         else:
             iriref = self._take()
-            if kinds[iriref] != "IRIREF":
+            if _kind(tokens[iriref]) != "IRIREF":
                 self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
             self.base = self._resolve_iri(iriref)
+            # forget the relative IRIs resolved against the old base
+            for token in [t for t in self._terms if t[0] == "<" and ":" not in t]:
+                del self._terms[token]
         dot = self._take()
-        if not self._is(dot, "."):
+        if tokens[dot] != ".":
             self._err(dot, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
 
     def _triples(self):
         subject = self._subject()
         self._predicate_object_list(subject)
         dot = self._take()
-        if not self._is(dot, "."):
+        if self.tokens[dot] != ".":
             self._err(dot, "'.' expected at end of statement",
                       ErrorKind.UNTERMINATED_STATEMENT)
 
     def _subject(self):
         i = self.i
-        kind, value = self.kinds[i], self.values[i]
-        if kind == "PUNCT" and value == "[":
+        token = self.tokens[i]
+        if token == "[":
             return self._anon_node()
         self.i += 1
-        if kind == "PNAME":
-            return self._curies.get(value) or self._resolve_curie(i)
-        if kind == "IRIREF":
-            return self._resolve_iri(i)
-        if kind == "BLANK":
-            return BlankNode(value)
-        self._err(i, "subject expected", ErrorKind.UNEXPECTED_TOKEN)
+        return self._terms.get(token) or self._node(i, "subject expected")
 
     def _predicate_object_list(self, subject):
-        kinds, values = self.kinds, self.values
-        curies, append = self._curies, self.triples.append
+        tokens, terms, append = self.tokens, self._terms, self.triples.append
         while True:
             i = self.i
-            kind, value = kinds[i], values[i]
+            token = tokens[i]
             self.i += 1
-            if kind == "PNAME":
-                pred = curies.get(value) or self._resolve_curie(i)
-            elif kind == "KEYWORD" and value == "a":
-                pred = RDF_TYPE
-            elif kind == "IRIREF":
-                pred = self._resolve_iri(i)
-            else:
-                self._err(i, "predicate expected", ErrorKind.UNEXPECTED_TOKEN)
+            pred = terms.get(token) or (RDF_TYPE if token == "a" else
+                                        self._node(i, "predicate expected", blank=False))
             while True:
                 append(Triple(subject, pred, self._object()))
-                i = self.i
-                kind, value = kinds[i], values[i]
-                if not (kind == "PUNCT" and value == ","):
+                token = tokens[self.i]
+                if token != ",":
                     break
                 self.i += 1
-            if not (kind == "PUNCT" and value == ";"):
+            if token != ";":
                 return
             self.i += 1
             # tolerate trailing ';' before '.' or ']'
-            i = self.i
-            if kinds[i] == "PUNCT" and values[i] in (".", "]"):
+            if tokens[self.i] in (".", "]"):
                 return
 
     def _object(self) -> Term:
         i = self.i
-        kind, value = self.kinds[i], self.values[i]
-        if kind == "PUNCT" and value == "[":
+        token = self.tokens[i]
+        if token == "[":
             return self._anon_node()
         self.i += 1
+        if token[:1] == '"':
+            return self._literal(token[1:-1])
+        return self._terms.get(token) or self._node(i, "object expected")
+
+    def _node(self, i: int, expected: str, blank=True, error=ErrorKind.UNEXPECTED_TOKEN):
+        """The IRI, or if blank is true the blank node, that token i names.
+        A token that names none raises the error, saying what was expected."""
+        token = self.tokens[i]
+        kind = _kind(token)
         if kind == "PNAME":
-            return self._curies.get(value) or self._resolve_curie(i)
+            return self._resolve_curie(i)
         if kind == "IRIREF":
             return self._resolve_iri(i)
-        if kind == "BLANK":
-            return BlankNode(value)
-        if kind == "STRING":
-            return self._literal(value)
-        self._err(i, "object expected", ErrorKind.UNEXPECTED_TOKEN)
+        if kind == "BLANK" and blank:
+            return BlankNode(token[2:])
+        self._err(i, expected, error)
 
     def _literal(self, lexical: str) -> Literal:
+        if "\\" in lexical:
+            lexical = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], lexical)
         i = self.i
-        kind, value = self.kinds[i], self.values[i]
+        kind = _kind(self.tokens[i])
         if kind == "LANG":
             self.i += 1
+            tag = self.tokens[i][1:]
             # Literal lower-cases the tag, and the serializer writes that form
-            if not _lexes_as("LANG", "@" + value.lower()):
-                self._err(i, f"language tag {value!r} is not a tag once lower-cased",
+            if not _lexes_as("LANG", "@" + tag.lower()):
+                self._err(i, f"language tag {tag!r} is not a tag once lower-cased",
                           ErrorKind.BAD_LITERAL)
-            return Literal(lexical, lang=value)
+            return Literal(lexical, lang=tag)
         if kind == "DTSEP":
             self.i += 1
             dt = self._take()
-            if self.kinds[dt] == "IRIREF":
-                return Literal(lexical, datatype=self._resolve_iri(dt))
-            if self.kinds[dt] == "PNAME":
-                return Literal(lexical, datatype=self._resolve_curie(dt))
-            self._err(dt, "datatype IRI expected", ErrorKind.BAD_LITERAL)
+            return Literal(lexical, datatype=self._terms.get(self.tokens[dt]) or self._node(
+                dt, "datatype IRI expected", blank=False, error=ErrorKind.BAD_LITERAL))
         return Literal(lexical)
 
     def _anon_node(self) -> BlankNode:
@@ -343,37 +352,38 @@ class _Parser:
             self._err(opener, f"'[' nested deeper than {_MAX_NESTING}",
                       ErrorKind.UNEXPECTED_TOKEN)
         if self._explicit is None:
-            self._explicit = {value for kind, value in zip(self.kinds, self.values)
-                              if kind == "BLANK"}
+            self._explicit = {t[2:] for t in self.tokens if t.startswith("_:")}
         self._anon += 1
         while f"b{self._anon}" in self._explicit:
             self._anon += 1
         node = BlankNode(f"b{self._anon}")
-        if not self._is(self.i, "]"):
+        if self.tokens[self.i] != "]":
             self._depth += 1
             self._predicate_object_list(node)
             self._depth -= 1
         closer = self._take()
-        if not self._is(closer, "]"):
+        if self.tokens[closer] != "]":
             self._err(closer, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
         return node
 
     def _resolve_iri(self, i: int) -> Iri:
-        value = self.values[i]
+        token = self.tokens[i]
+        value = token[1:-1]
         if ":" not in value:
             if self.base is None:
                 self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
             value = self.base + value
-        return self._iri(i, value)
+        iri = self._terms[token] = self._iri(i, value)
+        return iri
 
     def _resolve_curie(self, i: int) -> Iri:
-        curie = self.values[i]
+        curie = self.tokens[i]
         prefix, _, local = curie.partition(":")
         ns = self.prefixes.get(prefix)
         if ns is None:
             self._err(i, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
         # a relative namespace gives no IRI
-        iri = self._curies[curie] = self._iri(i, ns + local)
+        iri = self._terms[curie] = self._iri(i, ns + local)
         return iri
 
     def _iri(self, i: int, value: str) -> Iri:
@@ -452,8 +462,9 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
             text = rendered[t] = _render_term(t, by_ns)
         return text
 
-    lines = [f"@prefix {label}: <{ns}> ." for label, ns in sorted(prefixes.items())]
-    blocks = []
+    # the output's pieces, joined once at the end: each block ends in a
+    # newline, and a blank line goes before each block that follows text
+    out = [f"@prefix {label}: <{ns}> .\n" for label, ns in sorted(prefixes.items())]
     by_subject: dict[Term, list[Triple]] = {}
     for t in graph:
         by_subject.setdefault(t.subject, []).append(t)
@@ -461,14 +472,13 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
         by_pred: dict[Iri, list[Term]] = {}
         for t in by_subject[subject]:
             by_pred.setdefault(t.predicate, []).append(t.object)
-        pred_parts = []
+        if out:
+            out.append("\n")
+        out.append(render(subject))
+        separator = " "
         for pred in sorted(by_pred, key=term_key):
-            pname = "a" if pred == RDF_TYPE else render(pred)
-            objs = ", ".join(map(render, sorted(by_pred[pred], key=term_key)))
-            pred_parts.append(f"{pname} {objs}")
-        head = render(subject)
-        blocks.append(f"{head} " + " ;\n    ".join(pred_parts) + " .")
-    out = "\n".join(lines)
-    if lines and blocks:
-        out += "\n\n"
-    return out + "\n\n".join(blocks) + ("\n" if blocks or lines else "")
+            out += (separator, "a" if pred == RDF_TYPE else render(pred), " ",
+                    ", ".join(map(render, sorted(by_pred[pred], key=term_key))))
+            separator = " ;\n    "
+        out.append(" .\n")
+    return "".join(out)

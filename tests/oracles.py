@@ -9,13 +9,14 @@ and the library as the correctness criterion.
 from __future__ import annotations
 
 import itertools
+import re
 
 from iconmodel.casebook import InterpretationLevel
 from iconmodel.graph import BlankNode, Graph, Iri, Literal, Term, Triple
 from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
 from iconmodel.shapes import Severity
-from iconmodel.turtle_io import RDF_TYPE
+from iconmodel.turtle_io import RDF_TYPE, _TABLE, _lex_error
 from iconmodel.vocab import (DATA_NAMESPACE, AxiomKind, Direction, TermRegistry,
                              curie_to_iri)
 
@@ -412,3 +413,34 @@ def count_fixture_statements(text: str) -> int:
             continue
         seen.add(line)
     return len(seen)
+
+
+def oracle_tokens(text: str) -> list[str]:
+    """The token texts of text, read one at a time and ending with the EOF
+    token "": skip whitespace and comments character by character, then
+    try each _TABLE pattern on its own at that position and take the first
+    that matches. A position where none matches, or a PNAME that starts
+    with neither a letter, "_" nor ":" (such as "²x:o"), raises the
+    ParseError that _lex_error gives for it."""
+    patterns = [(kind, re.compile(pattern)) for kind, pattern in _TABLE]
+    tokens, pos = [], 0
+    while True:
+        while pos < len(text) and text[pos] in " \t\r\n#":
+            if text[pos] == "#":
+                end = text.find("\n", pos)
+                pos = len(text) if end < 0 else end
+            else:
+                pos += 1
+        for kind, pattern in patterns:
+            m = pattern.match(text, pos)
+            if m:
+                break
+        else:
+            raise _lex_error(text, pos)
+        token = m[0]
+        if kind == "PNAME" and not (token[0].isalpha() or token[0] in "_:"):
+            raise _lex_error(text, pos)
+        tokens.append(token)
+        if kind == "EOF":
+            return tokens
+        pos = m.end()

@@ -256,6 +256,18 @@ class TestIsomorphism:
         g = Graph(t(x, iri("next"), y) for x, y in zip(chain, chain[1:])).freeze()
         assert isomorphic(g, g)
 
+    @pytest.mark.parametrize("y,answer", [
+        ("_:u ex:p ex:o ; ex:q _:v . _:v ex:r ex:s .", True),
+        ("_:u ex:p ex:o ; ex:q _:v . _:u ex:r ex:s .", False),
+        ("ex:a ex:p [ ex:q ex:o ] . ex:b ex:p ex:c .", False),
+    ])
+    def test_parsed_graphs_build_no_indexes(self, y, answer):
+        prefix = f"@prefix ex: <{EX}> .\n"
+        a = parse_turtle(prefix + "_:x ex:p ex:o ; ex:q _:y . _:y ex:r ex:s .").graph
+        b = parse_turtle(prefix + y).graph
+        assert isomorphic(a, b) is answer
+        assert a._index is None and b._index is None
+
 
 def blank_edges(edges) -> Graph:
     return Graph(t(BlankNode(f"n{x}"), iri("p"), BlankNode(f"n{y}"))

@@ -7,14 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from iconmodel.graph import (BlankNode, Graph, GraphError, Iri, Literal, Triple,
                              isomorphic)
-from iconmodel.turtle_io import (ErrorKind, ParseError, RDF_TYPE, _Parser, parse_turtle,
-                                 serialize_turtle)
+from iconmodel.turtle_io import (ErrorKind, ParseError, RDF_TYPE, _Parser, _tokens,
+                                 parse_turtle, serialize_turtle)
 from iconmodel.vocab import NAMESPACES
 from iconmodel.casebook import case_document, list_cases
 
 from conftest import turtle_random_graph
+from oracles import oracle_tokens
 
 EX = "@prefix ex: <http://example.org/> .\n"
+# 20,000 statements on lines 2 to 20,001
+STATEMENTS = EX + "ex:s ex:p ex:o .\n" * 20_000
 
 
 @contextlib.contextmanager
@@ -115,7 +118,7 @@ class TestParseBasics:
         resolve = _Parser._resolve_curie
 
         def spy(parser, i):
-            resolved.append(parser.values[i])
+            resolved.append(parser.tokens[i])
             return resolve(parser, i)
 
         monkeypatch.setattr(_Parser, "_resolve_curie", spy)
@@ -251,6 +254,22 @@ class TestParseErrors:
         lines = text[:len(text) - len(last) + offset].split("\n")
         assert (e.line, e.column) == (len(lines), len(lines[-1]) + 1)
 
+    @pytest.mark.parametrize("bad,message", [
+        ("%", "unexpected character '%'"),
+        ("²x:o", "numeric shorthand"),  # a PNAME to the pattern, but no name
+    ])
+    @pytest.mark.parametrize("first", ["ex:s ex:p .", "ex:s ex:p ex:o", "e:s ex:p ex:o ."])
+    def test_lex_error_wins_over_an_earlier_parse_error(self, first, bad, message):
+        e = self.err(EX + first + "\nex:s ex:p ex:o .\n\tex:s ex:p " + bad
+                     + " .\nex:s ex:p ex:o .")
+        assert (e.line, e.column, e.kind) == (4, 12, ErrorKind.UNEXPECTED_TOKEN)
+        assert message in e.message
+
+    def test_prefix_label_that_starts_with_a_numeral_is_a_lex_error(self):
+        e = self.err("@prefix ²x: <http://example.org/> .\n²x:s ²x:p ²x:o .")
+        assert (e.line, e.column, e.kind) == (1, 9, ErrorKind.UNEXPECTED_TOKEN)
+        assert "numeric shorthand" in e.message
+
     def test_no_token_is_read_inside_a_comment(self):
         # the skip over whitespace and comments never gives back a part of
         # a comment for a token to match, such as the keyword "a" here
@@ -276,6 +295,46 @@ def test_parse_raises_only_parse_error(text):
             parse_turtle(doc)
         except ParseError:
             pass
+
+
+def lexed(doc):
+    """oracle_tokens(doc), or its error as (line, column, kind, message)."""
+    try:
+        return oracle_tokens(doc)
+    except ParseError as e:
+        return (e.line, e.column, e.kind, e.message)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(TURTLE_ALPHABET), max_size=40).map("".join))
+def test_lexer_agrees_with_oracle(text):
+    """The lexer reads the oracle's tokens, and then at most one more EOF
+    token. Where the oracle finds a lex error, parsing raises that error,
+    whatever parse error comes first: the lexer raises one that ends the
+    text, and the parser refuses a PNAME such as "²x:o"."""
+    for doc in (text, EX + text):
+        want = lexed(doc)
+        if isinstance(want, list):
+            tokens = _tokens(doc)
+            assert tokens[:len(want)] == want and tokens[len(want):] in ([], [""])
+        else:
+            with pytest.raises(ParseError) as e:
+                parse_turtle(doc)
+            assert (e.value.line, e.value.column, e.value.kind, e.value.message) == want
+
+
+def test_long_trailing_whitespace_and_comments_parse_quickly():
+    tail = (" " * 90 + "# a comment\n") * 2_000  # 204,000 characters
+    with deadline(0.5):
+        r = parse_turtle(STATEMENTS + tail)
+    assert len(r.graph) == 1
+
+
+def test_lex_error_after_long_document_is_found_quickly():
+    with deadline(0.5), pytest.raises(ParseError) as e:
+        parse_turtle(STATEMENTS + "ex:s ex:p\t%")
+    assert (e.value.line, e.value.column) == (20_002, 11)
+    assert e.value.message == "unexpected character '%'"
 
 
 @pytest.mark.parametrize("doc", [
