@@ -12,8 +12,8 @@ lower-case form is not a tag.
 
 The token table _TABLE is the token grammar. The lexer reads a whole
 document with one findall over a pattern built from it: each match
-skips whitespace and comments possessively, so no token starts inside a
-comment, and captures the first _TABLE pattern that matches. A token is
+skips all whitespace and comments, so no token starts inside a comment,
+and captures the first _TABLE pattern that matches. A token is
 its own text, and its kind is told from that text. Where no token
 matches, the pattern's last branch takes the rest of the text, so a lex
 error ends the scan. A token's offset is found only for an error, by
@@ -84,11 +84,11 @@ _TABLE = [
     ("PNAME", rf"(?:(?!_:)[^\W\d]{_NAME_CHAR}*)?:{_LOCAL}"),
     ("EOF", r"\Z"),
 ]
-# A possessive skip over whitespace and comments, which no token can
-# backtrack into, then the token as the one group. Where no _TABLE pattern
-# matches, the last branch takes the rest of the text: findall then never
-# searches on past a lex error, and the scan ends there.
-_LEX = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*+("
+# A skip over whitespace and comments, then the token as the one group.
+# Where no _TABLE pattern matches, the last branch takes the rest of the
+# text, so a match never backtracks into the skip, and findall never
+# searches on past a lex error.
+_LEX = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*("
                   + "|".join(pattern for _, pattern in _TABLE) + r"|[\s\S]+)")
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(_NAME_CHAR + "*")
@@ -472,13 +472,13 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
         by_pred: dict[Iri, list[Term]] = {}
         for t in by_subject[subject]:
             by_pred.setdefault(t.predicate, []).append(t.object)
-        if out:
-            out.append("\n")
-        out.append(render(subject))
+        head = len(out)  # the subject's slot: it is checked after its terms
+        out.append("\n" if out else "")
         separator = " "
         for pred in sorted(by_pred, key=term_key):
             out += (separator, "a" if pred == RDF_TYPE else render(pred), " ",
                     ", ".join(map(render, sorted(by_pred[pred], key=term_key))))
             separator = " ;\n    "
+        out[head] += render(subject)
         out.append(" .\n")
     return "".join(out)

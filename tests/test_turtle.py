@@ -467,6 +467,15 @@ class TestRoundTripPromise:
         with pytest.raises(GraphError, match="<http://example.org/a b>"):
             serialize_turtle(g, EXAMPLE_PREFIXES)
 
+    def test_error_names_a_subjects_terms_before_the_subject(self):
+        p = Iri("http://example.org/p")
+        g = Graph([Triple(BlankNode("s x"), p, BlankNode("o x"))]).freeze()
+        with pytest.raises(GraphError, match="o x"):
+            serialize_turtle(g, EXAMPLE_PREFIXES)
+        g = Graph([Triple(BlankNode("s x"), Iri("http://example.org/p q"), p)]).freeze()
+        with pytest.raises(GraphError, match="p q"):
+            serialize_turtle(g, EXAMPLE_PREFIXES)
+
     @pytest.mark.parametrize("prefixes", [{"_": "http://example.org/"},
                                           {"1x": "http://example.org/"},
                                           {"²x": "http://example.org/"},
