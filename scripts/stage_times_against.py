@@ -23,13 +23,15 @@ Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
 (from gc.callbacks): a collection runs when allocations cross a threshold,
-so a stage can pay for garbage an earlier stage left. Last, for each tree,
-the tracemalloc bytes that one ingest result holds (the parse result,
-closure, validation report and serialized text, which perfbench's ingest
-loop keeps until the next operation), and each ingest stage's traced peak
-above the operation's start while the previous result is still held.
-The largest of these is the operation's peak, so it shows which stage
-sets it.
+so a stage can pay for garbage an earlier stage left. An untimed
+gc.collect() before each run starts every run, of either tree, from the
+same collector state, so one tree's garbage is not collected inside the
+other's stages. Last, for each tree, the tracemalloc bytes that one
+ingest result holds (the parse result, closure, validation report and
+serialized text, which perfbench's ingest loop keeps until the next
+operation), and each ingest stage's traced peak above the operation's
+start while the previous result is still held. The largest of these is
+the operation's peak, so it shows which stage sets it.
 
     python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
 
@@ -195,6 +197,7 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
             order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
             outputs, derivations, orders, answers = {}, {}, {}, {}
             for name in order:
+                gc.collect()
                 (ms, gc_ms, outputs[name], derivations[name], orders[name],
                  answers[name]) = run_once(trees[name], text, sessions[name], clock)
                 for stage in STAGES:

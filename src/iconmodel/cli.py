@@ -90,9 +90,7 @@ def cmd_validate(args) -> int:
     reg = build_registry()
     g = result.graph
     if not args.no_axioms:
-        rules = RuleSet(hierarchy=True, shortcut_contraction=False,
-                        domain_range_typing=False)
-        g = close(g, reg, rules).graph()
+        g = close(g, reg, RuleSet(shortcut_contraction=False)).graph()
     report = validate(g, default_shapes(reg), reg)
     if args.json:
         print(report.to_json())
@@ -126,15 +124,12 @@ def cmd_infer(args) -> int:
     if not names:
         _err("no rules selected")
         return EXIT_ERROR
-    rules = RuleSet(hierarchy=False, shortcut_contraction=False,
-                    domain_range_typing=False)
-    for name in names:
-        field = _RULE_NAMES.get(name)
-        if field is None:
-            _err(f"unknown rule name {name!r} "
-                 f"(expected one of: {', '.join(sorted(_RULE_NAMES))})")
-            return EXIT_ERROR
-        setattr(rules, field, True)
+    unknown = next((name for name in names if name not in _RULE_NAMES), None)
+    if unknown is not None:
+        _err(f"unknown rule name {unknown!r} "
+             f"(expected one of: {', '.join(sorted(_RULE_NAMES))})")
+        return EXIT_ERROR
+    rules = RuleSet(**{field: name in names for name, field in _RULE_NAMES.items()})
     closure = close(result.graph, build_registry(), rules)
     if args.emit == "base":
         out = closure.base

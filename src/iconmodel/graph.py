@@ -8,7 +8,9 @@ tuple of fields, and never carries one process's string hash seed into
 another. Equality widens in one way: an Iri equals the plain str of its
 text, and a Triple or Literal the plain tuple of its fields. A blank
 node hashes as its label but equals only a blank node, so no term
-equals one of another kind. A parse shares one Iri per distinct IRI.
+equals one of another kind. A parse builds one Iri per distinct token
+text under the current prefixes and base, so one IRI written two ways
+gives two equal Iri objects.
 
 Graphs are append-only while being built and are frozen before they
 are handed out. A graph builds its subject, predicate and object

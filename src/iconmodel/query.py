@@ -194,10 +194,17 @@ def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
     if not isinstance(value, str):
         raise QueryError(f"bad term {value!r}")
     if value.startswith("?"):
-        return Var(value[1:])
+        return _var(value)
     if value.startswith("_:"):
         return BlankNode(value[2:])
     return _resolve(value, prefixes)
+
+
+def _var(value: str) -> Var:
+    """The variable that "?name" names; a bare "?" names none."""
+    if value == "?":
+        raise QueryError("variable '?' has no name")
+    return Var(value[1:])
 
 
 def _resolve(value: str, prefixes: PrefixMap) -> Iri:
@@ -233,7 +240,7 @@ def _path_from_json(value, prefixes: PrefixMap, depth: int = 0):
             if depth:
                 raise QueryError(f"variable {value} inside a path expression: "
                                  "only a bare predicate may be a variable")
-            return Var(value[1:])
+            return _var(value)
         return _resolve(value, prefixes)
     if isinstance(value, dict):
         if "inv" in value:
@@ -267,7 +274,7 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
     for v in select:
         if not (isinstance(v, str) and v.startswith("?")):
             raise QueryError(f"bad projection entry {v!r}")
-        projection.append(Var(v[1:]))
+        projection.append(_var(v))
     triples = []
     for row in where:
         if not (isinstance(row, list) and len(row) == 3):
@@ -301,7 +308,7 @@ def solutions_to_json(solutions: set[Solution]) -> list[dict]:
 def solutions_from_json(rows: list[dict]) -> set[Solution]:
     out = set()
     for row in rows:
-        out.add(Solution.of({k.lstrip("?"): _term_from_json(v, {})
+        out.add(Solution.of({k.removeprefix("?"): _term_from_json(v, {})
                              for k, v in row.items()}))
     return out
 

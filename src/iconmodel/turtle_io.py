@@ -13,14 +13,17 @@ lower-case form is not a tag.
 The token table _TABLE is the token grammar. The lexer reads a whole
 document with one findall over a pattern built from it: each match
 skips all whitespace and comments, so no token starts inside a comment,
-and captures the first _TABLE pattern that matches. A token is
-its own text, and its kind is told from that text. Where no token
-matches, the pattern's last branch takes the rest of the text, so a lex
-error ends the scan. A token's offset is found only for an error, by
-lexing the document again. The serializer checks each IRI, CURIE, blank
-node label, language tag and prefix it writes by matching it against
-the same pattern, so whatever it writes reads back as the token it
-meant, and it builds its output in one join.
+and captures the first _TABLE pattern that matches. A token is its own
+text, and _kind alone tells its kind from that text. It also refuses a
+prefixed name that starts with a numeral such as "²", which the pattern
+admits. Where no token matches, the pattern's last branch takes the
+rest of the text, so a lex error ends the scan. A token's offset is
+found only for an error, by lexing the document again. The parser turns
+a CURIE or <IRI> token into an Iri in one method, _Parser._node, cached
+by token text. The serializer checks each IRI, CURIE, blank node label,
+language tag and prefix it writes by matching it against the same
+pattern, so whatever it writes reads back as the token it meant, and
+it builds its output in one join.
 """
 
 from __future__ import annotations
@@ -99,26 +102,26 @@ _KIND_BY_START = {"<": "IRIREF", '"': "STRING", "@": "LANG", "^": "DTSEP", "": "
                   **dict.fromkeys(".;,[]", "PUNCT")}
 
 
-def _kind(token: str) -> str:
-    """The _TABLE kind of a token the lexer read, told from its text."""
+def _kind(token: str) -> Optional[str]:
+    """The _TABLE kind of a token the lexer read, told from its text, or
+    None for a PNAME that starts with a numeral such as "²": the pattern's
+    [^\\W\\d] admits one, but a name starts with a letter, "_", or the ":"
+    of an empty prefix."""
     if token in ("@prefix", "@base", "a"):
         return "KEYWORD"
-    return "BLANK" if token.startswith("_:") else _KIND_BY_START.get(token[:1], "PNAME")
+    if token.startswith("_:"):
+        return "BLANK"
+    kind = _KIND_BY_START.get(token[:1], "PNAME")
+    if kind == "PNAME" and not (token[0].isalpha() or token[0] in "_:"):
+        return None
+    return kind
 
 
-def _starts_name(c: str) -> bool:
-    """Can a PNAME start with c: a letter, "_", or the ":" of an empty
-    prefix? The pattern's \\w also admits numerals such as "²"."""
-    return c.isalpha() or c == "_" or c == ":"
-
-
-def _lexes_as(kind: str, text: str) -> bool:
+def _lexes_as(kind: Optional[str], text: str) -> bool:
     """Would the lexer read all of text as one token of this kind? The
     space appended ends every token and starts none, so the last branch,
     which takes the rest of the text, cannot match just the text."""
-    m = _LEX.match(text + " ")
-    return (m.span(1) == (0, len(text)) and _kind(text) == kind
-            and (kind != "PNAME" or _starts_name(text[0])))
+    return _LEX.match(text + " ").span(1) == (0, len(text)) and _kind(text) == kind
 
 
 def _error_at(text: str, pos: int, message: str, kind: ErrorKind) -> ParseError:
@@ -171,9 +174,7 @@ def _located(text: str, tokens: list[str], i: int, message: str,
     """The error to raise at tokens[i]: text's first lex error if it has
     one, as a lexer that refused text before the parser read it would, and
     otherwise this one. Its offset is found by lexing text again."""
-    # a PNAME such as "²x:o", which the pattern admits
-    bad = next((j for j, t in enumerate(tokens)
-                if _kind(t) == "PNAME" and not _starts_name(t[0])), None)
+    bad = next((j for j, t in enumerate(tokens) if _kind(t) is None), None)
     if bad is None and _ends_in_error(tokens):
         bad = len(tokens) - 2
     start = next(islice(_LEX.finditer(text), i if bad is None else bad, None)).start(1)
@@ -183,8 +184,8 @@ def _located(text: str, tokens: list[str], i: int, message: str,
 def _tokens(text: str) -> list[str]:
     """The token texts of text from one findall, ending with the EOF token
     "" (twice after trailing whitespace or a comment). A text that ends in
-    a lex error raises its first one; _Parser._directive says how "²x:o"
-    is refused."""
+    a lex error raises its first one. A token that _kind names None, such
+    as "²x:o", is refused by _located when the parser fails on it."""
     tokens = _LEX.findall(text)
     if _ends_in_error(tokens):
         raise _located(text, tokens, len(tokens) - 2, "", ErrorKind.UNEXPECTED_TOKEN)
@@ -207,9 +208,6 @@ class _Parser:
         self.triples: list[Triple] = []
         self.prefixes: PrefixMap = {}
         self.base: Optional[Iri] = None
-        # one Iri per distinct IRI: each is checked and built once, and
-        # equal terms are the same object
-        self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE}
         # CURIE and <IRI> token text -> Iri, under the current prefixes and base
         self._terms: dict[str, Iri] = {}
         self._anon = 0
@@ -239,10 +237,7 @@ class _Parser:
         if tokens[self._take()] == "@prefix":
             name = self._take()
             label = tokens[name]
-            # a "²x:" label is refused, so "²x:o" always names an undeclared
-            # prefix, and _err reports both as the lex errors they are
-            if not (_kind(label) == "PNAME" and label.endswith(":")
-                    and _starts_name(label[0])):
+            if not (_kind(label) == "PNAME" and label.endswith(":")):
                 self._err(name, "prefix label expected after @prefix",
                           ErrorKind.UNEXPECTED_TOKEN)
             iriref = self._take()
@@ -258,7 +253,7 @@ class _Parser:
             iriref = self._take()
             if _kind(tokens[iriref]) != "IRIREF":
                 self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            self.base = self._resolve_iri(iriref)
+            self.base = self._node(iriref, "base IRI expected", blank=False)
             # forget the relative IRIs resolved against the old base
             for token in [t for t in self._terms if t[0] == "<" and ":" not in t]:
                 del self._terms[token]
@@ -315,16 +310,31 @@ class _Parser:
 
     def _node(self, i: int, expected: str, blank=True, error=ErrorKind.UNEXPECTED_TOKEN):
         """The IRI, or if blank is true the blank node, that token i names.
-        A token that names none raises the error, saying what was expected."""
+        An IRI is cached in self._terms by its token text. A token that
+        names none raises the error, saying what was expected."""
         token = self.tokens[i]
         kind = _kind(token)
         if kind == "PNAME":
-            return self._resolve_curie(i)
-        if kind == "IRIREF":
-            return self._resolve_iri(i)
-        if kind == "BLANK" and blank:
+            prefix, _, local = token.partition(":")
+            ns = self.prefixes.get(prefix)
+            if ns is None:
+                self._err(i, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
+            value = ns + local  # a relative namespace gives no IRI
+        elif kind == "IRIREF":
+            value = token[1:-1]
+            if ":" not in value:
+                if self.base is None:
+                    self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
+                value = self.base + value
+        elif kind == "BLANK" and blank:
             return BlankNode(token[2:])
-        self._err(i, expected, error)
+        else:
+            self._err(i, expected, error)
+        try:
+            self._terms[token] = iri = Iri(value)
+        except ValueError:
+            self._err(i, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
+        return iri
 
     def _literal(self, lexical: str) -> Literal:
         if "\\" in lexical:
@@ -365,35 +375,6 @@ class _Parser:
         if self.tokens[closer] != "]":
             self._err(closer, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
         return node
-
-    def _resolve_iri(self, i: int) -> Iri:
-        token = self.tokens[i]
-        value = token[1:-1]
-        if ":" not in value:
-            if self.base is None:
-                self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
-            value = self.base + value
-        iri = self._terms[token] = self._iri(i, value)
-        return iri
-
-    def _resolve_curie(self, i: int) -> Iri:
-        curie = self.tokens[i]
-        prefix, _, local = curie.partition(":")
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            self._err(i, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
-        # a relative namespace gives no IRI
-        iri = self._terms[curie] = self._iri(i, ns + local)
-        return iri
-
-    def _iri(self, i: int, value: str) -> Iri:
-        iri = self._iris.get(value)
-        if iri is None:
-            try:
-                iri = self._iris[value] = Iri(value)
-            except ValueError:
-                self._err(i, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
-        return iri
 
 
 def parse_turtle(text: str) -> ParseResult:

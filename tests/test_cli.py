@@ -204,6 +204,16 @@ class TestQuery:
         assert len(solutions) == len(rows) > 0
         assert {type(dict(x.bindings)["o"]) for x in solutions} >= {Iri, Literal}
 
+    @pytest.mark.parametrize("select, row", [(["?"], ["?s", "?p", "?o"]),
+                                             (["?s"], ["?s", "?", "?o"])])
+    def test_bare_question_mark_is_exit_2(self, capsys, tmp_path, fixture_path,
+                                          select, row):
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": select, "where": [row]}))
+        code, out, err = run(capsys, "query", fixture_path("laocoon.ttl"), str(pattern))
+        assert code == 2 and out == ""
+        assert err.startswith("icon:") and "has no name" in err
+
     def test_bad_pattern_json(self, capsys, tmp_path, fixture_path):
         pattern = tmp_path / "q.json"
         pattern.write_text("{not json")

@@ -44,7 +44,7 @@ json_values = st.recursive(
                                                               kids, max_size=3),
     max_leaves=8)
 terms = st.sampled_from(["?s", "?o", "e:x", "e:m", "_:b", {"lit": "x", "lang": "en"}])
-odd_terms = st.sampled_from(["nope:x", "x", "<>", "_:", 5, None, {"lit": 5},
+odd_terms = st.sampled_from(["nope:x", "x", "<>", "_:", "?", 5, None, {"lit": 5},
                              {"lit": "x", "lang": "en", "datatype": "e:t"}])
 predicates = st.sampled_from(["?p", "?q", "e:p", "icon:assigned", "icon:assignsTo",
                               "icon:symbolizes"])

@@ -216,6 +216,11 @@ class TestJsonFormats:
         {"select": ["?s"], "where": [["?s", "?p", {"lit": 5}]]},
         {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "lang": 5}]]},
         {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "datatype": 5}]]},
+        # a bare "?" names no variable
+        {"select": ["?"], "where": [["?s", "?p", "?o"]]},
+        {"select": ["?s"], "where": [["?", "?p", "?o"]]},
+        {"select": ["?s"], "where": [["?s", "?", "?o"]]},
+        {"select": ["?s"], "where": [["?s", "?p", "?"]]},
     ])
     def test_malformed_parts_are_query_errors(self, doc):
         with pytest.raises(QueryError):
@@ -267,6 +272,17 @@ class TestJsonFormats:
         solutions = {Solution.of({"x": e("a"), "y": Literal("v", lang="en")}),
                      Solution.of({"x": e("b"), "y": Literal("w")})}
         assert solutions_from_json(solutions_to_json(solutions)) == solutions
+
+    def test_variable_named_with_a_question_mark_round_trips(self):
+        # "??x" selects the variable named "?x", and reads back as it
+        g = Graph([Triple(e("a"), e("p"), e("b"))]).freeze()
+        pattern, projection = pattern_from_json(
+            {"select": ["??x"], "where": [["??x", E + "p", "?y"]]})
+        assert projection == [Var("?x")]
+        solutions = evaluate(g, pattern, projection)
+        rows = solutions_to_json(solutions)
+        assert rows == [{"??x": E + "a"}]
+        assert solutions_from_json(rows) == solutions
 
     def test_solutions_to_json_sorted(self):
         solutions = {Solution.of({"x": e("b")}), Solution.of({"x": e("a")})}

@@ -115,13 +115,13 @@ class TestParseBasics:
 
     def test_redeclared_prefix_drops_only_its_own_cached_curies(self, monkeypatch):
         resolved = []
-        resolve = _Parser._resolve_curie
+        resolve = _Parser._node
 
-        def spy(parser, i):
+        def spy(parser, i, *args, **kwargs):
             resolved.append(parser.tokens[i])
-            return resolve(parser, i)
+            return resolve(parser, i, *args, **kwargs)
 
-        monkeypatch.setattr(_Parser, "_resolve_curie", spy)
+        monkeypatch.setattr(_Parser, "_node", spy)
         r = parse_turtle("@prefix e: <http://a/> .\n@prefix f: <http://f/> .\n"
                          "e:s e:p f:o .\n"
                          "@prefix e: <http://a/> .\ne:s e:p f:o .\n"  # same namespace
@@ -129,6 +129,18 @@ class TestParseBasics:
         assert resolved == ["e:s", "e:p", "f:o", "e:s", "e:p"]
         assert set(r.graph) == {Triple(Iri(f"http://{x}/s"), Iri(f"http://{x}/p"),
                                        Iri("http://f/o")) for x in "ab"}
+
+    def test_one_iri_written_two_ways_is_one_term(self):
+        # a CURIE and an <IRI>, and "a" and rdf:type, resolve to equal terms
+        r = parse_turtle("@prefix e: <http://e/> .\n"
+                         "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+                         "e:a a e:C .\n<http://e/a> rdf:type e:C .\n"
+                         "e:a e:p <http://e/a> .\n<http://e/a> e:p e:a .\n")
+        a = Iri("http://e/a")
+        assert len(r.graph) == 2
+        assert set(r.graph) == {Triple(a, RDF_TYPE, Iri("http://e/C")),
+                                Triple(a, Iri("http://e/p"), a)}
+        assert {type(term) for t in r.graph for term in t} == {Iri}
 
     def test_dotted_local_names(self):
         r = parse_turtle("@prefix vir: <http://w3id.org/vir#> .\n"
@@ -164,6 +176,13 @@ class TestParseErrors:
     def test_unterminated_iri(self):
         e = self.err("@prefix ex: <http://example.org/\n")
         assert e.kind is ErrorKind.BAD_IRI
+
+    @pytest.mark.parametrize("name", ["ex:b", "_:b", '"b"'])
+    def test_base_must_be_an_iri_token(self, name):
+        # even a CURIE that names an absolute IRI is refused after @base
+        e = self.err(EX + f"@base {name} .")
+        assert (e.line, e.column, e.kind, e.message) == (
+            2, 7, ErrorKind.UNEXPECTED_TOKEN, "base IRI expected")
 
     def test_collections_rejected(self):
         e = self.err(EX + "ex:s ex:p (ex:a ex:b) .")
