@@ -13,10 +13,9 @@ strata shade into each other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import RDF_TYPE, Graph, Iri, Term
 from .vocab import Direction, build_registry, curie_to_iri, data_iri
@@ -45,8 +44,7 @@ class InterpretationLevel(enum.Enum):
     UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class CaseStudy:
+class CaseStudy(NamedTuple):
     id: str
     typology: int
     title: str

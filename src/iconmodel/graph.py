@@ -32,7 +32,6 @@ one.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 PrefixMap = dict[str, str]
@@ -66,16 +65,31 @@ class Iri(str):
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 
 
-@dataclass(frozen=True, slots=True)
 class BlankNode:
-    label: str
+    """A blank node: hashes as its label, equals only a blank node with
+    the same label, and is immutable."""
+    __slots__ = ("label",)
 
-    def __post_init__(self):
-        if not self.label:
+    def __init__(self, label: str):
+        if not label:
             raise ValueError("blank node label must be non-empty")
+        object.__setattr__(self, "label", label)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is BlankNode:
+            return self.label == other.label
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.label)
+
+    def __reduce__(self):
+        return BlankNode, (self.label,)
 
     def __repr__(self):
         return f"_:{self.label}"

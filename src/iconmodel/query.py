@@ -10,9 +10,9 @@ contraction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .graph import (XSD_STRING, BlankNode, Graph, Iri, Literal, PrefixMap, Term,
                     term_key, term_str)
@@ -35,31 +35,40 @@ class UnknownQuestionError(QueryError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node(tuple):
+    """Base of the variable and path nodes, which are named tuples: a node
+    equals only a node of its own class with equal fields, so
+    Inv(p) != Plus(p) and no node equals a plain tuple."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.__class__.__name__, *self))
 
 
-@dataclass(frozen=True)
-class Inv:
-    path: "PathExpr"
+class Var(_Node, namedtuple("Var", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "PathExpr"
-    second: "PathExpr"
+class Inv(_Node, namedtuple("Inv", "path")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Alt:
-    left: "PathExpr"
-    right: "PathExpr"
+class Seq(_Node, namedtuple("Seq", "first second")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus:
-    path: "PathExpr"
+class Alt(_Node, namedtuple("Alt", "left right")):
+    __slots__ = ()
+
+
+class Plus(_Node, namedtuple("Plus", "path")):
+    __slots__ = ()
 
 
 PathExpr = Union[Iri, Inv, Seq, Alt, Plus]
@@ -67,13 +76,11 @@ PatternTerm = Union[Term, Var]
 PatternTriple = tuple[PatternTerm, Union[Iri, PathExpr, Var], PatternTerm]
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     triples: tuple[PatternTriple, ...]
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """One binding set; immutable and hashable for set semantics."""
     bindings: tuple[tuple[str, Term], ...]
 
@@ -288,14 +295,27 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
     return Pattern(tuple(triples)), projection
 
 
+def _iri_to_json(iri: Iri) -> str:
+    """The IRI bare where _term_from_json reads that text back as it,
+    else as <IRI>, which _resolve always reads back."""
+    try:
+        bare = _term_from_json(iri, {}) == iri
+    except (QueryError, ValueError):  # "_:" with no label, or an undeclared prefix
+        bare = False
+    return iri if bare else f"<{iri}>"
+
+
 def term_to_json(t: Term):
+    """A term as solutions_from_json reads it back."""
+    if isinstance(t, Iri):
+        return _iri_to_json(t)
     if not isinstance(t, Literal):
         return term_str(t)
     out = {"lit": t.lexical}
     if t.lang:
         out["lang"] = t.lang
     elif t.datatype and t.datatype != XSD_STRING:
-        out["datatype"] = t.datatype
+        out["datatype"] = _iri_to_json(t.datatype)
     return out
 
 
@@ -316,8 +336,7 @@ def solutions_from_json(rows: list[dict]) -> set[Solution]:
 # ---------------------------------------------------------------------------
 # competency questions
 
-@dataclass(frozen=True)
-class CompetencyQuestion:
+class CompetencyQuestion(NamedTuple):
     id: str
     case_id: str
     prose: str
@@ -411,8 +430,7 @@ def load_golden(case_id: str) -> dict[str, set[Solution]]:
     return {cq_id: solutions_from_json(rows) for cq_id, rows in doc.items()}
 
 
-@dataclass
-class CqResult:
+class CqResult(NamedTuple):
     solutions: set[Solution]
     matches_golden: bool
 

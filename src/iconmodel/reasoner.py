@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, Iterable, KeysView, Optional
+from typing import Callable, Iterable, KeysView, NamedTuple, Optional
 
 from .graph import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
 from .vocab import Direction, TermRegistry
@@ -40,26 +39,27 @@ class WrongPredicateError(ReasonerError):
     pass
 
 
-@dataclass
-class RuleSet:
+class RuleSet(NamedTuple):
     hierarchy: bool = True
     shortcut_contraction: bool = True
     domain_range_typing: bool = False
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     rule: str
     premises: tuple[Triple, ...]
 
 
-@dataclass
 class ClosureGraph:
     """The caller's base graph, the frozen store the engine derived base
     and inferred triples into, and a derivation per inferred triple."""
-    base: Graph
-    _store: Graph = field(repr=False)
-    provenance: dict[Triple, Derivation]
+    __slots__ = ("base", "_store", "provenance")
+
+    def __init__(self, base: Graph, _store: Graph,
+                 provenance: dict[Triple, Derivation]):
+        self.base = base
+        self._store = _store
+        self.provenance = provenance
 
     @property
     def inferred(self) -> KeysView[Triple]:

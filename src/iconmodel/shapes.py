@@ -1,8 +1,8 @@
 """Structural validation of interpretation graphs.
 
 The shape set is fixed: nine built-in shapes covering the model's
-constraints, each a flat `Shape` record of targets, required properties
-and allowed classes; the one shape with no targets is the
+constraints, each a flat `Shape` named tuple of targets, required
+properties and allowed classes; the one shape with no targets is the
 vocabulary-hygiene check. Validation expects the hierarchy-closed graph,
 so subclass instances satisfy class constraints without redundant
 explicit typing.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_str
 from .vocab import DATA_NAMESPACE, TermRegistry
@@ -24,8 +24,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """One structural constraint, in the terms of SHACL Core.
 
     Its focus nodes are the instances of each class in `instances_of` and
@@ -49,18 +48,19 @@ class Shape:
 ShapeSet = tuple[Shape, ...]
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
+class ValidationEntry(NamedTuple):
     focus: Term
     shape_id: str
     severity: Severity
     message: str
 
 
-@dataclass
 class ValidationReport:
-    conforms: bool
-    entries: list[ValidationEntry]
+    __slots__ = ("conforms", "entries")
+
+    def __init__(self, conforms: bool, entries: list[ValidationEntry]):
+        self.conforms = conforms
+        self.entries = entries
 
     def violations(self) -> list[ValidationEntry]:
         return [e for e in self.entries if e.severity is Severity.VIOLATION]

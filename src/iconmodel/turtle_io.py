@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import (RDF_TYPE, XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
                     PrefixMap, Term, Triple, term_key)
@@ -57,8 +56,7 @@ class ParseError(Exception):
         self.kind = kind
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     graph: Graph
     prefixes: PrefixMap
     base: Optional[Iri] = None

@@ -9,8 +9,7 @@ icon:assignsTo (recognition -> interpreted entity) and icon:assigned
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .graph import RDF_TYPE, Graph, Iri, PrefixMap, Triple
 
@@ -63,16 +62,14 @@ class Direction(enum.Enum):
     INVERSE = "Inverse"
 
 
-@dataclass(frozen=True)
-class VocabTerm:
+class VocabTerm(NamedTuple):
     iri: Iri
     curie: str
     kind: TermKind
     label: str
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(NamedTuple):
     """Two-step path through a recognition node that a shortcut property
     stands for; object_class, when set, restricts the far endpoint."""
     steps: tuple[tuple[Iri, Direction], ...]
@@ -80,8 +77,7 @@ class PathSpec:
     object_class: Optional[Iri] = None
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     kind: AxiomKind
     subject: Iri
     object: Union[Iri, PathSpec]

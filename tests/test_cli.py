@@ -204,6 +204,15 @@ class TestQuery:
         assert len(solutions) == len(rows) > 0
         assert {type(dict(x.bindings)["o"]) for x in solutions} >= {Iri, Literal}
 
+    def test_iri_and_blank_node_of_one_text_print_apart(self, capsys, tmp_path):
+        doc = tmp_path / "d.ttl"
+        doc.write_text("<http://e/s> <http://e/p> <_:b>, _:b .\n")
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": ["?o"], "where": [["?s", "?p", "?o"]]}))
+        code, out, err = run(capsys, "query", str(doc), str(pattern))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"?o": "<_:b>"}, {"?o": "_:b"}]
+
     @pytest.mark.parametrize("select, row", [(["?"], ["?s", "?p", "?o"]),
                                              (["?s"], ["?s", "?", "?o"])])
     def test_bare_question_mark_is_exit_2(self, capsys, tmp_path, fixture_path,

@@ -45,6 +45,16 @@ class TestTerms:
         with pytest.raises(ValueError):
             BlankNode("")
 
+    def test_blank_node_hashes_as_its_label_and_is_immutable(self):
+        b = BlankNode("b")
+        assert hash(b) == hash("b") and repr(b) == "_:b"
+        assert b == BlankNode("b") and b != "b" and b != iri("b")
+        with pytest.raises(AttributeError):
+            b.label = "c"
+        with pytest.raises(AttributeError):
+            del b.label
+        assert b.label == "b"
+
     def test_literal_lang_and_datatype_exclusive(self):
         with pytest.raises(ValueError):
             Literal("x", lang="en", datatype=Iri(XSD_STRING))

@@ -6,6 +6,7 @@ fresh interpreters, since the test process has long since imported every
 module.
 """
 
+import ast
 import importlib
 import inspect
 import json
@@ -29,13 +30,33 @@ def python(*argv: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env, timeout=60)
 
 
-def loaded(*argv: str) -> tuple[int, set[str]]:
-    """Exit code and the iconmodel modules imported by `python -X importtime
-    ARGV`: the interpreter logs each module the first time it is imported."""
+def imported(*argv: str) -> tuple[int, set[str]]:
+    """Exit code and every module imported by `python -X importtime ARGV`:
+    the interpreter logs each module the first time it is imported."""
     proc = python("-X", "importtime", *argv)
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return proc.returncode, {n for n in names if n.split(".")[0] == "iconmodel"}
+    return proc.returncode, {line.rsplit("|", 1)[1].strip()
+                             for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+def ours(names: set[str]) -> set[str]:
+    return {n for n in names if n.split(".")[0] == "iconmodel"}
+
+
+def loaded(*argv: str) -> tuple[int, set[str]]:
+    """Exit code and the iconmodel modules among those imported."""
+    code, names = imported(*argv)
+    return code, ours(names)
+
+
+# ~9 ms a run at import, and the package's records need neither
+UNWANTED = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def startup() -> set[str]:
+    """What the interpreter itself imports before running any code."""
+    return imported("-c", "pass")[1]
 
 
 def mods(*names: str) -> set[str]:
@@ -85,9 +106,24 @@ LOAD_SETS = [
 
 @pytest.mark.parametrize("argv, code, expected", LOAD_SETS,
                          ids=[" ".join(argv) for argv, _, _ in LOAD_SETS])
-def test_subcommand_loads_only_its_modules(inputs, argv, code, expected):
+def test_subcommand_loads_only_its_modules(inputs, startup, argv, code, expected):
     argv = [inputs.get(a, a) for a in argv]
-    assert loaded("-m", "iconmodel.cli", *argv) == (code, expected)
+    got, names = imported("-m", "iconmodel.cli", *argv)
+    assert (got, ours(names)) == (code, expected)
+    assert (names - startup) & UNWANTED == set()
+
+
+@pytest.mark.parametrize("module", [*SUBMODULES, "cli"])
+def test_module_import_loads_no_dataclasses_or_inspect(startup, module):
+    code, names = imported("-c", f"import iconmodel.{module}")
+    assert (code, (names - startup) & UNWANTED) == (0, set())
+
+
+def test_source_parses_as_the_oldest_supported_python():
+    # pyproject.toml: requires-python = ">=3.10"; this checks syntax only,
+    # not what the standard library of 3.10 accepts (such as regex syntax)
+    for path in sorted(Path(iconmodel.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text("utf-8"), str(path), feature_version=(3, 10))
 
 
 # each core module imports graph and vocab, never the Turtle module

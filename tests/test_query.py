@@ -11,6 +11,7 @@ from iconmodel.query import (Alt, Inv, Pattern, Plus, QueryError, Seq,
                              find_cq, load_golden, path_match, path_pairs,
                              pattern_from_json, run_cq, solutions_from_json,
                              solutions_to_json)
+from iconmodel.reasoner import Derivation
 
 from conftest import plain_random_graph
 from oracles import brute_evaluate, oracle_path_pairs
@@ -65,6 +66,34 @@ class TestPaths:
 
     def test_path_match_from_start(self, chain):
         assert path_match(chain, e("a"), Plus(e("p"))) == {e("b"), e("c")}
+
+
+class TestRecords:
+    def test_nodes_equal_only_nodes_of_their_own_class(self):
+        p, q = e("p"), e("q")
+        assert Inv(p) != Plus(p) and not Inv(p) == Plus(p)
+        assert Seq(p, q) != Alt(p, q)
+        assert Var(E + "x") != Inv(Iri(E + "x"))
+        assert BlankNode("x") != Var("x") and Var("x") != BlankNode("x")
+        assert len({Inv(p), Plus(p)}) == 2
+        for node, fields in ((Var("x"), ("x",)), (Inv(p), (p,)), (Seq(p, q), (p, q))):
+            assert node != fields and fields != node
+        assert Seq(Inv(p), q) == Seq(Inv(p), q)
+        assert hash(Seq(Inv(p), q)) == hash(Seq(Inv(p), q))
+        assert repr(Alt(p, Var("x"))) == f"Alt(left={p!r}, right=Var(name='x'))"
+
+    @pytest.mark.parametrize("record, field", [
+        (Var("x"), "name"),
+        (Derivation("R1", ()), "rule"),
+        (Solution.of({"x": e("a")}), "bindings")])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_solution_and_derivation_hash_as_their_field_tuple(self):
+        solution = Solution.of({"x": e("a")})
+        assert hash(solution) == hash(((("x", e("a")),),))
+        assert hash(Derivation("R1", ())) == hash(("R1", ()))
 
 
 class TestEvaluate:
@@ -282,6 +311,18 @@ class TestJsonFormats:
         solutions = evaluate(g, pattern, projection)
         rows = solutions_to_json(solutions)
         assert rows == [{"??x": E + "a"}]
+        assert solutions_from_json(rows) == solutions
+
+    def test_iris_that_read_as_other_terms_round_trip(self):
+        # bare, these read back as a blank node, a variable and an
+        # undeclared prefix
+        odd = [Iri("_:b"), Iri("?a:b"), Iri("urn:isbn:1")]
+        solutions = {Solution.of({"x": x}) for x in [*odd, BlankNode("b"), e("a")]}
+        solutions.add(Solution.of({"x": Literal("1", datatype=Iri("urn:int"))}))
+        rows = solutions_to_json(solutions)
+        assert [r["?x"] for r in rows] == [
+            "<?a:b>", "<_:b>", E + "a", "<urn:isbn:1>", "_:b",
+            {"lit": "1", "datatype": "<urn:int>"}]
         assert solutions_from_json(rows) == solutions
 
     def test_solutions_to_json_sorted(self):
