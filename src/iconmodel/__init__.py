@@ -27,8 +27,7 @@ _EXPORTS = {
                "default_shapes", "validate"),
     "query": ("Alt", "CompetencyQuestion", "Inv", "Pattern", "Plus", "Seq",
               "Solution", "Var", "check_cq", "cq_catalog", "evaluate", "find_cq", "load_golden",
-              "path_match", "path_pairs", "pattern_from_json", "run_cq",
-              "solutions_to_json"),
+              "path_pairs", "pattern_from_json", "run_cq", "solutions_to_json"),
     "casebook": ("CaseStudy", "InterpretationLevel", "case_meta", "level_of",
                  "list_cases", "load_case"),
 }

@@ -251,12 +251,6 @@ class Graph:
             return {t.object for t in by_s.get(node, ()) if t.predicate == p}
         return {t.subject for t in by_o.get(node, ()) if t.predicate == p}
 
-    def subjects(self) -> set[Term]:
-        return set((self._index or self._indexes())[0])
-
-    def objects(self) -> set[Term]:
-        return set((self._index or self._indexes())[2])
-
     def terms(self) -> set[Term]:
         out: set[Term] = set()
         for t in self._triples:

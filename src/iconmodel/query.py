@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .graph import (XSD_STRING, BlankNode, Graph, Iri, Literal, PrefixMap, Term,
                     term_key, term_str)
-from .vocab import (NAMESPACES, BadCurieError, UnknownTermError, curie_to_iri,
-                    data_iri, expand_curie)
+from .vocab import NAMESPACES, VocabError, curie_to_iri, data_iri, expand_curie
 
 if TYPE_CHECKING:  # annotations only: a query over an asserted graph runs no reasoner
     from .reasoner import ClosureGraph
@@ -126,10 +125,6 @@ def path_pairs(g: Graph, path: PathExpr) -> Pairs:
     raise QueryError(f"bad path expression {path!r}")
 
 
-def path_match(g: Graph, start: Term, path: PathExpr) -> set[Term]:
-    return {b for a, b in path_pairs(g, path) if a == start}
-
-
 def _bind(value: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
     if isinstance(value, Var):
         return binding.get(value.name, value)
@@ -189,42 +184,48 @@ def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solut
 # JSON pattern format
 
 def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
-    if isinstance(value, dict):
-        if "lit" in value:
-            lit, lang, dt = value["lit"], value.get("lang"), value.get("datatype")
-            if not (isinstance(lit, str) and isinstance(lang, (str, type(None)))
-                    and isinstance(dt, (str, type(None)))):
-                raise QueryError(f"bad literal {value!r}")
-            return Literal(lit, lang=lang,
-                           datatype=_resolve(dt, prefixes) if dt else None)
-        raise QueryError(f"bad term object {value!r}")
-    if not isinstance(value, str):
-        raise QueryError(f"bad term {value!r}")
-    if value.startswith("?"):
-        return _var(value)
-    if value.startswith("_:"):
-        return BlankNode(value[2:])
-    return _resolve(value, prefixes)
+    """The term or variable a JSON value names, else QueryError."""
+    try:
+        if isinstance(value, dict):
+            if "lit" in value:
+                lit, lang, dt = value["lit"], value.get("lang"), value.get("datatype")
+                if not (isinstance(lit, str) and isinstance(lang, (str, type(None)))
+                        and isinstance(dt, (str, type(None)))):
+                    raise QueryError(f"bad literal {value!r}")
+                return Literal(lit, lang=lang,
+                               datatype=_resolve(dt, prefixes) if dt else None)
+            raise QueryError(f"bad term object {value!r}")
+        if not isinstance(value, str):
+            raise QueryError(f"bad term {value!r}")
+        if value.startswith("?"):
+            return _var(value)
+        if value.startswith("_:"):
+            return BlankNode(value[2:])
+        return _resolve(value, prefixes)
+    except ValueError as exc:  # "_:" with no label, or a bad language tag
+        raise QueryError(f"bad term {value!r}: {exc}")
 
 
-def _var(value: str) -> Var:
+def _var(value) -> Var:
     """The variable that "?name" names; a bare "?" names none."""
+    if not (isinstance(value, str) and value.startswith("?")):
+        raise QueryError(f"bad variable {value!r}")
     if value == "?":
         raise QueryError("variable '?' has no name")
     return Var(value[1:])
 
 
 def _resolve(value: str, prefixes: PrefixMap) -> Iri:
-    if value.startswith("<") and value.endswith(">"):
-        return Iri(value[1:-1])
-    if "://" in value:
-        return Iri(value)
     try:
+        if value.startswith("<") and value.endswith(">"):
+            return Iri(value[1:-1])
+        if "://" in value:
+            return Iri(value)
         return expand_curie(value, prefixes)
-    except UnknownTermError:
-        raise QueryError(f"undeclared prefix {value.split(':', 1)[0]!r} in pattern")
-    except BadCurieError:
-        raise QueryError(f"cannot resolve term {value!r}")
+    except ValueError as exc:  # <text> that is no absolute IRI
+        raise QueryError(f"bad IRI {value!r}: {exc}")
+    except VocabError as exc:  # each names the CURIE
+        raise QueryError(str(exc))
 
 
 _MAX_PATH_DEPTH = 100  # keeps decoding and path_pairs inside the recursion limit
@@ -267,6 +268,8 @@ def _path_from_json(value, prefixes: PrefixMap, depth: int = 0):
 
 def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
                       ) -> tuple[Pattern, list[Var]]:
+    """The pattern and projection a JSON document describes, with CURIEs
+    read under NAMESPACES and then prefixes; QueryError if it describes none."""
     merged = dict(NAMESPACES)
     if prefixes:
         merged.update(prefixes)
@@ -277,21 +280,14 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
         raise QueryError('pattern JSON needs "select" and "where" keys')
     if not (isinstance(select, list) and isinstance(where, list)):
         raise QueryError('"select" and "where" must be lists')
-    projection = []
-    for v in select:
-        if not (isinstance(v, str) and v.startswith("?")):
-            raise QueryError(f"bad projection entry {v!r}")
-        projection.append(_var(v))
+    projection = [_var(v) for v in select]
     triples = []
     for row in where:
         if not (isinstance(row, list) and len(row) == 3):
             raise QueryError(f"bad pattern triple {row!r}")
-        try:
-            triples.append((_term_from_json(row[0], merged),
-                            _path_from_json(row[1], merged),
-                            _term_from_json(row[2], merged)))
-        except ValueError as exc:  # a term constructor rejected the value
-            raise QueryError(f"bad pattern triple {row!r}: {exc}")
+        triples.append((_term_from_json(row[0], merged),
+                        _path_from_json(row[1], merged),
+                        _term_from_json(row[2], merged)))
     return Pattern(tuple(triples)), projection
 
 
@@ -300,7 +296,7 @@ def _iri_to_json(iri: Iri) -> str:
     else as <IRI>, which _resolve always reads back."""
     try:
         bare = _term_from_json(iri, {}) == iri
-    except (QueryError, ValueError):  # "_:" with no label, or an undeclared prefix
+    except QueryError:  # "_:" with no label, or an undeclared prefix
         bare = False
     return iri if bare else f"<{iri}>"
 
@@ -326,10 +322,16 @@ def solutions_to_json(solutions: set[Solution]) -> list[dict]:
 
 
 def solutions_from_json(rows: list[dict]) -> set[Solution]:
+    """The solutions that solutions_to_json wrote; QueryError unless rows
+    is a list of objects that bind "?name" keys to terms."""
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise QueryError("solutions must be a list of JSON objects")
     out = set()
     for row in rows:
-        out.add(Solution.of({k.removeprefix("?"): _term_from_json(v, {})
-                             for k, v in row.items()}))
+        binding = {_var(k).name: _term_from_json(v, {}) for k, v in row.items()}
+        if any(isinstance(term, Var) for term in binding.values()):
+            raise QueryError(f"bad solution row {row!r}: a variable is no term")
+        out.add(Solution.of(binding))
     return out
 
 
@@ -345,9 +347,7 @@ class CompetencyQuestion(NamedTuple):
 
 
 def cq_catalog() -> list[CompetencyQuestion]:
-    def i(curie: str) -> Iri:
-        return curie_to_iri(curie)
-
+    i = curie_to_iri
     vb = "vermeer-balance"
     lc = "laocoon"
     np = "neptune"

@@ -74,9 +74,6 @@ class ClosureGraph:
         frozen graph, without copying."""
         return self._store
 
-    def __len__(self) -> int:
-        return len(self._store)
-
 
 class _Engine:
     def __init__(self, base: Graph, reg: TermRegistry, rules: RuleSet):

@@ -62,9 +62,6 @@ class ValidationReport:
         self.conforms = conforms
         self.entries = entries
 
-    def violations(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if e.severity is Severity.VIOLATION]
-
     def to_json(self) -> str:
         payload = {
             "conforms": self.conforms,
@@ -78,9 +75,7 @@ class ValidationReport:
 
 
 def default_shapes(reg: TermRegistry) -> ShapeSet:
-    def i(curie: str) -> Iri:
-        return reg.iri(curie)
-
+    i = reg.iri
     recognition = i("icon:IconologicalRecognition")
     refers, motifs = i("icon:symbolicallyRefersTo"), i("icon:showsMotifsOf")
     lev2 = (i("vir:IC9_Representation"), i("vir:IC10_Attribute"),

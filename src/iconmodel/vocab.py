@@ -84,13 +84,19 @@ class Axiom(NamedTuple):
 
 
 def expand_curie(curie: str, prefixes: PrefixMap) -> Iri:
+    """The IRI that curie names under prefixes. Raises BadCurieError when
+    curie has no colon or expands to no absolute IRI, and UnknownTermError
+    when prefixes does not declare its prefix."""
     if ":" not in curie:
         raise BadCurieError(f"not a CURIE: {curie!r}")
     prefix, local = curie.split(":", 1)
     ns = prefixes.get(prefix)
     if ns is None:
-        raise UnknownTermError(f"unknown prefix {prefix!r}")
-    return Iri(ns + local)
+        raise UnknownTermError(f"unknown prefix {prefix!r} in {curie!r}")
+    try:
+        return Iri(ns + local)
+    except ValueError:  # a relative namespace, such as @prefix x: <foo> .
+        raise BadCurieError(f"{curie!r} expands to no absolute IRI: {ns + local!r}")
 
 
 def curie_to_iri(curie: str) -> Iri:
@@ -166,30 +172,24 @@ class TermRegistry:
     def __init__(self, terms: list[VocabTerm], axioms: list[Axiom]):
         self.terms = tuple(terms)
         self.axioms = tuple(axioms)
-        self._by_curie = {t.curie: t for t in terms}
-        self._by_iri = {t.iri: t for t in terms}
+        self._by_curie = {t.curie: t.iri for t in terms}
+        self._iris = frozenset(t.iri for t in terms)
         self._check()
         self._sup_c = self._supersets(AxiomKind.SUB_CLASS_OF)
         self._sup_p = self._supersets(AxiomKind.SUB_PROPERTY_OF)
 
     # -- lookups ----------------------------------------------------------
 
-    def lookup(self, curie: str) -> VocabTerm:
+    def iri(self, curie: str) -> Iri:
         if ":" not in curie:
             raise BadCurieError(f"not a CURIE: {curie!r}")
-        term = self._by_curie.get(curie)
-        if term is None:
+        iri = self._by_curie.get(curie)
+        if iri is None:
             raise UnknownTermError(f"unregistered term {curie!r}")
-        return term
-
-    def term_for(self, iri: Iri) -> Optional[VocabTerm]:
-        return self._by_iri.get(iri)
-
-    def iri(self, curie: str) -> Iri:
-        return self.lookup(curie).iri
+        return iri
 
     def is_registered(self, iri: Iri) -> bool:
-        return iri in self._by_iri
+        return iri in self._iris
 
     def superclasses(self, iri: Iri) -> frozenset[Iri]:
         """Strict superclasses under the axiom set, transitively."""
@@ -213,10 +213,8 @@ class TermRegistry:
     def _check(self):
         classes = {t.iri for t in self.terms if t.kind is TermKind.CLASS}
         props = {t.iri for t in self.terms if t.kind is TermKind.PROPERTY}
-        for t in self.terms:
-            prefix, _, local = t.curie.partition(":")
-            ns = NAMESPACES.get(prefix)
-            if ns is None or t.iri != ns + local:
+        for t in self.terms:  # a CURIE outside NAMESPACES raises there
+            if curie_to_iri(t.curie) != t.iri:
                 raise VocabError(f"curie/namespace mismatch for {t.curie}")
         for a in self.axioms:
             operands = [a.subject]
@@ -230,7 +228,7 @@ class TermRegistry:
                 if a.object.object_class:
                     operands.append(a.object.object_class)
             for iri in operands:
-                if iri not in self._by_iri:
+                if iri not in self._iris:
                     raise VocabError(f"axiom references unregistered term {iri!r}")
             if a.kind is AxiomKind.SUB_CLASS_OF:
                 if a.subject not in classes or a.object not in classes:
@@ -283,11 +281,8 @@ class TermRegistry:
 
 
 def build_registry() -> TermRegistry:
-    terms = [VocabTerm(curie_to_iri(c), c, k, lbl) for c, k, lbl in _TERMS]
-
-    def i(curie: str) -> Iri:
-        return curie_to_iri(curie)
-
+    i = curie_to_iri
+    terms = [VocabTerm(i(c), c, k, lbl) for c, k, lbl in _TERMS]
     assignment_path = PathSpec(
         steps=((i("icon:assignsTo"), Direction.INVERSE),
                (i("icon:assigned"), Direction.FORWARD)),

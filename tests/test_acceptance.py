@@ -11,7 +11,7 @@ from iconmodel.casebook import InterpretationLevel, level_of, list_cases
 from iconmodel.graph import Graph, Iri, Triple
 from iconmodel.query import Pattern, Var, evaluate
 from iconmodel.reasoner import RuleSet
-from iconmodel.shapes import default_shapes, validate
+from iconmodel.shapes import Severity, default_shapes, validate
 from iconmodel.turtle_io import RDF_TYPE
 from iconmodel.vocab import AxiomKind, DATA_NAMESPACE, curie_to_iri
 
@@ -149,8 +149,8 @@ def test_criterion_6_validation_gate(reg, case_graphs):
     for filename, shape_id in mutations.items():
         g = parse_turtle((MUTATIONS_DIR / filename).read_text("utf-8")).graph
         closed = close(g, reg, rules).graph()
-        violated = {e.shape_id
-                    for e in validate(closed, shapes, reg).violations()}
+        violated = {e.shape_id for e in validate(closed, shapes, reg).entries
+                    if e.severity is Severity.VIOLATION}
         assert violated == {shape_id}, (filename, violated)
     report(6, True, "4 fixtures conform; 6 mutation fixtures each trigger "
                     "exactly their Violation shape")

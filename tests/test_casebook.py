@@ -137,14 +137,14 @@ class TestLevels:
     def test_total_over_iri_nodes(self, case_closures):
         for closure in case_closures.values():
             g = closure.graph()
-            for node in g.subjects() | g.objects():
+            for node in {t.subject for t in g} | {t.object for t in g}:
                 if isinstance(node, (Iri, BlankNode)):
                     assert isinstance(level_of(closure, node), InterpretationLevel)
 
     def test_each_case_spans_the_level_stack(self, case_closures):
         for case_id, closure in case_closures.items():
             g = closure.graph()
-            levels = {level_of(closure, n) for n in g.subjects()
+            levels = {level_of(closure, n) for n in {t.subject for t in g}
                       if isinstance(n, (Iri, BlankNode))}
             assert InterpretationLevel.LEV1 in levels, case_id
             assert InterpretationLevel.LEV2 in levels, case_id

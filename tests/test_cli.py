@@ -213,6 +213,16 @@ class TestQuery:
         assert (code, err) == (0, "")
         assert json.loads(out) == [{"?o": "<_:b>"}, {"?o": "_:b"}]
 
+    @pytest.mark.parametrize("term", ["x:p", {"lit": "v", "datatype": "x:d"}])
+    def test_curie_of_a_relative_prefix_is_exit_2(self, capsys, tmp_path, term):
+        doc = tmp_path / "d.ttl"
+        doc.write_text("@prefix x: <foo> .\n<http://e/s> <http://e/p> <http://e/o> .\n")
+        pattern = tmp_path / "q.json"
+        pattern.write_text(json.dumps({"select": ["?s"], "where": [["?s", "?p", term]]}))
+        code, out, err = run(capsys, "query", str(doc), str(pattern))
+        assert code == 2 and out == ""
+        assert err.startswith("icon:") and err.count("\n") == 1 and "'x:" in err
+
     @pytest.mark.parametrize("select, row", [(["?"], ["?s", "?p", "?o"]),
                                              (["?s"], ["?s", "?", "?o"])])
     def test_bare_question_mark_is_exit_2(self, capsys, tmp_path, fixture_path,

@@ -25,6 +25,7 @@ STATEMENTS = [
     "e:A rdfs:subClassOf e:B .",
     "e:x a e:A .",
     "_:b e:p [ e:q \"x\"@en ] .",
+    "@prefix r: <rel> .",  # a relative namespace: r:x expands to no absolute IRI
 ]
 PIECES = HEADER.splitlines() + STATEMENTS + [
     "e:s", "e:o", "<s>", "<http://e/x>", "_:b", "[", "]", "(", ")", "a",
@@ -43,11 +44,12 @@ json_values = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=5),
                                                               kids, max_size=3),
     max_leaves=8)
-terms = st.sampled_from(["?s", "?o", "e:x", "e:m", "_:b", {"lit": "x", "lang": "en"}])
+terms = st.sampled_from(["?s", "?o", "e:x", "e:m", "_:b", "r:x",
+                         {"lit": "x", "lang": "en"}, {"lit": "x", "datatype": "r:x"}])
 odd_terms = st.sampled_from(["nope:x", "x", "<>", "_:", "?", 5, None, {"lit": 5},
                              {"lit": "x", "lang": "en", "datatype": "e:t"}])
-predicates = st.sampled_from(["?p", "?q", "e:p", "icon:assigned", "icon:assignsTo",
-                              "icon:symbolizes"])
+predicates = st.sampled_from(["?p", "?q", "e:p", "r:x", "icon:assigned",
+                              "icon:assignsTo", "icon:symbolizes"])
 
 
 def paths(leaves, min_parts):

@@ -369,9 +369,9 @@ chain_triples = st.builds(Triple, chain_nodes, st.sampled_from([iri("p"), iri("q
 def match_answers(g: Graph, probe: Graph) -> dict:
     """g.match for every s/p/o pattern over probe's terms, each position
     bound or unbound."""
-    subjects = [None, *probe.subjects()]
+    subjects = [None, *{u.subject for u in probe}]
     predicates = [None, *{u.predicate for u in probe}]
-    objects = [None, *probe.objects()]
+    objects = [None, *{u.object for u in probe}]
     return {(s, p, o): g.match(s, p, o)
             for s in subjects for p in predicates for o in objects}
 
@@ -416,7 +416,7 @@ def read_answers(g: Graph, probe: Graph) -> dict:
             "neighbours": {(x, p, forward): g.neighbours(x, p, forward)
                            for x in terms for p in predicates
                            for forward in (True, False)},
-            "subjects": g.subjects(), "objects": g.objects(),
+            "subjects": {u.subject for u in g}, "objects": {u.object for u in g},
             "has_term": {x for x in terms if g.has_term(x)},
             "has_subject": {x for x in terms if g.has_subject(x)},
             "blank_labels": g.blank_labels(), "blank_triples": _blank_triples(g)}
@@ -426,8 +426,6 @@ def read_answers(g: Graph, probe: Graph) -> dict:
 FIRST_READS = {
     "match": lambda g: g.match(p=RDF_TYPE),
     "neighbours": lambda g: g.neighbours(iri("r0"), RDF_TYPE),
-    "subjects": Graph.subjects,
-    "objects": Graph.objects,
     "has_term": lambda g: g.has_term(BlankNode("n0")),
     "has_subject": lambda g: g.has_subject(iri("r1")),
     "blank_labels": Graph.blank_labels,

@@ -8,7 +8,7 @@ from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple
 from iconmodel.query import (Alt, Inv, Pattern, Plus, QueryError, Seq,
                              Solution, UnboundProjectionError,
                              UnknownQuestionError, Var, cq_catalog, evaluate,
-                             find_cq, load_golden, path_match, path_pairs,
+                             find_cq, load_golden, path_pairs,
                              pattern_from_json, run_cq, solutions_from_json,
                              solutions_to_json)
 from iconmodel.reasoner import Derivation
@@ -64,8 +64,9 @@ class TestPaths:
         assert path_pairs(g, Plus(e("p"))) == {
             (nodes[i], nodes[j]) for i in range(301) for j in range(i + 1, 301)}
 
-    def test_path_match_from_start(self, chain):
-        assert path_match(chain, e("a"), Plus(e("p"))) == {e("b"), e("c")}
+    def test_path_pairs_from_start(self, chain):
+        assert {b for a, b in path_pairs(chain, Plus(e("p"))) if a == e("a")} == {
+            e("b"), e("c")}
 
 
 class TestRecords:
@@ -211,6 +212,27 @@ def test_evaluate_equals_brute_force_property(seed):
         == brute_evaluate(g, pattern, projection)
 
 
+# Drawn JSON for the two readers: texts that start as a variable, a blank
+# node or an <IRI> does, and objects keyed like terms and path nodes.
+TEXTS = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["?", "?x", "??x", "_:", "_:b", "<", "<>", "<a>", "<http://e/a>", "a:b", "r:x",
+     "icon:x", E + "a"]), st.from_regex(r"\A[?<_][:_<>?a-z]{0,5}\Z"))
+VARIABLES = st.one_of(st.sampled_from(["?", "?x", "??x", "x", ""]), st.text(max_size=4))
+KEYS = st.one_of(VARIABLES, st.sampled_from(
+    ["lit", "lang", "datatype", "inv", "plus", "seq", "alt", "select", "where"]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXTS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(KEYS, kids, max_size=4),
+    max_leaves=12)
+PATTERN_DOCS = st.fixed_dictionaries({
+    "select": st.lists(st.one_of(VARIABLES, JSON_VALUES), max_size=3),
+    "where": st.lists(st.lists(JSON_VALUES, min_size=3, max_size=3), max_size=3)})
+PREFIXES = st.sampled_from(["", "r", "x", "icon", "a"])
+# absolute and relative namespaces
+NAMESPACE_TEXTS = st.one_of(st.sampled_from(["rel", "", "foo/", "http://e/", "urn:"]),
+                            st.text(max_size=5))
+
+
 class TestJsonFormats:
     def test_pattern_from_json(self):
         doc = {"select": ["?x"],
@@ -245,6 +267,11 @@ class TestJsonFormats:
         {"select": ["?s"], "where": [["?s", "?p", {"lit": 5}]]},
         {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "lang": 5}]]},
         {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "datatype": 5}]]},
+        # terms that a constructor refuses, in each position
+        {"select": ["?s"], "where": [["_:", "?p", "?o"]]},
+        {"select": ["?s"], "where": [["?s", "<>", "?o"]]},
+        {"select": ["?s"], "where": [["?s", {"inv": "<a>"}, "?o"]]},
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "lang": ""}]]},
         # a bare "?" names no variable
         {"select": ["?"], "where": [["?s", "?p", "?o"]]},
         {"select": ["?s"], "where": [["?", "?p", "?o"]]},
@@ -296,6 +323,39 @@ class TestJsonFormats:
         pattern_from_json(doc(100))
         with pytest.raises(QueryError, match="nested deeper than 100"):
             pattern_from_json(doc(101))
+
+    @pytest.mark.parametrize("rows", [
+        5, {"?x": "a:b"}, "?x", [5], [[]], ["?x"],
+        # keys that name no variable
+        [{"?": E + "a"}], [{"x": E + "a"}], [{5: E + "a"}],
+        # values that name no term
+        [{"?x": "_:"}], [{"?x": "<>"}], [{"?x": "?y"}], [{"?x": 5}],
+        [{"?x": {"lit": "x", "datatype": "<>"}}],
+        [{"?x": {"lit": "x", "lang": ""}}],
+        [{"?x": {"lit": "x", "lang": "en", "datatype": "icon:a"}}],
+        [{"?x": {"lit": "x", "lang": "en", "datatype": E + "d"}}],
+    ])
+    def test_malformed_solution_rows_are_query_errors(self, rows):
+        with pytest.raises(QueryError):
+            solutions_from_json(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.one_of(JSON_VALUES, PATTERN_DOCS),
+           prefixes=st.none() | st.dictionaries(PREFIXES, NAMESPACE_TEXTS, max_size=3))
+    def test_pattern_reader_raises_only_query_error(self, doc, prefixes):
+        try:
+            pattern_from_json(doc, prefixes)
+        except QueryError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.one_of(JSON_VALUES, st.lists(st.dictionaries(VARIABLES, JSON_VALUES,
+                                                                max_size=3), max_size=3)))
+    def test_solution_reader_raises_only_query_error(self, rows):
+        try:
+            solutions_from_json(rows)
+        except QueryError:
+            pass
 
     def test_solutions_round_trip(self):
         solutions = {Solution.of({"x": e("a"), "y": Literal("v", lang="en")}),

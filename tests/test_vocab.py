@@ -5,7 +5,7 @@ from iconmodel.turtle_io import RDF_TYPE
 from iconmodel.vocab import (Axiom, AxiomKind, BadCurieError, Direction,
                              NAMESPACES, TermKind, TermRegistry,
                              UnknownTermError, VocabError, VocabTerm,
-                             axioms_graph, curie_to_iri)
+                             axioms_graph, curie_to_iri, expand_curie)
 
 
 def i(curie):
@@ -22,20 +22,32 @@ class TestCurie:
             curie_to_iri("nocolon")
 
     def test_rejects_unknown_prefix(self):
-        with pytest.raises(UnknownTermError):
+        with pytest.raises(UnknownTermError, match="'nope:thing'"):
             curie_to_iri("nope:thing")
+
+    @pytest.mark.parametrize("ns", ["foo", "", "rel/"])
+    def test_relative_namespace_is_a_bad_curie(self, ns):
+        # a Turtle document may declare @prefix x: <foo> .
+        with pytest.raises(BadCurieError, match="'x:b'"):
+            expand_curie("x:b", {"x": ns})
 
 
 class TestRegistryLookups:
     def test_lookup_round_trips(self, reg):
-        term = reg.lookup("icon:IconologicalRecognition")
+        iri = reg.iri("icon:IconologicalRecognition")
+        assert iri == i("icon:IconologicalRecognition")
+        [term] = [t for t in reg.terms if t.iri == iri]
+        assert term.curie == "icon:IconologicalRecognition"
         assert term.kind is TermKind.CLASS
-        assert reg.term_for(term.iri) is term
-        assert reg.is_registered(term.iri)
+        assert reg.is_registered(iri)
 
     def test_unregistered_term_raises(self, reg):
         with pytest.raises(UnknownTermError):
-            reg.lookup("icon:notAThing")
+            reg.iri("icon:notAThing")
+
+    def test_non_curie_raises(self, reg):
+        with pytest.raises(BadCurieError):
+            reg.iri("notACurie")
 
     def test_unregistered_iri_is_not_registered(self, reg):
         assert not reg.is_registered(Iri("http://example.org/x"))
