@@ -9,16 +9,17 @@ isomorphic(G, G) on the casebook x SCALE (perfbench's scaled_document)
 for both trees, alternating which goes first. The closure has no blank
 nodes, so isomorphic(G, G) never reaches the blank-node search; the
 "blank-iso" stage does what perfbench's author workload does. Once per
-tree, it expands 20 shortcuts of the closure (a seeded sample) into
-blank recognition nodes, closes again and serializes that closure. Each
-run parses the text back and times isomorphic against that closure
-(True) plus against a copy whose first icon:assignsTo edge is moved
-(False). It checks that both trees serialize the closure to the same
-text, record the same derivation (rule and premises, compared through
-triple_key) for every inferred triple, iterate the closure store in the
-same order (which holds only if every term and triple hashes the same
-in both) and give the same two blank-iso answers, and exits 1 if they
-do not; "ingest" is the sum of parse, close, validate and serialize.
+tree, it expands 20 shortcuts of the closure (a seeded sample, or all of
+them where there are fewer, as at SCALE 1) into blank recognition nodes,
+closes again and serializes that closure. Each run parses the text
+back and times isomorphic against that closure (True) plus against a
+copy whose first icon:assignsTo edge is moved (False). It checks that
+both trees serialize the closure to the same text, record the same
+derivation (rule and premises, compared through triple_key) for every
+inferred triple, iterate the closure store in the same order (which
+holds only if every term and triple hashes the same in both) and give
+the same two blank-iso answers, and exits 1 if they do not; "ingest" is
+the sum of parse, close, validate and serialize.
 Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
@@ -85,16 +86,17 @@ def load_as(name: str, src: Path):
 
 
 def authored(tree, text: str, expansions: int = 20) -> tuple:
-    """The closure of text with `expansions` shortcuts expanded, that closure
-    serialized, and its first expansion's icon:assignsTo edge moved to
-    another entity, as perfbench's author workload builds them."""
+    """The closure of text with `expansions` shortcuts (at most all there
+    are) expanded, that closure serialized, and its first expansion's
+    icon:assignsTo edge moved to another entity, as perfbench's author
+    workload builds them."""
     g, reg = tree["graph"], tree["vocab"].build_registry()
     parsed = tree["turtle_io"].parse_turtle(text)
     closure = tree["reasoner"].close(parsed.graph, reg)
     shortcut_iris = {reg.iri("icon:symbolizes"), reg.iri("icon:isDocumentOf")}
     shortcuts = sorted((t for t in closure.inferred if t.predicate in shortcut_iris), key=repr)
     full, deltas = closure.graph(), []
-    for t in random.Random(0).sample(shortcuts, expansions):
+    for t in random.Random(0).sample(shortcuts, min(expansions, len(shortcuts))):
         deltas.append(tree["reasoner"].expand_shortcut(full, t, reg))
         full = g.union(full, deltas[-1])
     merged = g.Graph(u for d in deltas for u in d).freeze()

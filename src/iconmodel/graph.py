@@ -7,10 +7,10 @@ object) are tuples with named fields. Each hashes as its text or its
 tuple of fields, and never carries one process's string hash seed into
 another. Equality widens in one way: an Iri equals the plain str of its
 text, and a Triple or Literal the plain tuple of its fields. A blank
-node hashes as its label but equals only a blank node, so no term
-equals one of another kind. A parse builds one Iri per distinct token
-text under the current prefixes and base, so one IRI written two ways
-gives two equal Iri objects.
+node is a named tuple that hashes as its label but equals only a blank
+node, so no term equals one of another kind. A parse builds one Iri
+per distinct token text under the current prefixes and base, so one
+IRI written two ways gives two equal Iri objects.
 
 Graphs are append-only while being built and are frozen before they
 are handed out. A graph builds its subject, predicate and object
@@ -65,31 +65,34 @@ class Iri(str):
 XSD_STRING = Iri("http://www.w3.org/2001/XMLSchema#string")
 
 
-class BlankNode:
-    """A blank node: hashes as its label, equals only a blank node with
-    the same label, and is immutable."""
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        if not label:
-            raise ValueError("blank node label must be non-empty")
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+class _ExactTuple(tuple):
+    """Base of the blank node and the query's variable and path nodes: a
+    value equals only a value of its own class with equal fields, so
+    BlankNode("x") != Var("x") and none equals a plain tuple."""
+    __slots__ = ()
 
     def __eq__(self, other):
-        if other.__class__ is BlankNode:
-            return self.label == other.label
-        return NotImplemented
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __hash__(self):
-        return hash(self.label)
+        return hash((self.__class__.__name__, *self))
 
-    def __reduce__(self):
-        return BlankNode, (self.label,)
+
+class BlankNode(_ExactTuple, namedtuple("_BlankNode", "label")):
+    """A blank node: hashes as its label and equals only a blank node
+    with the same label."""
+    __slots__ = ()
+
+    def __new__(cls, label: str) -> "BlankNode":
+        if not label:
+            raise ValueError("blank node label must be non-empty")
+        return _new_tuple(cls, (label,))
+
+    def __hash__(self):
+        return hash(self[0])
 
     def __repr__(self):
         return f"_:{self.label}"

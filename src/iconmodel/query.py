@@ -15,7 +15,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .graph import (XSD_STRING, BlankNode, Graph, Iri, Literal, PrefixMap, Term,
-                    term_key, term_str)
+                    _ExactTuple, term_key, term_str)
 from .vocab import NAMESPACES, VocabError, curie_to_iri, data_iri, expand_curie
 
 if TYPE_CHECKING:  # annotations only: a query over an asserted graph runs no reasoner
@@ -34,39 +34,23 @@ class UnknownQuestionError(QueryError):
     pass
 
 
-class _Node(tuple):
-    """Base of the variable and path nodes, which are named tuples: a node
-    equals only a node of its own class with equal fields, so
-    Inv(p) != Plus(p) and no node equals a plain tuple."""
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash((self.__class__.__name__, *self))
-
-
-class Var(_Node, namedtuple("Var", "name")):
+class Var(_ExactTuple, namedtuple("Var", "name")):
     __slots__ = ()
 
 
-class Inv(_Node, namedtuple("Inv", "path")):
+class Inv(_ExactTuple, namedtuple("Inv", "path")):
     __slots__ = ()
 
 
-class Seq(_Node, namedtuple("Seq", "first second")):
+class Seq(_ExactTuple, namedtuple("Seq", "first second")):
     __slots__ = ()
 
 
-class Alt(_Node, namedtuple("Alt", "left right")):
+class Alt(_ExactTuple, namedtuple("Alt", "left right")):
     __slots__ = ()
 
 
-class Plus(_Node, namedtuple("Plus", "path")):
+class Plus(_ExactTuple, namedtuple("Plus", "path")):
     __slots__ = ()
 
 
@@ -90,6 +74,8 @@ class Solution(NamedTuple):
 
 Pairs = set[tuple[Term, Term]]
 
+_MAX_PATH_DEPTH = 100  # keeps decoding and _path_pairs inside the recursion limit
+
 
 def _by_start(pairs: Pairs) -> dict[Term, list[Term]]:
     ends: dict[Term, list[Term]] = {}
@@ -103,26 +89,40 @@ def _join(left: Pairs, ends: dict[Term, list[Term]]) -> Pairs:
     return {(a, c) for a, b in left for c in ends.get(b, ())}
 
 
+def _check_path(path, depth: int = 0) -> None:
+    """QueryError unless path is a path over IRIs at most _MAX_PATH_DEPTH deep."""
+    if depth > _MAX_PATH_DEPTH:
+        raise QueryError(f"path expression nested deeper than {_MAX_PATH_DEPTH}")
+    if isinstance(path, (Inv, Seq, Alt, Plus)):
+        for x in path:
+            _check_path(x, depth + 1)
+    elif not isinstance(path, Iri):
+        raise QueryError(f"bad path expression {path!r}")
+
+
 def path_pairs(g: Graph, path: PathExpr) -> Pairs:
     """All (start, end) pairs related by the path over the frozen graph."""
+    _check_path(path)
+    return _path_pairs(g, path)
+
+
+def _path_pairs(g: Graph, path: PathExpr) -> Pairs:
     if isinstance(path, Iri):
         return {(t.subject, t.object) for t in g.match(p=path)}
     if isinstance(path, Inv):
-        return {(b, a) for a, b in path_pairs(g, path.path)}
+        return {(b, a) for a, b in _path_pairs(g, path.path)}
     if isinstance(path, Seq):
-        return _join(path_pairs(g, path.first), _by_start(path_pairs(g, path.second)))
+        return _join(_path_pairs(g, path.first), _by_start(_path_pairs(g, path.second)))
     if isinstance(path, Alt):
-        return path_pairs(g, path.left) | path_pairs(g, path.right)
-    if isinstance(path, Plus):
-        # semi-naive: each round extends by one step only the pairs the
-        # last round found
-        step = path_pairs(g, path.path)
-        ends, out, last = _by_start(step), set(step), step
-        while last:
-            last = _join(last, ends) - out
-            out |= last
-        return out
-    raise QueryError(f"bad path expression {path!r}")
+        return _path_pairs(g, path.left) | _path_pairs(g, path.right)
+    # Plus, semi-naive: each round extends by one step only the pairs the
+    # last round found
+    step = _path_pairs(g, path.path)
+    ends, out, last = _by_start(step), set(step), step
+    while last:
+        last = _join(last, ends) - out
+        out |= last
+    return out
 
 
 def _bind(value: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
@@ -132,13 +132,15 @@ def _bind(value: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
 
 
 def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solution]:
-    """Exactly the binding sets under which every pattern triple holds."""
+    """Exactly the binding sets under which every pattern triple holds;
+    QueryError for a pattern triple it cannot run."""
     projection = list(projection)
-    pattern_vars = set()
-    for s, p, o in pattern.triples:
-        for x in (s, p, o):
-            if isinstance(x, Var):
-                pattern_vars.add(x.name)
+    for s, p, o in pattern.triples:  # checked once here, not per binding
+        if not isinstance(p, Var):
+            _check_path(p)
+        if not all(isinstance(x, (Iri, BlankNode, Literal, Var)) for x in (s, o)):
+            raise QueryError(f"bad pattern triple {(s, p, o)!r}")
+    pattern_vars = {x.name for t in pattern.triples for x in t if isinstance(x, Var)}
     for v in projection:
         if v.name not in pattern_vars:
             raise UnboundProjectionError(f"projected variable ?{v.name} "
@@ -162,7 +164,7 @@ def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solut
         for binding in bindings:
             bs, bo = _bind(s, binding), _bind(o, binding)
             if isinstance(p, (Inv, Seq, Alt, Plus)):
-                for a, b in path_pairs(g, p):
+                for a, b in _path_pairs(g, p):
                     nb = extend(binding, ((bs, a), (bo, b)))
                     if nb is not None:
                         next_bindings.append(nb)
@@ -226,9 +228,6 @@ def _resolve(value: str, prefixes: PrefixMap) -> Iri:
         raise QueryError(f"bad IRI {value!r}: {exc}")
     except VocabError as exc:  # each names the CURIE
         raise QueryError(str(exc))
-
-
-_MAX_PATH_DEPTH = 100  # keeps decoding and path_pairs inside the recursion limit
 
 
 def _balanced(node, parts: list):

@@ -172,7 +172,6 @@ class TermRegistry:
     def __init__(self, terms: list[VocabTerm], axioms: list[Axiom]):
         self.terms = tuple(terms)
         self.axioms = tuple(axioms)
-        self._by_curie = {t.curie: t.iri for t in terms}
         self._iris = frozenset(t.iri for t in terms)
         self._check()
         self._sup_c = self._supersets(AxiomKind.SUB_CLASS_OF)
@@ -181,10 +180,8 @@ class TermRegistry:
     # -- lookups ----------------------------------------------------------
 
     def iri(self, curie: str) -> Iri:
-        if ":" not in curie:
-            raise BadCurieError(f"not a CURIE: {curie!r}")
-        iri = self._by_curie.get(curie)
-        if iri is None:
+        iri = expand_curie(curie, NAMESPACES)
+        if iri not in self._iris:
             raise UnknownTermError(f"unregistered term {curie!r}")
         return iri
 

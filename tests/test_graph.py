@@ -47,6 +47,7 @@ class TestTerms:
 
     def test_blank_node_hashes_as_its_label_and_is_immutable(self):
         b = BlankNode("b")
+        assert isinstance(b, tuple)
         assert hash(b) == hash("b") and repr(b) == "_:b"
         assert b == BlankNode("b") and b != "b" and b != iri("b")
         with pytest.raises(AttributeError):

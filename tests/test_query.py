@@ -32,6 +32,14 @@ def chain():
                   Triple(e("a"), e("name"), Literal("alpha"))]).freeze()
 
 
+def inverted(depth):
+    """e("p") under depth nested Inv nodes."""
+    path = e("p")
+    for _ in range(depth):
+        path = Inv(path)
+    return path
+
+
 class TestPaths:
     def test_plain_predicate(self, chain):
         assert path_pairs(chain, e("p")) == {(e("a"), e("b")), (e("b"), e("c"))}
@@ -77,7 +85,8 @@ class TestRecords:
         assert Var(E + "x") != Inv(Iri(E + "x"))
         assert BlankNode("x") != Var("x") and Var("x") != BlankNode("x")
         assert len({Inv(p), Plus(p)}) == 2
-        for node, fields in ((Var("x"), ("x",)), (Inv(p), (p,)), (Seq(p, q), (p, q))):
+        for node, fields in ((Var("x"), ("x",)), (Inv(p), (p,)), (Seq(p, q), (p, q)),
+                             (BlankNode("x"), ("x",))):
             assert node != fields and fields != node
         assert Seq(Inv(p), q) == Seq(Inv(p), q)
         assert hash(Seq(Inv(p), q)) == hash(Seq(Inv(p), q))
@@ -130,6 +139,26 @@ class TestEvaluate:
         for path in (Plus(Var("p")), Inv(Seq(Var("p"), e("q")))):
             with pytest.raises(QueryError):
                 evaluate(chain, Pattern(((Var("s"), path, Var("o")),)), [Var("s")])
+
+    @pytest.mark.parametrize("triple", [
+        (Var("s"), inverted(101), Var("o")),
+        (Var("s"), inverted(5000), Var("o")),
+        (Var("s"), 5, Var("o")),
+        (Var("s"), Literal(E + "p"), Var("o")),
+        (5, Var("p"), Var("o")),
+        (Var("s"), Var("p"), None)])
+    def test_pattern_it_cannot_run_is_query_error(self, chain, triple):
+        with pytest.raises(QueryError):
+            evaluate(chain, Pattern((triple,)), [])
+        if not isinstance(triple[1], Var):
+            with pytest.raises(QueryError):
+                path_pairs(chain, triple[1])
+
+    def test_path_nested_100_deep_evaluates(self, chain):
+        # an even number of inversions cancels out
+        assert evaluate(chain, Pattern(((Var("x"), inverted(100), Var("y")),)),
+                        [Var("x")]) \
+            == {Solution.of({"x": e("a")}), Solution.of({"x": e("b")})}
 
     def test_no_solutions(self, chain):
         assert evaluate(chain, Pattern(((Var("x"), e("nope"), Var("y")),)),

@@ -42,8 +42,10 @@ class TestRegistryLookups:
         assert reg.is_registered(iri)
 
     def test_unregistered_term_raises(self, reg):
-        with pytest.raises(UnknownTermError):
+        with pytest.raises(UnknownTermError, match="unregistered term 'icon:notAThing'"):
             reg.iri("icon:notAThing")
+        with pytest.raises(UnknownTermError, match="unknown prefix 'ex' in 'ex:x'"):
+            reg.iri("ex:x")
 
     def test_non_curie_raises(self, reg):
         with pytest.raises(BadCurieError):
