@@ -6,8 +6,9 @@ this checkout's iconmodel and with the one under OTHER_SRC (for example
 an older commit unpacked with `git archive`), and compares the graph,
 prefixes and base, or the error's (line, column, kind, message). Every
 document this checkout accepts must also serialize and read back to an
-isomorphic graph. Prints the first difference and exits 1, or prints the
-counts and exits 0.
+isomorphic graph. Every document both checkouts accept must serialize to
+the same text under both, or fail with the same GraphError message.
+Prints the first difference and exits 1, or prints the counts and exits 0.
 
     PYTHONPATH=src python3 scripts/fuzz_turtle_against.py OTHER_SRC N SEED
 """
@@ -16,6 +17,7 @@ import random
 import sys
 from pathlib import Path
 
+from iconmodel import turtle_io
 from iconmodel.graph import GraphError, isomorphic
 from iconmodel.turtle_io import ParseError, parse_turtle, serialize_turtle
 from stage_times_against import load_as
@@ -60,6 +62,17 @@ def outcome(parse, error_type, text):
     return ("ok", sorted(map(repr, r.graph)), sorted(r.prefixes.items()), repr(r.base))
 
 
+def written(module, graph_error, text: str) -> str:
+    """What a turtle_io module's serialize_turtle makes of the graph and
+    prefixes that its parse_turtle reads from text: the text, or the
+    GraphError's message."""
+    r = module.parse_turtle(text)
+    try:
+        return module.serialize_turtle(r.graph, r.prefixes)
+    except graph_error as e:
+        return f"GraphError: {e}"
+
+
 def reads_back(text: str) -> bool:
     r = parse_turtle(text)
     try:
@@ -70,9 +83,10 @@ def reads_back(text: str) -> bool:
 
 
 def main(other_src: str, n: int, seed: int) -> int:
-    other = load_as("other_iconmodel", Path(other_src))["turtle_io"]
+    other_tree = load_as("other_iconmodel", Path(other_src))
+    other, other_graph_error = other_tree["turtle_io"], other_tree["graph"].GraphError
     rng = random.Random(seed)
-    counts = {"parsed by the other": 0, "identical": 0,
+    counts = {"parsed by the other": 0, "identical": 0, "serialized identically": 0,
               "language tag now refused": 0, "ValueError there, not here": 0}
     for _ in range(n):
         text = document(rng)
@@ -82,6 +96,14 @@ def main(other_src: str, n: int, seed: int) -> int:
         if ours[0] == "ok" and not reads_back(text):
             print("does not read back:", repr(text))
             return 1
+        if ours[0] == theirs[0] == "ok":
+            here = written(turtle_io, GraphError, text)
+            there = written(other, other_graph_error, text)
+            if here != there:
+                print("serialized differently:", repr(text), repr(there), repr(here),
+                      sep="\n  ")
+                return 1
+            counts["serialized identically"] += 1
         if theirs == ours:
             counts["identical"] += 1
         elif ours[0] == "error" and ours[3] == "BAD_LITERAL" and "language tag" in ours[4]:

@@ -133,15 +133,18 @@ def _bind(value: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
 
 def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solution]:
     """Exactly the binding sets under which every pattern triple holds;
-    QueryError for a pattern triple it cannot run."""
+    QueryError for a triple it cannot run or a projection entry not a Var."""
     projection = list(projection)
-    for s, p, o in pattern.triples:  # checked once here, not per binding
+    for triple in pattern.triples:  # checked once here, not per binding
+        s, p, o = triple if isinstance(triple, tuple) and len(triple) == 3 else (None,) * 3
+        if not all(isinstance(x, (Iri, BlankNode, Literal, Var)) for x in (s, o)):
+            raise QueryError(f"bad pattern triple {triple!r}")
         if not isinstance(p, Var):
             _check_path(p)
-        if not all(isinstance(x, (Iri, BlankNode, Literal, Var)) for x in (s, o)):
-            raise QueryError(f"bad pattern triple {(s, p, o)!r}")
     pattern_vars = {x.name for t in pattern.triples for x in t if isinstance(x, Var)}
     for v in projection:
+        if not isinstance(v, Var):
+            raise QueryError(f"projection entry {v!r} is not a variable")
         if v.name not in pattern_vars:
             raise UnboundProjectionError(f"projected variable ?{v.name} "
                                          "does not occur in the pattern")

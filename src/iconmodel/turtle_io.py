@@ -20,17 +20,18 @@ admits. Where no token matches, the pattern's last branch takes the
 rest of the text, so a lex error ends the scan. A token's offset is
 found only for an error, by lexing the document again. The parser turns
 a CURIE or <IRI> token into an Iri in one method, _Parser._node, cached
-by token text. The serializer checks each IRI, CURIE, blank node label,
-language tag and prefix it writes by matching it against the same
-pattern, so whatever it writes reads back as the token it meant, and
-it builds its output in one join.
+by token text. The serializer renders each distinct term once. It checks
+every prefix, CURIE and language tag it writes against the same pattern,
+and all <IRI> and _:label texts in one findall over their space-joined
+texts, so whatever it writes reads back as the token it meant. It sorts
+the triples once by their terms' ranks and writes them in one join.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from itertools import islice
+from itertools import chain, groupby, islice
 from typing import Iterable, NamedTuple, Optional
 
 from .graph import (RDF_TYPE, XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
@@ -402,22 +403,14 @@ def _unreadable(what) -> GraphError:
                       "read it back")
 
 
-def _checked(kind: str, text: str, t: Term) -> str:
-    if not _lexes_as(kind, text):
-        raise _unreadable(repr(t))
-    return text
-
-
-def _render_term(t: Term, by_ns: list[tuple[str, str]]) -> str:
-    if isinstance(t, Iri):
-        return _contract(t, by_ns) or _checked("IRIREF", f"<{t}>", t)
-    if isinstance(t, BlankNode):
-        return _checked("BLANK", f"_:{t.label}", t)
+def _render_literal(t: Literal, by_ns: list[tuple[str, str]]) -> str | GraphError:
+    """The literal's text, or the GraphError naming what makes it unreadable."""
     body = f'"{_escape(t.lexical)}"'
     if t.lang:
-        return body + _checked("LANG", f"@{t.lang}", t)
+        return body + f"@{t.lang}" if _lexes_as("LANG", f"@{t.lang}") else _unreadable(repr(t))
     if t.datatype and t.datatype != XSD_STRING:
-        return f"{body}^^{_render_term(t.datatype, by_ns)}"
+        dt = _contract(t.datatype, by_ns) or f"<{t.datatype}>"
+        return f"{body}^^{dt}" if _lexes_as(_kind(dt), dt) else _unreadable(repr(t.datatype))
     return body
 
 
@@ -426,38 +419,62 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
     term order, predicates and objects sorted within each subject block.
 
     parse_turtle reads the output back to an isomorphic graph. A term or
-    prefix it could not read back raises GraphError naming it.
+    prefix it could not read back raises GraphError naming it (the first
+    such term in output order, a subject after the rest of its block).
     """
     for label, ns in prefixes.items():
         if not (_lexes_as("PNAME", f"{label}:") and _lexes_as("IRIREF", f"<{ns}>")):
             raise _unreadable(f"prefix {label}: <{ns}>")
     by_ns = sorted(((ns, label) for label, ns in prefixes.items()),
                    key=lambda x: (-len(x[0]), x[1]))
-    rendered: dict[Term, str] = {}  # each distinct term is rendered once
-
-    def render(t: Term) -> str:
-        text = rendered.get(t)
-        if text is None:
-            text = rendered[t] = _render_term(t, by_ns)
-        return text
-
-    # the output's pieces, joined once at the end: each block ends in a
-    # newline, and a blank line goes before each block that follows text
+    namespaces = tuple(prefixes.values())  # only an IRI they start has a CURIE
+    if iter(graph) is graph:  # a one-shot iterator: graph is read twice
+        graph = list(graph)
+    terms = sorted(set(chain.from_iterable(graph)), key=term_key)
+    # each distinct term's text, or the GraphError naming it, by rank; raw
+    # holds the ranks of the <IRI> and _:label texts, lex-checked below
+    texts, raw = [], []
+    for t in terms:
+        if isinstance(t, Literal):
+            text = _render_literal(t, by_ns)
+        elif not (text := isinstance(t, Iri) and t.startswith(namespaces)
+                  and _contract(t, by_ns)):
+            raw.append(len(texts))
+            text = f"<{t}>" if isinstance(t, Iri) else f"_:{t.label}"
+        texts.append(text)
+    # each text lexes alone as itself if and only if their space-joined
+    # texts lex as them all: no token of these kinds runs past a space
+    batch = [texts[i] for i in raw]
+    if _LEX.findall(" ".join(batch) + " ") != batch + ["", ""]:
+        for i in raw:
+            if not _lexes_as(_kind(texts[i]), texts[i]):
+                texts[i] = _unreadable(repr(terms[i]))
+    n = len(terms)
+    nn = n * n
+    rank = {t: i for i, t in enumerate(terms)}
+    # a triple's key orders it by its subject's, predicate's and object's ranks
+    keys = sorted((rank[s] * n + rank[p]) * n + rank[o] for s, p, o in graph)
+    a = rank.get(RDF_TYPE)  # rdf:type is written "a" as a predicate only
+    # pieces joined once: blank lines between blocks, each ending " .\n"
     out = [f"@prefix {label}: <{ns}> .\n" for label, ns in sorted(prefixes.items())]
-    by_subject: dict[Term, list[Triple]] = {}
-    for t in graph:
-        by_subject.setdefault(t.subject, []).append(t)
-    for subject in sorted(by_subject, key=term_key):
-        by_pred: dict[Iri, list[Term]] = {}
-        for t in by_subject[subject]:
-            by_pred.setdefault(t.predicate, []).append(t.object)
-        head = len(out)  # the subject's slot: it is checked after its terms
-        out.append("\n" if out else "")
-        separator = " "
-        for pred in sorted(by_pred, key=term_key):
-            out += (separator, "a" if pred == RDF_TYPE else render(pred), " ",
-                    ", ".join(map(render, sorted(by_pred[pred], key=term_key))))
-            separator = " ;\n    "
-        out[head] += render(subject)
-        out.append(" .\n")
-    return "".join(out)
+    gap, subject, predicate = "\n" if out else "", None, None
+    for key in keys:
+        s, rest = divmod(key, nn)
+        p, o = divmod(rest, n)
+        if s != subject:
+            out += (gap, texts[s], " ", "a" if p == a else texts[p], " ", texts[o])
+            gap = " .\n\n"
+        elif p != predicate:
+            out += (" ;\n    ", "a" if p == a else texts[p], " ", texts[o])
+        else:
+            out += (", ", texts[o])
+        subject, predicate = s, p
+    out.append(" .\n" if keys else "")
+    try:
+        return "".join(out)
+    except TypeError:  # a piece is a GraphError: raise the first one met, where
+        # a subject is met after the predicates and objects of its block
+        for s, block in groupby(keys, lambda key: key // nn):
+            for i in [*chain.from_iterable(divmod(key % nn, n) for key in block), s]:
+                if isinstance(texts[i], GraphError):
+                    raise texts[i] from None

@@ -12,11 +12,12 @@ import itertools
 import re
 
 from iconmodel.casebook import InterpretationLevel
-from iconmodel.graph import BlankNode, Graph, Iri, Literal, Term, Triple
+from iconmodel.graph import (XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
+                             Term, Triple, term_key)
 from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
 from iconmodel.shapes import Severity
-from iconmodel.turtle_io import RDF_TYPE, _TABLE, _lex_error
+from iconmodel.turtle_io import RDF_TYPE, _TABLE, _lex_error, _lexes_as
 from iconmodel.vocab import (DATA_NAMESPACE, AxiomKind, Direction, TermRegistry,
                              curie_to_iri)
 
@@ -444,3 +445,55 @@ def oracle_tokens(text: str) -> list[str]:
         if kind == "EOF":
             return tokens
         pos = m.end()
+
+
+def oracle_serialize(triples, prefixes: dict[str, str]) -> str:
+    """Turtle as serialize_turtle writes it, built the slow way: per
+    subject, then per predicate, each sorted by term_key, rendering every
+    term again wherever it is written and checking it with _lexes_as. So a
+    graph with unreadable terms raises the GraphError of the first one met,
+    and a subject is met after the predicates and objects of its block."""
+    def unreadable(what) -> GraphError:
+        return GraphError(f"cannot serialize {what}: the Turtle reader would not "
+                          "read it back")
+
+    def checked(kind: str, text: str, t) -> str:
+        if not _lexes_as(kind, text):
+            raise unreadable(repr(t))
+        return text
+
+    def iri(i: Iri) -> str:
+        for ns, label in sorted(((ns, label) for label, ns in prefixes.items()),
+                                key=lambda x: (-len(x[0]), x[1])):
+            if i.startswith(ns) and _lexes_as("PNAME", f"{label}:{i[len(ns):]}"):
+                return f"{label}:{i[len(ns):]}"
+        return checked("IRIREF", f"<{i}>", i)
+
+    def render(t: Term) -> str:
+        if isinstance(t, Iri):
+            return iri(t)
+        if isinstance(t, BlankNode):
+            return checked("BLANK", f"_:{t.label}", t)
+        body = '"' + "".join({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                              "\t": "\\t"}.get(c, c) for c in t.lexical) + '"'
+        if t.lang:
+            return body + checked("LANG", f"@{t.lang}", t)
+        if t.datatype not in (None, XSD_STRING):
+            return body + "^^" + iri(t.datatype)
+        return body
+
+    for label, ns in prefixes.items():
+        if not (_lexes_as("PNAME", f"{label}:") and _lexes_as("IRIREF", f"<{ns}>")):
+            raise unreadable(f"prefix {label}: <{ns}>")
+    triples = list(triples)
+    blocks = []
+    for s in sorted({t.subject for t in triples}, key=term_key):
+        lines = []
+        for p in sorted({t.predicate for t in triples if t.subject == s}, key=term_key):
+            objects = sorted((t.object for t in triples if t.subject == s and t.predicate == p),
+                             key=term_key)
+            lines.append(("a" if p == RDF_TYPE else render(p)) + " "
+                         + ", ".join(render(o) for o in objects))
+        blocks.append(render(s) + " " + " ;\n    ".join(lines) + " .\n")
+    head = "".join(f"@prefix {label}: <{ns}> .\n" for label, ns in sorted(prefixes.items()))
+    return "\n".join(([head] if head else []) + blocks)

@@ -140,17 +140,25 @@ class TestEvaluate:
             with pytest.raises(QueryError):
                 evaluate(chain, Pattern(((Var("s"), path, Var("o")),)), [Var("s")])
 
-    @pytest.mark.parametrize("triple", [
-        (Var("s"), inverted(101), Var("o")),
-        (Var("s"), inverted(5000), Var("o")),
-        (Var("s"), 5, Var("o")),
-        (Var("s"), Literal(E + "p"), Var("o")),
-        (5, Var("p"), Var("o")),
-        (Var("s"), Var("p"), None)])
-    def test_pattern_it_cannot_run_is_query_error(self, chain, triple):
+    @pytest.mark.parametrize("triple, projection", [
+        ((Var("s"), inverted(101), Var("o")), []),
+        ((Var("s"), inverted(5000), Var("o")), []),
+        ((Var("s"), 5, Var("o")), []),
+        ((Var("s"), Literal(E + "p"), Var("o")), []),
+        ((5, Var("p"), Var("o")), []),
+        ((Var("s"), Var("p"), None), []),
+        ((Var("s"), Var("p")), []),
+        ((Var("s"), Var("p"), Var("o"), Var("x")), []),
+        (5, []),
+        ([Var("s"), Var("p"), Var("o")], []),
+        ((Var("s"), Var("p"), Var("o")), [5]),
+        ((Var("s"), Var("p"), Var("o")), ["s"])])
+    def test_pattern_it_cannot_run_is_query_error(self, chain, triple, projection):
         with pytest.raises(QueryError):
-            evaluate(chain, Pattern((triple,)), [])
-        if not isinstance(triple[1], Var):
+            evaluate(chain, Pattern((triple,)), projection)
+        with pytest.raises(QueryError):  # the same on an empty graph
+            evaluate(Graph().freeze(), Pattern((triple,)), projection)
+        if isinstance(triple, tuple) and len(triple) == 3 and not isinstance(triple[1], Var):
             with pytest.raises(QueryError):
                 path_pairs(chain, triple[1])
 

@@ -12,8 +12,8 @@ from iconmodel.turtle_io import (ErrorKind, ParseError, RDF_TYPE, _Parser, _toke
 from iconmodel.vocab import NAMESPACES
 from iconmodel.casebook import case_document, list_cases
 
-from conftest import turtle_random_graph
-from oracles import oracle_tokens
+from conftest import CASE_IDS, turtle_random_graph
+from oracles import oracle_serialize, oracle_tokens
 
 EX = "@prefix ex: <http://example.org/> .\n"
 # 20,000 statements on lines 2 to 20,001
@@ -403,6 +403,24 @@ class TestSerializer:
         out = serialize_turtle(g, {"ex": "http://example.org/"})
         assert "<http://example.org/name.>" in out
 
+    def test_rdf_type_is_a_only_as_predicate(self):
+        s, p = Iri("http://example.org/s"), Iri("http://example.org/p")
+        g = Graph([Triple(RDF_TYPE, RDF_TYPE, RDF_TYPE), Triple(s, p, RDF_TYPE)]).freeze()
+        assert serialize_turtle(g, {"ex": "http://example.org/"}) == (
+            "@prefix ex: <http://example.org/> .\n\nex:s ex:p <{0}> .\n\n<{0}> a <{0}> .\n"
+            .format(RDF_TYPE))
+        assert serialize_turtle(g, EXAMPLE_PREFIXES).endswith(
+            "\nex:s ex:p rdf:type .\n\nrdf:type a rdf:type .\n")
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_any_iterable_of_triples_gives_the_same_text(self, case_closures, case_id):
+        # icon infer --emit inferred passes closure.inferred, a view of a dict's keys
+        inferred = case_closures[case_id].inferred
+        assert len(inferred) > 0
+        text = serialize_turtle(Graph(inferred).freeze(), NAMESPACES)
+        for triples in (list(inferred), (t for t in inferred), iter(list(inferred)), inferred):
+            assert serialize_turtle(triples, NAMESPACES) == text
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("case_id", [c.id for c in list_cases()])
@@ -514,3 +532,45 @@ class TestRoundTripPromise:
                                  for x in extra]).freeze()
             refused = any(x in UNREADABLE for x in extra)
             assert round_trips_or_refuses(g, EXAMPLE_PREFIXES) is not refused
+
+
+def serialized(serialize, triples, prefixes) -> str:
+    """serialize's text, or its GraphError's message."""
+    try:
+        return serialize(triples, prefixes)
+    except GraphError as e:
+        return f"GraphError: {e}"
+
+
+def test_serializer_agrees_with_oracle():
+    """300 random graphs, each with 1 to 3 awkward terms as subject,
+    predicate or object, under one of three prefix maps: the same text, or
+    the same GraphError, which with several unreadable terms pins the one
+    that is named."""
+    rng = random.Random(2023)
+    prefix_maps = [EXAMPLE_PREFIXES, {}, {"ex": "http://example.org/", "x": "urn:x",
+                                          "exa": "http://example.org/a", "o": "http://other.org/"}]
+    seen = {"written": 0, "refused": 0, "refused, several unreadable": 0}
+    for _ in range(300):
+        g = turtle_random_graph(rng)
+        nodes = sorted({t.subject for t in g}, key=repr) or [Iri("urn:s")]
+        predicates = sorted({t.predicate for t in g}, key=repr) or [Iri("urn:p")]
+        triples = list(g)
+        extra = rng.sample(UNREADABLE + READABLE, rng.randint(1, 3))
+        for x in extra:
+            spo = [rng.choice(nodes), rng.choice(predicates), rng.choice(nodes)]
+            places = [2] + [0] * (not isinstance(x, Literal)) + [1] * isinstance(x, Iri)
+            spo[rng.choice(places)] = x
+            triples.insert(rng.randrange(len(triples) + 1), Triple(*spo))
+        prefixes = rng.choice(prefix_maps)
+        g = Graph(triples).freeze()
+        text = serialized(serialize_turtle, g, prefixes)
+        assert text == serialized(oracle_serialize, g, prefixes)
+        # a list may hold a triple twice, and then writes its object twice
+        assert (serialized(serialize_turtle, triples, prefixes)
+                == serialized(oracle_serialize, triples, prefixes))
+        unreadable = len({x for x in extra if x in UNREADABLE})
+        seen["written" if unreadable == 0 else "refused"] += 1
+        seen["refused, several unreadable"] += unreadable > 1
+        assert text.startswith("GraphError") == (unreadable > 0)
+    assert min(seen.values()) >= 30, seen
