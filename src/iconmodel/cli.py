@@ -3,7 +3,9 @@
 Exit codes: 0 success (conforms / golden match), 1 violations or golden
 mismatch, 2 usage, I/O, or parse errors. All diagnostics go to stderr;
 data output goes to stdout so subcommands compose in pipelines. "-" as a
-path reads from stdin. Set ICON_NO_COLOR to disable ANSI styling.
+path reads from stdin. Set ICON_NO_COLOR to disable ANSI styling. A read
+or write that fails (a missing file, a closed stdin, a full disk) is exit
+2 with one "icon: <message>" line; a closed stdout is not an error.
 
 Each subcommand imports the library modules it runs, and no others, so a
 short run does not pay for importing the whole package.
@@ -24,12 +26,13 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("ICON_NO_COLOR") is None and sys.stdout.isatty()
+class _Refused(Exception):
+    """A refused run: main alone reports it, as one "icon:" line, and exits 2."""
 
 
 def _style(text: str, code: str) -> str:
-    if _color_enabled():
+    if (os.environ.get("ICON_NO_COLOR") is None and sys.stdout is not None
+            and sys.stdout.isatty()):
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
 
@@ -42,12 +45,10 @@ def _red(text: str) -> str:
     return _style(text, "31")
 
 
-def _err(message: str):
-    print(f"icon: {message}", file=sys.stderr)
-
-
 def _read_source(path: str) -> str:
-    """Read a UTF-8 document or exit with status 2."""
+    """Read a UTF-8 document; an OSError propagates."""
+    if path == "-" and sys.stdin is None:
+        raise _Refused("-: standard input is closed")
     try:
         if path == "-":
             raw = getattr(sys.stdin, "buffer", None)
@@ -56,22 +57,17 @@ def _read_source(path: str) -> str:
             # decoded as read_text decodes a file: strict, universal newlines
             return io.TextIOWrapper(io.BytesIO(raw.read()), encoding="utf-8").read()
         return Path(path).read_text("utf-8")
-    except OSError as exc:
-        _err(str(exc))
     except UnicodeDecodeError as exc:
-        _err(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
-    raise SystemExit(EXIT_ERROR)
+        raise _Refused(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
 
 
 def _parse_source(path: str):
-    """Parse a Turtle document or exit with status 2."""
     from .turtle_io import ParseError, parse_turtle
     text = _read_source(path)
     try:
         return parse_turtle(text)
     except ParseError as exc:
-        _err(f"{path}: line {exc.line}, col {exc.column}: {exc.message}")
-        raise SystemExit(EXIT_ERROR)
+        raise _Refused(f"{path}: line {exc.line}, col {exc.column}: {exc.message}")
 
 
 def cmd_parse(args) -> int:
@@ -122,13 +118,11 @@ def cmd_infer(args) -> int:
     from .vocab import NAMESPACES, build_registry
     names = [n for n in args.rules.split(",") if n]
     if not names:
-        _err("no rules selected")
-        return EXIT_ERROR
+        raise _Refused("no rules selected")
     unknown = next((name for name in names if name not in _RULE_NAMES), None)
     if unknown is not None:
-        _err(f"unknown rule name {unknown!r} "
-             f"(expected one of: {', '.join(sorted(_RULE_NAMES))})")
-        return EXIT_ERROR
+        raise _Refused(f"unknown rule name {unknown!r} "
+                       f"(expected one of: {', '.join(sorted(_RULE_NAMES))})")
     rules = RuleSet(**{field: name in names for name, field in _RULE_NAMES.items()})
     closure = close(result.graph, build_registry(), rules)
     if args.emit == "base":
@@ -142,22 +136,19 @@ def cmd_infer(args) -> int:
     try:
         text = serialize_turtle(out, prefixes)
     except GraphError as exc:
-        _err(f"{args.path}: {exc}")
-        return EXIT_ERROR
-    sys.stdout.write(text)
+        raise _Refused(f"{args.path}: {exc}")
+    print(text, end="")
     return EXIT_OK
 
 
 def cmd_query(args) -> int:
     if args.graph == "-" and args.pattern == "-":
-        _err("the graph and the pattern cannot both come from stdin")
-        return EXIT_ERROR
+        raise _Refused("the graph and the pattern cannot both come from stdin")
     result = _parse_source(args.graph)
     try:
         doc = json.loads(_read_source(args.pattern))
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
-        _err(f"{args.pattern}: bad JSON: {exc}")
-        return EXIT_ERROR
+        raise _Refused(f"{args.pattern}: bad JSON: {exc}")
     from .query import QueryError, evaluate, pattern_from_json, solutions_to_json
     g = result.graph
     if args.infer:
@@ -168,8 +159,7 @@ def cmd_query(args) -> int:
         pattern, projection = pattern_from_json(doc, result.prefixes)
         solutions = evaluate(g, pattern, projection)
     except QueryError as exc:
-        _err(str(exc))
-        return EXIT_ERROR
+        raise _Refused(str(exc))
     print(json.dumps(solutions_to_json(solutions), indent=2))
     return EXIT_OK
 
@@ -206,11 +196,9 @@ def _run_cqs(questions) -> bool:
 
 def cmd_cq(args) -> int:
     if args.id is not None and args.action != "run":
-        _err(f"cq {args.action} takes no question id")
-        return EXIT_ERROR
+        raise _Refused(f"cq {args.action} takes no question id")
     if args.case is not None and args.action != "run-all":
-        _err(f"cq {args.action} takes no --case; it applies to cq run-all")
-        return EXIT_ERROR
+        raise _Refused(f"cq {args.action} takes no --case; it applies to cq run-all")
     from .query import UnknownQuestionError, cq_catalog, find_cq
     if args.action == "list":
         for cq in cq_catalog():
@@ -218,27 +206,23 @@ def cmd_cq(args) -> int:
         return EXIT_OK
     if args.action == "run":
         if not args.id:
-            _err("cq run needs a question id")
-            return EXIT_ERROR
+            raise _Refused("cq run needs a question id")
         try:
             questions = [find_cq(args.id)]
         except UnknownQuestionError as exc:
-            _err(str(exc))
-            return EXIT_ERROR
+            raise _Refused(str(exc))
     else:
         questions = cq_catalog()
         if args.case:
             questions = [cq for cq in questions if cq.case_id == args.case]
             if not questions:
-                _err(f"no questions for case {args.case!r}")
-                return EXIT_ERROR
+                raise _Refused(f"no questions for case {args.case!r}")
     return EXIT_OK if _run_cqs(questions) else EXIT_FAIL
 
 
 def cmd_cases(args) -> int:
     if args.action == "list" and (args.id is not None or args.out is not None):
-        _err("cases list takes no case id and no --out")
-        return EXIT_ERROR
+        raise _Refused("cases list takes no case id and no --out")
     from .casebook import UnknownCaseError, case_document, case_meta, list_cases
     if args.action == "list":
         for case in list_cases():
@@ -246,8 +230,7 @@ def cmd_cases(args) -> int:
         return EXIT_OK
     # export
     if args.id is None and args.out is None:
-        _err("cases export needs a case id or --out DIR")
-        return EXIT_ERROR
+        raise _Refused("cases export needs a case id or --out DIR")
     try:
         if args.out is not None:
             # an unknown id raises before the directory is made
@@ -259,10 +242,9 @@ def cmd_cases(args) -> int:
                                                         "utf-8")
                 print(f"wrote {out_dir / (case_id + '.ttl')}", file=sys.stderr)
         else:
-            sys.stdout.write(case_document(args.id))
-    except (UnknownCaseError, OSError) as exc:
-        _err(str(exc))
-        return EXIT_ERROR
+            print(case_document(args.id), end="")
+    except UnknownCaseError as exc:
+        raise _Refused(str(exc))
     return EXIT_OK
 
 
@@ -312,16 +294,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors already; normalize --help to 0
-        return int(exc.code or 0)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse uses 2 for usage errors already; normalize --help to 0
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
+    except (_Refused, OSError) as exc:
+        print(f"icon: {exc}", file=sys.stderr)
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # stdout failed and keeps what it could not write
+        try:  # point its descriptor at devnull, or the flush at exit fails
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        except OSError:  # a stream with no file descriptor
+            pass
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ one.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 PrefixMap = dict[str, str]
@@ -255,12 +256,7 @@ class Graph:
         return {t.subject for t in by_o.get(node, ()) if t.predicate == p}
 
     def terms(self) -> set[Term]:
-        out: set[Term] = set()
-        for t in self._triples:
-            out.add(t.subject)
-            out.add(t.predicate)
-            out.add(t.object)
-        return out
+        return set(chain.from_iterable(self._triples))
 
     def has_term(self, x: Term) -> bool:
         """True iff x occurs as a subject, predicate or object; a literal's

@@ -9,6 +9,7 @@ icon:assignsTo (recognition -> interpreted entity) and icon:assigned
 from __future__ import annotations
 
 import enum
+from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple, Optional, Union
 
 from .graph import RDF_TYPE, Graph, Iri, PrefixMap, Triple
@@ -246,34 +247,19 @@ class TermRegistry:
                 raise VocabError("icon:symbolizes must not be aligned under vir:K14")
 
     def _supersets(self, kind: AxiomKind) -> dict[Iri, frozenset[Iri]]:
-        """Strict supersets of every term in one kind of hierarchy axiom, by
-        one iterative depth-first walk that rejects a cycle."""
+        """Strict supersets of every term in one kind of hierarchy axiom: its
+        parents and their supersets, computed parents first."""
         edges: dict[Iri, list[Iri]] = {}
         for a in self.axioms:
             if a.kind is kind:
                 edges.setdefault(a.subject, []).append(a.object)
         out: dict[Iri, frozenset[Iri]] = {}
-        for root in edges:
-            if root in out:
-                continue
-            on_path = {root}
-            stack = [(root, iter(edges[root]))]
-            while stack:
-                n, parents = stack[-1]
-                m = next(parents, None)
-                if m is None:
-                    stack.pop()
-                    on_path.discard(n)
-                    acc: set[Iri] = set()
-                    for parent in edges.get(n, ()):
-                        acc.add(parent)
-                        acc |= out[parent]
-                    out[n] = frozenset(acc)
-                elif m in on_path:
-                    raise VocabError(f"cycle in {kind.value} axioms at {m!r}")
-                elif m not in out:
-                    on_path.add(m)
-                    stack.append((m, iter(edges.get(m, ()))))
+        try:
+            for n in TopologicalSorter(edges).static_order():
+                parents = edges.get(n, ())
+                out[n] = frozenset(parents).union(*(out[m] for m in parents))
+        except CycleError as exc:
+            raise VocabError(f"cycle in {kind.value} axioms at {exc.args[1][0]!r}")
         return out
 
 

@@ -1,9 +1,15 @@
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import iconmodel
 from iconmodel.cli import main
 from iconmodel.graph import Iri, Literal
 from iconmodel.query import solutions_from_json
@@ -118,6 +124,13 @@ class TestValidate:
         bad.write_text("not turtle at all")
         code, out, err = run(capsys, "validate", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("flag, focus", [("--json", '"focus": "x"'), (None, "] x:")])
+    def test_literal_focus_prints_its_lexical_form(self, capsys, tmp_path, flag, focus):
+        doc = tmp_path / "lit.ttl"
+        doc.write_text('<http://e/a> <https://w3id.org/icon/ontology/isDocumentOf> "x" .\n')
+        code, out, err = run(capsys, "validate", str(doc), *([flag] if flag else []))
+        assert code == 1 and focus in out and "S5" in out
 
 
 class TestInfer:
@@ -390,6 +403,10 @@ class TestCases:
             "hercules-salvation.ttl", "laocoon.ttl", "neptune.ttl",
             "vermeer-balance.ttl"]
 
+    def test_export_needs_a_case_id_or_a_directory(self, capsys):
+        code, out, err = run(capsys, "cases", "export")
+        assert (code, out, err) == (2, "", "icon: cases export needs a case id or --out DIR\n")
+
     def test_export_unknown_case(self, capsys):
         code, out, err = run(capsys, "cases", "export", "nope")
         assert code == 2
@@ -406,3 +423,62 @@ class TestCases:
                              "--out", str(blocker / "sub"))
         assert code == 2 and out == ""
         assert err.startswith("icon:") and len(err.splitlines()) == 1
+
+
+SRC = Path(iconmodel.__file__).resolve().parents[1]
+FIXTURE = str(SRC / "iconmodel" / "fixtures" / "vermeer-balance.ttl")
+
+
+def run_process(argv, closed_fd=None, stdout=subprocess.PIPE, unbuffered=False):
+    """An icon run as its own process, optionally with fd 0 or 1 closed;
+    colour stays on so that a closed stdout is asked whether it is a tty."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("ICON_NO_COLOR", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "iconmodel.cli", *argv],
+                          stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60,
+                          preexec_fn=None if closed_fd is None
+                          else lambda: os.close(closed_fd))
+
+
+class TestBrokenStreams:
+    """A read or write that fails is exit 2 with one "icon:" line; a closed
+    stdout is not an error."""
+
+    def test_closed_stdin_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(capsys, "parse", "-") == (2, "", "icon: -: standard input is closed\n")
+
+    def test_closed_stdin(self):
+        proc = run_process(["parse", "-"], closed_fd=0)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", b"icon: -: standard input is closed\n")
+
+    @pytest.mark.parametrize("argv", [["cq", "list"], ["cq", "run", "CQ3"],
+                                      ["infer", FIXTURE], ["validate", FIXTURE],
+                                      ["cases", "export", "laocoon"]])
+    def test_closed_stdout_is_not_an_error(self, argv):
+        proc = run_process(argv, closed_fd=1, stdout=None)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["cq", "list"], ["infer", FIXTURE]])
+    def test_full_stdout_is_exit_2(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = run_process(argv, stdout=full, unbuffered=unbuffered)
+        # one line, with no traceback and no "Exception ignored" after it
+        assert (proc.returncode, proc.stderr.decode()) == (
+            2, f"icon: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+    def test_failed_stdout_without_a_descriptor_is_exit_2(self, capsys, monkeypatch):
+        class Full(io.StringIO):  # fileno() raises io.UnsupportedOperation
+            def write(self, text=""):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            flush = write
+        monkeypatch.setattr("sys.stdout", Full())
+        assert main(["cq", "list"]) == 2
+        assert capsys.readouterr().err.count("icon: ") == 1

@@ -319,6 +319,11 @@ class TestJsonFormats:
         with pytest.raises(QueryError):
             pattern_from_json(doc)
 
+    @pytest.mark.parametrize("path", [5, [], {"x": 1}])
+    def test_path_of_no_known_form_is_rejected(self, path):
+        with pytest.raises(QueryError, match="bad path expression"):
+            pattern_from_json({"select": ["?s"], "where": [["?s", path, "?o"]]})
+
     @pytest.mark.parametrize("path", [
         {"plus": "?p"},
         {"inv": {"seq": ["?p", "?q"]}},

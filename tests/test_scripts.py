@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_ab_scripts_run_against_this_tree():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv in (["stage_times_against.py", "src", "1", "1"],
-                 ["fuzz_turtle_against.py", "src", "300", "1"]):
+                 ["fuzz_turtle_against.py", "src", "300", "1"],
+                 ["cli_times_against.py", "src", "1"]):
         proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                               cwd=ROOT, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, timeout=120)

@@ -184,6 +184,18 @@ class TestParseErrors:
         assert (e.line, e.column, e.kind, e.message) == (
             2, 7, ErrorKind.UNEXPECTED_TOKEN, "base IRI expected")
 
+    @pytest.mark.parametrize("doc,column,kind,message", [
+        ('@prefix e: "x" .', 12, "UNEXPECTED_TOKEN", "namespace IRI expected"),
+        ("@prefix e: <http://e/> e:s e:p e:o .", 24, "UNTERMINATED_STATEMENT",
+         "'.' expected after directive"),
+        ("<http://e/s> <http://e/p> [ <http://e/q> <http://e/o> .", 55,
+         "UNTERMINATED_STATEMENT", "']' expected"),
+    ])
+    def test_unfinished_directive_or_bracket(self, doc, column, kind, message):
+        e = self.err(doc)
+        assert (e.line, e.column, e.kind, e.message) == (1, column, ErrorKind[kind],
+                                                          message)
+
     def test_collections_rejected(self):
         e = self.err(EX + "ex:s ex:p (ex:a ex:b) .")
         assert e.kind is ErrorKind.UNEXPECTED_TOKEN

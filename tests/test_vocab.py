@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iconmodel.graph import Iri
 from iconmodel.turtle_io import RDF_TYPE
 from iconmodel.vocab import (Axiom, AxiomKind, BadCurieError, Direction,
-                             NAMESPACES, TermKind, TermRegistry,
+                             NAMESPACES, PathSpec, TermKind, TermRegistry,
                              UnknownTermError, VocabError, VocabTerm,
                              axioms_graph, curie_to_iri, expand_curie)
 
@@ -173,11 +174,71 @@ class TestRegistryInvariants:
         with pytest.raises(VocabError, match=curie):
             TermRegistry(list(reg.terms) + [term], list(reg.axioms))
 
-    def test_class_property_kind_mismatch_rejected(self):
-        bad = Axiom(AxiomKind.SUB_CLASS_OF, i("icon:symbolizes"),
-                    i("crm:E4_Period"))
-        with pytest.raises(VocabError):
-            self.mk([bad])
+    @pytest.mark.parametrize("kind, subject, obj, message", [
+        (AxiomKind.SUB_CLASS_OF, "icon:symbolizes", "crm:E4_Period",
+         "SubClassOf operand is not a class"),
+        (AxiomKind.DOMAIN, "crm:E4_Period", "icon:CulturalPhenomenon",
+         "axiom subject is not a property"),
+        (AxiomKind.SUB_PROPERTY_OF, "icon:symbolizes", "crm:E4_Period",
+         "SubPropertyOf object is not a property"),
+    ], ids=["subclass-of-a-property", "domain-of-a-class", "subproperty-of-a-class"])
+    def test_class_property_kind_mismatch_rejected(self, kind, subject, obj, message):
+        with pytest.raises(VocabError, match=message):
+            self.mk([Axiom(kind, i(subject), i(obj))])
+
+    def test_one_step_shortcut_rejected(self):
+        path = PathSpec(((i("vir:K14_symbolize"), Direction.FORWARD),),
+                        i("icon:CulturalPhenomenon"))
+        with pytest.raises(VocabError, match="shortcut path must have two steps"):
+            self.mk([Axiom(AxiomKind.SHORTCUT_OF, i("icon:symbolizes"), path)])
+
+
+CLASSES = [f"icon:C{k}" for k in range(12)]
+links = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=24)
+
+
+class TestHierarchy:
+    @staticmethod
+    def registry(pairs):
+        terms = [VocabTerm(i(c), c, TermKind.CLASS, c) for c in CLASSES]
+        return TermRegistry(terms, [Axiom(AxiomKind.SUB_CLASS_OF, i(CLASSES[a]),
+                                          i(CLASSES[b])) for a, b in pairs])
+
+    @pytest.mark.parametrize("pairs, named", [
+        ([(0, 1), (1, 0)], 0),  # a 2-cycle
+        ([(0, 0)], 0),  # a self-loop
+        ([(0, 1), (1, 2), (2, 1)], 1),  # a cycle below a chain
+    ])
+    def test_cycle_names_where_it_closes(self, pairs, named):
+        with pytest.raises(VocabError) as info:
+            self.registry(pairs)
+        assert str(info.value) == f"cycle in SubClassOf axioms at {i(CLASSES[named])!r}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(links, links.map(lambda ps: [(a, b) if a < b else (b, a)
+                                                  for a, b in ps if a != b])))
+    def test_superclasses_are_reachability_or_a_cycle_is_named(self, pairs):
+        def reach(k):  # the classes k reaches in one or more steps
+            seen, todo = set(), [k]
+            while todo:
+                for a, b in pairs:
+                    if a == todo[-1] and b not in seen:
+                        seen.add(b)
+                        todo.append(b)
+                        break
+                else:
+                    todo.pop()
+            return seen
+        on_cycle = [k for k in range(12) if k in reach(k)]
+        if on_cycle:
+            with pytest.raises(VocabError) as info:
+                self.registry(pairs)
+            assert str(info.value) in {f"cycle in SubClassOf axioms at {i(CLASSES[k])!r}"
+                                       for k in on_cycle}
+        else:
+            reg = self.registry(pairs)
+            for k, c in enumerate(CLASSES):
+                assert reg.superclasses(i(c)) == {i(CLASSES[m]) for m in reach(k)}
 
 
 class TestAxiomsGraph:
