@@ -19,7 +19,11 @@ derivation (rule and premises, compared through triple_key) for every
 inferred triple, iterate the closure store in the same order (which
 holds only if every term and triple hashes the same in both) and give
 the same two blank-iso answers, and exits 1 if they do not; "ingest" is
-the sum of parse, close, validate and serialize.
+the sum of parse, close, validate and serialize. The casebook asserts no
+rdfs:subClassOf or rdfs:subPropertyOf edge, so before timing, both trees
+also close 200 seeded random graphs that assert such edges and derive
+more, under the default, R5 and hierarchy-only rule sets, and the script
+exits 1 unless every closure, derivation and store order is identical.
 Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
@@ -54,6 +58,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from scaled import scaled_document  # noqa: E402
 
+# the default, R5 and hierarchy-only rule sets, as RuleSet keyword arguments
+RULE_SETS = ({}, {"domain_range_typing": True}, {"shortcut_contraction": False})
 STAGES = ("lex", "parse", "close", "validate", "serialize", "isomorphic", "blank-iso",
           "ingest")
 INGEST = ("parse", "close", "validate", "serialize")  # one perfbench ingest operation
@@ -83,6 +89,56 @@ def load_as(name: str, src: Path):
     spec.loader.exec_module(package)
     return {m: importlib.import_module(f"{name}.{m}")
             for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
+
+
+def hierarchy_graph(tree, reg, rng: random.Random):
+    """A random graph over registry terms and data nodes that asserts
+    rdfs:subClassOf and rdfs:subPropertyOf edges, and declares two data
+    properties sub-properties of those, so that more edges are derived."""
+    g, kind = tree["graph"], tree["vocab"].TermKind
+    props = [t.iri for t in reg.terms if t.kind is kind.PROPERTY]
+    classes = [t.iri for t in reg.terms if t.kind is kind.CLASS]
+    nodes = [g.Iri(f"https://w3id.org/icon/data/random/n{i}") for i in range(8)]
+    nodes += [g.BlankNode(f"x{i}") for i in range(3)]
+    edges = [reg.iri("rdfs:subClassOf"), reg.iri("rdfs:subPropertyOf")]
+    lifts = [g.Iri(f"https://w3id.org/icon/data/random/p{i}") for i in range(2)]
+    triples = [g.Triple(p, edges[1], rng.choice(edges)) for p in lifts]
+    for _ in range(rng.randrange(60)):
+        roll = rng.random()
+        if roll < 0.3:
+            triples.append(g.Triple(rng.choice(nodes), g.RDF_TYPE, rng.choice(classes)))
+        elif roll < 0.4:
+            triples.append(g.Triple(rng.choice(classes), edges[0], rng.choice(classes)))
+        elif roll < 0.5:
+            triples.append(g.Triple(rng.choice(props), edges[1], rng.choice(props)))
+        elif roll < 0.6:  # an edge derived along a lift
+            terms = rng.choice((classes, props))
+            triples.append(g.Triple(rng.choice(terms), rng.choice(lifts), rng.choice(terms)))
+        elif roll < 0.7:
+            triples.append(g.Triple(rng.choice(nodes), rng.choice(props + lifts),
+                                    g.Literal(f"v{rng.randrange(5)}")))
+        else:
+            triples.append(g.Triple(rng.choice(nodes), rng.choice(props + lifts),
+                                    rng.choice(nodes)))
+    return g.Graph(triples).freeze()
+
+
+def hierarchy_closures(tree, graphs: int = 200) -> tuple[list, int]:
+    """For each seeded hierarchy_graph and rule set, the closure store's
+    triple_keys in iteration order and its derivations keyed by
+    triple_key; and the number of hierarchy edges the stores hold."""
+    reg, key = tree["vocab"].build_registry(), tree["graph"].triple_key
+    edges = {reg.iri("rdfs:subClassOf"), reg.iri("rdfs:subPropertyOf")}
+    out, held = [], 0
+    for seed in range(graphs):
+        g = hierarchy_graph(tree, reg, random.Random(seed))
+        for rules in RULE_SETS:
+            closure = tree["reasoner"].close(g, reg, tree["reasoner"].RuleSet(**rules))
+            out.append(([key(t) for t in closure.graph()],
+                        {key(t): (d.rule, tuple(map(key, d.premises)))
+                         for t, d in closure.provenance.items()}))
+            held += sum(t.predicate in edges for t in closure.graph())
+    return out, held
 
 
 def authored(tree, text: str, expansions: int = 20) -> tuple:
@@ -188,6 +244,13 @@ def ingest_memory(tree, text: str) -> tuple[int, dict[str, int]]:
 def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     trees = {"old": load_as("old_iconmodel", Path(old_src)),
              "new": load_as("new_iconmodel", ROOT / "src")}
+    (old, held), (new, _) = (hierarchy_closures(tree) for tree in trees.values())
+    if old != new:
+        differ = sum(a != b for a, b in zip(old, new))
+        print(f"the trees close {differ} of {len(old)} random hierarchy graphs differently")
+        return 1
+    print(f"{len(old)} closures of random hierarchy graphs ({held} hierarchy edges in "
+          "their stores): stores, store order and derivations identical")
     text = scaled_document(scale)
     sessions = {name: authored(tree, text) for name, tree in trees.items()}
     times = {name: {stage: [] for stage in STAGES} for name in trees}

@@ -4,8 +4,9 @@ Exit codes: 0 success (conforms / golden match), 1 violations or golden
 mismatch, 2 usage, I/O, or parse errors. All diagnostics go to stderr;
 data output goes to stdout so subcommands compose in pipelines. "-" as a
 path reads from stdin. Set ICON_NO_COLOR to disable ANSI styling. A read
-or write that fails (a missing file, a closed stdin, a full disk) is exit
-2 with one "icon: <message>" line; a closed stdout is not an error.
+or write that fails (a missing file, a closed stdin, a full disk, help
+text that cannot be written) is exit 2 with one "icon: <message>" line,
+or exit 2 alone when stderr fails too; a closed stdout is not an error.
 
 Each subcommand imports the library modules it runs, and no others, so a
 short run does not pay for importing the whole package.
@@ -28,6 +29,12 @@ EXIT_ERROR = 2
 
 class _Refused(Exception):
     """A refused run: main alone reports it, as one "icon:" line, and exits 2."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse drops a failed write
+        if message and (file := file or sys.stderr) is not None:
+            file.write(message)
 
 
 def _style(text: str, code: str) -> str:
@@ -249,7 +256,7 @@ def cmd_cases(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="icon",
         description="Work with iconographic interpretation graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,16 +313,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.flush()  # a buffered write fails here, not at exit
         return code
     except (_Refused, OSError) as exc:
-        print(f"icon: {exc}", file=sys.stderr)
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:  # stdout failed and keeps what it could not write
-        try:  # point its descriptor at devnull, or the flush at exit fails
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        except OSError:  # a stream with no file descriptor
-            pass
+        report = f"icon: {exc}\n"
+    for stream, text in ((sys.stderr, report), (sys.stdout, "")):
+        try:
+            if stream is not None:  # None when started with its fd closed
+                stream.write(text)
+                stream.flush()
+        except OSError:  # the stream failed and keeps what it could not write
+            try:  # point its descriptor at devnull, or the flush at exit fails
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            except OSError:  # a stream with no file descriptor
+                pass
     return EXIT_ERROR
 
 

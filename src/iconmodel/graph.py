@@ -20,7 +20,10 @@ handed to the reasoner) never builds them. A union shares its larger
 frozen input's untouched index buckets and never mutates them. The
 reasoner's engine derives into the store it returns, joining against
 that graph's indexes as it inserts, and a closure hands out that same
-frozen graph on every call.
+frozen graph on every call. Triple(...) checks each term's kind;
+_triple() does not, and is only for library code whose terms are of
+the right kinds by construction (the parser, the reasoner's rule
+bodies, the validator's class probes).
 
 A frozen graph can be shared freely between threads. Nothing mutates
 its triple set, and its indexes are built into locals and published by
@@ -163,6 +166,10 @@ class Triple(namedtuple("_Triple", "subject predicate object")):
         return f"({self.subject!r} {self.predicate!r} {self.object!r})"
 
 
+def _triple(subject: Union[Iri, BlankNode], predicate: Iri, object: Term) -> Triple:
+    return _new_tuple(Triple, (subject, predicate, object))  # unchecked: see above
+
+
 def triple_key(t: Triple) -> tuple:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
@@ -200,6 +207,13 @@ class Graph:
             index = self._index = (by_s, by_p, by_o)
         return index
 
+    def _writable(self) -> tuple:
+        """The triple set and the three indexes, for insert() and for the
+        reasoner's engine, the one writer of the store it derives into."""
+        if self._frozen:
+            raise FrozenGraphError("cannot insert into a frozen graph")
+        return (self._triples, *(self._index or self._indexes()))
+
     @property
     def frozen(self) -> bool:
         return self._frozen
@@ -210,12 +224,10 @@ class Graph:
 
     def insert(self, t: Triple) -> bool:
         """Add a triple; returns True iff it was not already present."""
-        if self._frozen:
-            raise FrozenGraphError("cannot insert into a frozen graph")
-        if t in self._triples:
+        triples, by_s, by_p, by_o = self._writable()
+        if t in triples:
             return False
-        by_s, by_p, by_o = self._index or self._indexes()
-        self._triples.add(t)
+        triples.add(t)
         # buckets are never empty, so only a new key builds a set
         (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
         (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
@@ -266,6 +278,9 @@ class Graph:
 
     def has_subject(self, x: Term) -> bool:
         return x in (self._index or self._indexes())[0]
+
+    def has_predicate(self, p: Iri) -> bool:
+        return p in (self._index or self._indexes())[1]
 
     def blank_labels(self) -> set[str]:
         by_s, _, by_o = self._index or self._indexes()

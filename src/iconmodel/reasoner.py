@@ -12,10 +12,11 @@ Rules (all driven by the registry's axioms):
          steps and through class are contracted in one walk per path
 
 Evaluation is semi-naive: only newly derived triples re-fire rules. The
-engine derives into the store it returns, inserting each triple when it
-dequeues it and firing only the rule bodies memoized for its predicate
-(or rdf:type class); joins read the store's indexes, and a triple with
-several derivations records the first one found.
+engine derives into the store it returns, writing each triple when it
+dequeues it and firing the rule bodies memoized for its predicate (or
+rdf:type class): R2's (R4's) join only once the store holds an
+rdfs:subClassOf (rdfs:subPropertyOf) edge. Joins read the store's
+indexes; a triple with several derivations records the first found.
 Shortcut *expansion* mints blank nodes and is deliberately not part of
 close(); expand_shortcut() performs it from the same declarations.
 """
@@ -27,7 +28,7 @@ from collections import deque
 from functools import cache, partial
 from typing import Callable, Iterable, KeysView, NamedTuple, Optional
 
-from .graph import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
+from .graph import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple, _triple
 from .vocab import Direction, TermRegistry
 
 
@@ -82,6 +83,7 @@ class _Engine:
         self.rules = rules
         self.sub_class_of = reg.iri("rdfs:subClassOf")
         self.sub_property_of = reg.iri("rdfs:subPropertyOf")
+        self.edges = (self.sub_class_of, self.sub_property_of)
         # R6's (rule id, property, object class) per spec, grouped by shared paths
         self.shortcuts: dict[tuple, list[tuple[str, Iri, Optional[Iri]]]] = {}
         for prop, spec in reg.shortcuts() if rules.shortcut_contraction else ():
@@ -93,29 +95,43 @@ class _Engine:
         self.queue: deque[Triple] = deque(sorted(base, key=hash))
 
     def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
-        queue, insert, plan = self.queue, self.store.insert, cache(self._plan)
+        queue, plan, edges = self.queue, cache(self._plan), self.edges
+        # _emit enqueues only new triples, written here without insert()'s probe
+        triples, by_s, by_p, by_o = self.store._writable()
         while queue:
             t = queue.popleft()
-            insert(t)
-            p, o = t.predicate, t.object
+            s, p, o = t
+            triples.add(t)
+            (by_s.get(s) or by_s.setdefault(s, set())).add(t)
+            if (bucket := by_p.get(p)) is None:
+                bucket = by_p[p] = set()
+                if p in edges:  # the first edge of its kind: plan its join anew
+                    plan.cache_clear()
+            bucket.add(t)
+            (by_o.get(o) or by_o.setdefault(o, set())).add(t)
             for fire in plan(p, o if p == RDF_TYPE and isinstance(o, Iri) else None):
                 fire(t)
         return self.store.freeze(), self.provenance
 
     def _plan(self, p: Iri, cls: Optional[Iri]) -> tuple[Callable[[Triple], None], ...]:
         """The rule bodies that a triple with predicate p can fire, in rule
-        order; cls is the object of an rdf:type triple, if an IRI."""
+        order; cls is the object of an rdf:type triple, if an IRI. As run()
+        drops all plans when the first edge of a kind is written, a triple's
+        plan holds the R2 (R4) join whenever the store, with that triple
+        written, holds an rdfs:subClassOf (rdfs:subPropertyOf) edge."""
         reg, rules, plan = self.reg, self.rules, []
         if rules.hierarchy:
             if cls is not None:
                 if supers := reg.superclasses(cls):
                     plan.append(partial(self._axioms, "R2-axiom", supers))
-                plan.append(partial(self._join, "R2", cls, self.sub_class_of))
-            if p in (self.sub_class_of, self.sub_property_of):
+                if self.store.has_predicate(self.sub_class_of):
+                    plan.append(partial(self._join, "R2", cls, self.sub_class_of))
+            if p in self.edges:
                 plan.append(partial(self._transitive, "R1" if p == self.sub_class_of else "R3"))
             if supers := reg.superproperties(p):
                 plan.append(partial(self._axioms, "R4-axiom", supers))
-            plan.append(partial(self._join, "R4", p, self.sub_property_of))
+            if self.store.has_predicate(self.sub_property_of):
+                plan.append(partial(self._join, "R4", p, self.sub_property_of))
         if rules.domain_range_typing:
             for rule, axioms in (("R5-domain", reg.domain_axioms()),
                                  ("R5-range", reg.range_axioms())):
@@ -145,7 +161,7 @@ class _Engine:
         x = t.object if rule == "R5-range" else t.subject
         if not isinstance(x, Literal):
             for c in targets:
-                lifted = Triple(x, c, t.object) if rule == "R4-axiom" else Triple(x, RDF_TYPE, c)
+                lifted = _triple(x, c, t.object) if rule == "R4-axiom" else _triple(x, RDF_TYPE, c)
                 self._emit(lifted, rule, (t,))
 
     def _join(self, rule: str, x: Iri, edge: Iri, t: Triple):
@@ -153,8 +169,8 @@ class _Engine:
         if self.store.has_subject(x):  # most classes and predicates have no edges
             s, o = t.subject, t.object
             for d in self._iris(x, edge, True):
-                lifted = Triple(s, RDF_TYPE, d) if rule == "R2" else Triple(s, d, o)
-                self._emit(lifted, rule, (t, Triple(x, edge, d)))
+                lifted = _triple(s, RDF_TYPE, d) if rule == "R2" else _triple(s, d, o)
+                self._emit(lifted, rule, (t, _triple(x, edge, d)))
 
     def _transitive(self, rule: str, t: Triple):
         s, p, o = t.subject, t.predicate, t.object
@@ -162,15 +178,15 @@ class _Engine:
             return
         # join (s p o) with (o p e) and with (c p s)
         for e in self._iris(o, p, True):
-            self._emit(Triple(s, p, e), rule, (t, Triple(o, p, e)))
+            self._emit(_triple(s, p, e), rule, (t, _triple(o, p, e)))
         for c in self._iris(s, p, False):
-            self._emit(Triple(c, p, o), rule, (Triple(c, p, s), t))
+            self._emit(_triple(c, p, o), rule, (_triple(c, p, s), t))
         if rule == "R1":
             for x in self.store.neighbours(s, RDF_TYPE, False):
-                self._emit(Triple(x, RDF_TYPE, o), "R2", (Triple(x, RDF_TYPE, s), t))
+                self._emit(_triple(x, RDF_TYPE, o), "R2", (_triple(x, RDF_TYPE, s), t))
         else:
             for stmt in self.store.match(p=s):
-                self._emit(Triple(stmt.subject, o, stmt.object), "R4", (stmt, t))
+                self._emit(_triple(stmt.subject, o, stmt.object), "R4", (stmt, t))
 
     # -- R6 ---------------------------------------------------------------
 
@@ -187,7 +203,7 @@ class _Engine:
         for r in ends:
             if through not in neighbours(r, RDF_TYPE):
                 continue
-            through_t = Triple(r, RDF_TYPE, through)
+            through_t = _triple(r, RDF_TYPE, through)
             for x in neighbours(r, p1, d1 is Direction.INVERSE):
                 if isinstance(x, Literal):
                     continue
@@ -195,15 +211,15 @@ class _Engine:
                     premises = (through_t, _step(x, p1, d1, r), _step(r, p2, d2, m))
                     for rule, prop, cls in specs:
                         if cls is None:
-                            self._emit(Triple(x, prop, m), rule, premises)
+                            self._emit(_triple(x, prop, m), rule, premises)
                         elif cls in neighbours(m, RDF_TYPE):
-                            self._emit(Triple(x, prop, m), rule,
-                                       premises + (Triple(m, RDF_TYPE, cls),))
+                            self._emit(_triple(x, prop, m), rule,
+                                       premises + (_triple(m, RDF_TYPE, cls),))
 
 
 def _step(a: Term, p: Iri, d: Direction, b: Term) -> Triple:
     """The triple that takes a path from a to b along step (p, d)."""
-    return Triple(a, p, b) if d is Direction.FORWARD else Triple(b, p, a)
+    return _triple(a, p, b) if d is Direction.FORWARD else _triple(b, p, a)
 
 
 def _rule_id(prop: Iri) -> str:

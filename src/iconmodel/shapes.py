@@ -15,7 +15,7 @@ import enum
 import json
 from typing import NamedTuple
 
-from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_str
+from .graph import RDF_TYPE, Graph, Iri, Literal, Term, _triple, term_key, term_str
 from .vocab import DATA_NAMESPACE, TermRegistry
 
 
@@ -129,22 +129,17 @@ def _conforms(g: Graph, focus: Term, shape: Shape) -> bool:
         return False
     if not all(g.match(s=focus, p=p) for p in shape.required):
         return False
-    return not shape.classes or any(Triple(focus, RDF_TYPE, cls) in g
+    return not shape.classes or any(_triple(focus, RDF_TYPE, cls) in g
                                     for cls in shape.classes)
 
 
 def _hygiene_entries(g: Graph, shape: Shape, reg: TermRegistry) -> list[ValidationEntry]:
-    flagged: set[Iri] = set()
-    for t in g:
-        if not reg.is_registered(t.predicate) \
-                and not t.predicate.startswith(DATA_NAMESPACE):
-            flagged.add(t.predicate)
-        if t.predicate == RDF_TYPE and isinstance(t.object, Iri) \
-                and not reg.is_registered(t.object) \
-                and not t.object.startswith(DATA_NAMESPACE):
-            flagged.add(t.object)
+    """One entry per distinct predicate or rdf:type class that is flagged."""
+    iris = {p for _, p, _ in g}
+    iris.update(o for _, _, o in g.match(p=RDF_TYPE) if isinstance(o, Iri))
     return [ValidationEntry(iri, shape.id, shape.severity, shape.message)
-            for iri in flagged]
+            for iri in iris
+            if not reg.is_registered(iri) and not iri.startswith(DATA_NAMESPACE)]
 
 
 def validate(g: Graph, shapes: ShapeSet, reg: TermRegistry) -> ValidationReport:

@@ -13,16 +13,18 @@ lower-case form is not a tag.
 The token table _TABLE is the token grammar. The lexer reads a whole
 document with one findall over a pattern built from it: each match
 skips all whitespace and comments, so no token starts inside a comment,
-and captures the first _TABLE pattern that matches. A token is its own
+and captures the first _TABLE pattern that matches; the skip loops
+once per comment, not per whitespace character. A token is its own
 text, and _kind alone tells its kind from that text. It also refuses a
 prefixed name that starts with a numeral such as "²", which the pattern
 admits. Where no token matches, the pattern's last branch takes the
 rest of the text, so a lex error ends the scan. A token's offset is
 found only for an error, by lexing the document again. The parser turns
 a CURIE or <IRI> token into an Iri in one method, _Parser._node, cached
-by token text. The serializer renders each distinct term once. It checks
-every prefix, CURIE and language tag it writes against the same pattern,
-and all <IRI> and _:label texts in one findall over their space-joined
+by token text; redefining a prefix (the base) drops only its IRIs.
+The serializer renders each distinct term once. It checks every prefix,
+CURIE and language tag it writes against the same pattern, and all
+<IRI> and _:label texts in one findall over their space-joined
 texts, so whatever it writes reads back as the token it meant. It sorts
 the triples once by their terms' ranks and writes them in one join.
 """
@@ -35,7 +37,7 @@ from itertools import chain, groupby, islice
 from typing import Iterable, NamedTuple, Optional
 
 from .graph import (RDF_TYPE, XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
-                    PrefixMap, Term, Triple, term_key)
+                    PrefixMap, Triple, _triple, term_key)
 
 _MAX_NESTING = 100  # keeps the recursive descent inside the recursion limit
 
@@ -90,7 +92,7 @@ _TABLE = [
 # Where no _TABLE pattern matches, the last branch takes the rest of the
 # text, so a match never backtracks into the skip, and findall never
 # searches on past a lex error.
-_LEX = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*("
+_LEX = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
                   + "|".join(pattern for _, pattern in _TABLE) + r"|[\s\S]+)")
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(_NAME_CHAR + "*")
@@ -209,6 +211,8 @@ class _Parser:
         self.base: Optional[Iri] = None
         # CURIE and <IRI> token text -> Iri, under the current prefixes and base
         self._terms: dict[str, Iri] = {}
+        # the cached tokens that a prefix (or "<", the base) resolved
+        self._resolved_by: dict[str, list[str]] = {}
         self._anon = 0
         self._depth = 0
         # the explicit "_:" labels, which "[ ]" labels avoid; read at the first "["
@@ -222,8 +226,17 @@ class _Parser:
         while token := tokens[self.i]:
             if token == "@prefix" or token == "@base":
                 self._directive()
+                continue
+            if token == "[":
+                subject = self._anon_node()
             else:
-                self._triples()
+                subject = self._terms.get(token) or self._node(self.i, "subject expected")
+                self.i += 1
+            self._predicate_object_list(subject)
+            dot = self._take()
+            if tokens[dot] != ".":
+                self._err(dot, "'.' expected at end of statement",
+                          ErrorKind.UNTERMINATED_STATEMENT)
         del self.tokens  # spent: free them before the graph
         return ParseResult(Graph(self.triples).freeze(), dict(self.prefixes), self.base)
 
@@ -242,70 +255,57 @@ class _Parser:
             iriref = self._take()
             if _kind(tokens[iriref]) != "IRIREF":
                 self._err(iriref, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            ns = tokens[iriref][1:-1]
-            if self.prefixes.get(label[:-1]) != ns:
-                self.prefixes[label[:-1]] = ns
-                # forget the CURIEs resolved under the old namespace
-                for token in [t for t in self._terms if t.startswith(label)]:
-                    del self._terms[token]
+            prefix, ns = label[:-1], tokens[iriref][1:-1]
+            # a new namespace: forget the CURIEs resolved under the old one
+            scope = prefix if self.prefixes.get(prefix) != ns else None
+            self.prefixes[prefix] = ns
         else:
             iriref = self._take()
             if _kind(tokens[iriref]) != "IRIREF":
                 self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
             self.base = self._node(iriref, "base IRI expected", blank=False)
-            # forget the relative IRIs resolved against the old base
-            for token in [t for t in self._terms if t[0] == "<" and ":" not in t]:
-                del self._terms[token]
+            scope = "<"  # forget the relative IRIs resolved against the old base
+        for token in self._resolved_by.pop(scope, ()):
+            self._terms.pop(token, None)  # a base token can be listed twice
         dot = self._take()
         if tokens[dot] != ".":
             self._err(dot, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
 
-    def _triples(self):
-        subject = self._subject()
-        self._predicate_object_list(subject)
-        dot = self._take()
-        if self.tokens[dot] != ".":
-            self._err(dot, "'.' expected at end of statement",
-                      ErrorKind.UNTERMINATED_STATEMENT)
-
-    def _subject(self):
-        i = self.i
-        token = self.tokens[i]
-        if token == "[":
-            return self._anon_node()
-        self.i += 1
-        return self._terms.get(token) or self._node(i, "subject expected")
-
     def _predicate_object_list(self, subject):
+        """Every triple of subject's predicate-object list, read with a local
+        index i, which self.i holds around calls that take tokens themselves."""
         tokens, terms, append = self.tokens, self._terms, self.triples.append
+        i = self.i
         while True:
-            i = self.i
             token = tokens[i]
-            self.i += 1
             pred = terms.get(token) or (RDF_TYPE if token == "a" else
                                         self._node(i, "predicate expected", blank=False))
+            i += 1
             while True:
-                append(Triple(subject, pred, self._object()))
-                token = tokens[self.i]
+                token = tokens[i]
+                if token == "[":
+                    self.i = i
+                    obj = self._anon_node()
+                    i = self.i
+                elif token[:1] == '"':
+                    self.i = i + 1
+                    obj = self._literal(token[1:-1])
+                    i = self.i
+                else:
+                    obj = terms.get(token) or self._node(i, "object expected")
+                    i += 1
+                append(_triple(subject, pred, obj))
+                token = tokens[i]
                 if token != ",":
                     break
-                self.i += 1
-            if token != ";":
-                return
-            self.i += 1
-            # tolerate trailing ';' before '.' or ']'
-            if tokens[self.i] in (".", "]"):
-                return
-
-    def _object(self) -> Term:
-        i = self.i
-        token = self.tokens[i]
-        if token == "[":
-            return self._anon_node()
-        self.i += 1
-        if token[:1] == '"':
-            return self._literal(token[1:-1])
-        return self._terms.get(token) or self._node(i, "object expected")
+                i += 1
+            if token == ";":
+                i += 1
+                # tolerate trailing ';' before '.' or ']'
+                if tokens[i] not in (".", "]"):
+                    continue
+            self.i = i
+            return
 
     def _node(self, i: int, expected: str, blank=True, error=ErrorKind.UNEXPECTED_TOKEN):
         """The IRI, or if blank is true the blank node, that token i names.
@@ -313,18 +313,19 @@ class _Parser:
         names none raises the error, saying what was expected."""
         token = self.tokens[i]
         kind = _kind(token)
+        scope = None  # the prefix, or "<" for the base, that the IRI depends on
         if kind == "PNAME":
-            prefix, _, local = token.partition(":")
-            ns = self.prefixes.get(prefix)
+            scope, _, local = token.partition(":")
+            ns = self.prefixes.get(scope)
             if ns is None:
-                self._err(i, f"undeclared prefix {prefix!r}", ErrorKind.UNDECLARED_PREFIX)
+                self._err(i, f"undeclared prefix {scope!r}", ErrorKind.UNDECLARED_PREFIX)
             value = ns + local  # a relative namespace gives no IRI
         elif kind == "IRIREF":
             value = token[1:-1]
             if ":" not in value:
                 if self.base is None:
                     self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
-                value = self.base + value
+                scope, value = "<", self.base + value
         elif kind == "BLANK" and blank:
             return BlankNode(token[2:])
         else:
@@ -333,6 +334,8 @@ class _Parser:
             self._terms[token] = iri = Iri(value)
         except ValueError:
             self._err(i, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
+        if scope is not None:
+            self._resolved_by.setdefault(scope, []).append(token)
         return iri
 
     def _literal(self, lexical: str) -> Literal:

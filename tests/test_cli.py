@@ -429,8 +429,9 @@ SRC = Path(iconmodel.__file__).resolve().parents[1]
 FIXTURE = str(SRC / "iconmodel" / "fixtures" / "vermeer-balance.ttl")
 
 
-def run_process(argv, closed_fd=None, stdout=subprocess.PIPE, unbuffered=False):
-    """An icon run as its own process, optionally with fd 0 or 1 closed;
+def run_process(argv, closed_fd=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                unbuffered=False):
+    """An icon run as its own process, optionally with fd 0, 1 or 2 closed;
     colour stays on so that a closed stdout is asked whether it is a tty."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("ICON_NO_COLOR", "PYTHONUNBUFFERED")}
@@ -439,7 +440,7 @@ def run_process(argv, closed_fd=None, stdout=subprocess.PIPE, unbuffered=False):
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "iconmodel.cli", *argv],
                           stdin=subprocess.DEVNULL, stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, timeout=60,
+                          stderr=stderr, env=env, timeout=60,
                           preexec_fn=None if closed_fd is None
                           else lambda: os.close(closed_fd))
 
@@ -466,13 +467,27 @@ class TestBrokenStreams:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True])
-    @pytest.mark.parametrize("argv", [["cq", "list"], ["infer", FIXTURE]])
+    @pytest.mark.parametrize("argv", [["cq", "list"], ["infer", FIXTURE], ["--help"]])
     def test_full_stdout_is_exit_2(self, argv, unbuffered):
         with open("/dev/full", "wb") as full:
             proc = run_process(argv, stdout=full, unbuffered=unbuffered)
         # one line, with no traceback and no "Exception ignored" after it
         assert (proc.returncode, proc.stderr.decode()) == (
             2, f"icon: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("stderr", ["closed", "/dev/full"])
+    def test_refusal_that_cannot_be_written_is_exit_2(self, stderr, unbuffered):
+        if stderr == "closed":
+            proc = run_process(["parse", "/nope"], closed_fd=2, stderr=None,
+                               unbuffered=unbuffered)
+        elif not os.path.exists(stderr):
+            pytest.skip("needs /dev/full")
+        else:
+            with open(stderr, "wb") as full:
+                proc = run_process(["parse", "/nope"], stderr=full, unbuffered=unbuffered)
+        # the report goes nowhere: not to stdout, and no exit-time flush fails
+        assert (proc.returncode, proc.stdout) == (2, b"")
 
     def test_failed_stdout_without_a_descriptor_is_exit_2(self, capsys, monkeypatch):
         class Full(io.StringIO):  # fileno() raises io.UnsupportedOperation

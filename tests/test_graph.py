@@ -420,6 +420,7 @@ def read_answers(g: Graph, probe: Graph) -> dict:
             "subjects": {u.subject for u in g}, "objects": {u.object for u in g},
             "has_term": {x for x in terms if g.has_term(x)},
             "has_subject": {x for x in terms if g.has_subject(x)},
+            "has_predicate": {x for x in terms if g.has_predicate(x)},
             "blank_labels": g.blank_labels(), "blank_triples": _blank_triples(g)}
 
 
@@ -429,6 +430,7 @@ FIRST_READS = {
     "neighbours": lambda g: g.neighbours(iri("r0"), RDF_TYPE),
     "has_term": lambda g: g.has_term(BlankNode("n0")),
     "has_subject": lambda g: g.has_subject(iri("r1")),
+    "has_predicate": lambda g: g.has_predicate(RDF_TYPE),
     "blank_labels": Graph.blank_labels,
     "union": lambda g: union(g.freeze(), Graph([]).freeze()),
     "blank_triples": _blank_triples,

@@ -260,8 +260,8 @@ class TestDerivationOracle:
 
     def test_random_graphs(self, reg, rules):
         rng = random.Random(1106)
-        for _ in range(40):
-            g = registry_random_graph(rng, reg)
+        randoms = (registry_random_graph(rng, reg) for _ in range(40))
+        for g in [*late_hierarchy_edges(reg), *randoms]:
             c = close(g, reg, rules)
             assert check_derivations(g, c.provenance, reg, rules) == []
             assert set(c.graph()) == naive_close(g, reg, rules)
@@ -280,6 +280,27 @@ class TestDerivationOracle:
             assert set(c.graph()) == naive_close(g, ext, rules)
             fired += sum(t.predicate == prop for t in c.inferred)
         assert fired > 0 or not rules.shortcut_contraction
+
+
+def late_hierarchy_edges(reg) -> list[Graph]:
+    """Graphs whose first rdfs:subClassOf or rdfs:subPropertyOf edge comes
+    after the triples it joins with: derived, joined with itself, or
+    dequeued after the instances it types."""
+    sub_class_of, sub_property_of = reg.iri("rdfs:subClassOf"), reg.iri("rdfs:subPropertyOf")
+    a, b, p, q = d("A"), d("B"), d("p"), d("q")
+    xs = [d(f"x{i}") for i in range(3)]
+    # the engine dequeues in hash order, which the hash seed sets
+    c = next(c for c in (d(f"C{i}") for i in range(1000))
+             if all(hash(Triple(x, RDF_TYPE, c)) < hash(Triple(c, sub_class_of, b))
+                    for x in xs))
+    return [Graph(ts).freeze() for ts in (
+        # the only rdfs:subClassOf edge is derived, by R4 along p
+        [Triple(p, sub_property_of, sub_class_of), Triple(a, p, b),
+         *(Triple(x, RDF_TYPE, a) for x in xs)],
+        # the first rdfs:subPropertyOf edge joins with itself
+        [Triple(sub_property_of, sub_property_of, q), Triple(d("y"), q, b)],
+        [*(Triple(x, RDF_TYPE, c) for x in xs), Triple(c, sub_class_of, b)],
+    )]
 
 
 # Shortcut declarations the shipped vocabulary does not make: local name,

@@ -113,22 +113,36 @@ class TestParseBasics:
         assert set(r.graph) == {Triple(Iri(f"http://{x}/s"), Iri(f"http://{x}/p"),
                                        Iri(f"http://{x}/o")) for x in "ab"}
 
-    def test_redeclared_prefix_drops_only_its_own_cached_curies(self, monkeypatch):
-        resolved = []
+    @pytest.mark.parametrize("text,resolved,triples", [
+        ("@prefix e: <http://a/> .\n@prefix f: <http://f/> .\n"
+         "e:s e:p f:o .\n"
+         "@prefix e: <http://a/> .\ne:s e:p f:o .\n"  # same namespace
+         "@prefix e: <http://b/> .\ne:s e:p f:o .\n",  # a new one
+         ["e:s", "e:p", "f:o", "e:s", "e:p"],
+         [("a/s", "a/p", "f/o"), ("b/s", "b/p", "f/o")]),
+        # e:s under three redefinitions of e:, which keep ex:p and :o, and
+        # one of the empty prefix, which keeps e:s and ex:p
+        ("@prefix e: <http://a/> .\n@prefix ex: <http://x/> .\n@prefix : <http://c/> .\n"
+         "e:s ex:p :o .\n@prefix e: <http://b/> .\ne:s ex:p :o .\n"
+         "@prefix e: <http://a/> .\ne:s ex:p :o .\n@prefix : <http://d/> .\ne:s ex:p :o .\n"
+         "@prefix e: <http://b/> .\ne:s ex:p :o .\n",
+         ["e:s", "ex:p", ":o", "e:s", "e:s", ":o", "e:s"],
+         [("a/s", "x/p", "c/o"), ("b/s", "x/p", "c/o"), ("a/s", "x/p", "d/o"),
+          ("b/s", "x/p", "d/o")]),
+    ])
+    def test_redeclared_prefix_drops_only_its_own_cached_curies(self, monkeypatch, text,
+                                                                 resolved, triples):
+        seen = []
         resolve = _Parser._node
 
         def spy(parser, i, *args, **kwargs):
-            resolved.append(parser.tokens[i])
+            seen.append(parser.tokens[i])
             return resolve(parser, i, *args, **kwargs)
 
         monkeypatch.setattr(_Parser, "_node", spy)
-        r = parse_turtle("@prefix e: <http://a/> .\n@prefix f: <http://f/> .\n"
-                         "e:s e:p f:o .\n"
-                         "@prefix e: <http://a/> .\ne:s e:p f:o .\n"  # same namespace
-                         "@prefix e: <http://b/> .\ne:s e:p f:o .\n")  # a new one
-        assert resolved == ["e:s", "e:p", "f:o", "e:s", "e:p"]
-        assert set(r.graph) == {Triple(Iri(f"http://{x}/s"), Iri(f"http://{x}/p"),
-                                       Iri("http://f/o")) for x in "ab"}
+        r = parse_turtle(text)
+        assert seen == resolved
+        assert set(r.graph) == {Triple(*(Iri(f"http://{x}") for x in t)) for t in triples}
 
     def test_one_iri_written_two_ways_is_one_term(self):
         # a CURIE and an <IRI>, and "a" and rdf:type, resolve to equal terms
