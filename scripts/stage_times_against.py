@@ -4,19 +4,21 @@
 Loads this checkout's iconmodel and the one under OLD_SRC (for example an
 older commit unpacked with `git archive`) under two different package
 names, so one process holds both. Each run times the lexer (turtle_io's
-_tokens), parse_turtle, close, validate, serialize_turtle and
-isomorphic(G, G) on the casebook x SCALE (perfbench's scaled_document)
-for both trees, alternating which goes first. The closure has no blank
-nodes, so isomorphic(G, G) never reaches the blank-node search; the
-"blank-iso" stage does what perfbench's author workload does. Once per
-tree, it expands 20 shortcuts of the closure (a seeded sample, or all of
+_tokens), parse_turtle, close, validate, serialize_turtle,
+isomorphic(G, G) and casebook.level_of over every non-literal subject
+or object of the closure, on the casebook x SCALE (perfbench's
+scaled_document) for both trees, alternating which goes first. The
+closure has no blank nodes, so isomorphic(G, G) never reaches the
+blank-node search; the "blank-iso" stage does what perfbench's author
+workload does. Once per tree, it expands 20 shortcuts of the closure (a seeded sample, or all of
 them where there are fewer, as at SCALE 1) into blank recognition nodes,
 closes again and serializes that closure. Each run parses the text
 back and times isomorphic against that closure (True) plus against a
 copy whose first icon:assignsTo edge is moved (False). It checks that
-both trees serialize the closure to the same text, record the same
-derivation (rule and premises, compared through triple_key) for every
-inferred triple, iterate the closure store in the same order (which
+both trees serialize the closure to the same text, give the same
+validation report (to_json) and the same level for every node, record
+the same derivation (rule and premises, compared through triple_key)
+for every inferred triple, iterate the closure store in the same order (which
 holds only if every term and triple hashes the same in both) and give
 the same two blank-iso answers, and exits 1 if they do not; "ingest" is
 the sum of parse, close, validate and serialize. The casebook asserts no
@@ -61,7 +63,7 @@ from scaled import scaled_document  # noqa: E402
 # the default, R5 and hierarchy-only rule sets, as RuleSet keyword arguments
 RULE_SETS = ({}, {"domain_range_typing": True}, {"shortcut_contraction": False})
 STAGES = ("lex", "parse", "close", "validate", "serialize", "isomorphic", "blank-iso",
-          "ingest")
+          "level_of", "ingest")
 INGEST = ("parse", "close", "validate", "serialize")  # one perfbench ingest operation
 
 
@@ -88,7 +90,7 @@ def load_as(name: str, src: Path):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("graph", "reasoner", "shapes", "turtle_io", "vocab")}
+            for m in ("casebook", "graph", "reasoner", "shapes", "turtle_io", "vocab")}
 
 
 def hierarchy_graph(tree, reg, rng: random.Random):
@@ -165,11 +167,13 @@ def authored(tree, text: str, expansions: int = 20) -> tuple:
 
 
 def run_once(tree, text: str, session: tuple,
-             clock: GcClock) -> tuple[dict, dict, str, dict, list, tuple]:
+             clock: GcClock) -> tuple[dict, dict, tuple, dict, list, tuple]:
     """Milliseconds per stage, milliseconds of garbage collection per stage,
-    the serialized closure, its provenance keyed by triple_key, the
-    triple_key of each closure triple in the store's iteration order, and
-    the two blank-iso answers. session is authored(tree, text)."""
+    the outputs (the serialized closure, its validation report as JSON and
+    the level's value per node, by term_key), the closure's provenance
+    keyed by triple_key, the triple_key of each closure triple in the
+    store's iteration order, and the two blank-iso answers. session is
+    authored(tree, text)."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
     ms, gc_ms = {}, {}
@@ -186,9 +190,14 @@ def run_once(tree, text: str, session: tuple,
     parsed = timed("parse", tree["turtle_io"].parse_turtle, text)
     closure = timed("close", tree["reasoner"].close, parsed.graph, reg)
     full = closure.graph()
-    timed("validate", tree["shapes"].validate, full, shapes, reg)
+    report = timed("validate", tree["shapes"].validate, full, shapes, reg)
     out = timed("serialize", tree["turtle_io"].serialize_turtle, full,
                 tree["vocab"].NAMESPACES)
+    key, level_of = tree["graph"].term_key, tree["casebook"].level_of
+    nodes = sorted({n for t in full for n in (t.subject, t.object)
+                    if not isinstance(n, tree["graph"].Literal)}, key=key)
+    levels = timed("level_of", lambda: [level_of(closure, n) for n in nodes])
+    outputs = (out, report.to_json(), [(key(n), lv.value) for n, lv in zip(nodes, levels)])
     for by_stage in (ms, gc_ms):
         by_stage["ingest"] = sum(by_stage[stage] for stage in INGEST)
     if not timed("isomorphic", tree["graph"].isomorphic, full, full):
@@ -201,7 +210,7 @@ def run_once(tree, text: str, session: tuple,
     key = tree["graph"].triple_key
     derivations = {key(t): (d.rule, tuple(map(key, d.premises)))
                    for t, d in closure.provenance.items()}
-    return ms, gc_ms, out, derivations, [key(t) for t in full], answers
+    return ms, gc_ms, outputs, derivations, [key(t) for t in full], answers
 
 
 def ingest_memory(tree, text: str) -> tuple[int, dict[str, int]]:
@@ -268,9 +277,12 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
                 for stage in STAGES:
                     times[name][stage].append(ms[stage])
                     gc_times[name][stage].append(gc_ms[stage])
-            if outputs["old"] != outputs["new"]:
-                print("the trees serialize the closure differently")
-                return 1
+            for what, old, new in zip(("serialize the closure", "validate the closure",
+                                       "classify the closure's nodes"),
+                                      outputs["old"], outputs["new"]):
+                if old != new:
+                    print(f"the trees {what} differently")
+                    return 1
             old, new = derivations["old"], derivations["new"]
             if old != new:
                 differ = sum(old.get(t) != new.get(t) for t in old.keys() | new.keys())
@@ -285,9 +297,9 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
                 return 1
     finally:
         gc.callbacks.remove(clock)
-    print(f"x{scale}, {runs} runs each; closures, derivations, iteration order and "
-          f"blank-iso answers {answers['new']} identical; median ms (old -> new), "
-          f"of which in cyclic GC")
+    print(f"x{scale}, {runs} runs each; closures, validation reports, levels of "
+          f"{len(outputs['new'][2])} nodes, derivations, iteration order and blank-iso "
+          f"answers {answers['new']} identical; median ms (old -> new), of which in cyclic GC")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))

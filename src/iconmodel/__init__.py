@@ -20,7 +20,7 @@ _EXPORTS = {
     "graph": ("BlankNode", "Graph", "GraphError", "Iri", "Literal", "Term",
               "Triple", "isomorphic", "union"),
     "turtle_io": ("ParseError", "ParseResult", "parse_turtle", "serialize_turtle"),
-    "vocab": ("Axiom", "AxiomKind", "NAMESPACES", "PathSpec", "TermRegistry",
+    "vocab": ("Axiom", "AxiomKind", "Levels", "NAMESPACES", "PathSpec", "TermRegistry",
               "VocabTerm", "axioms_graph", "build_registry", "curie_to_iri"),
     "reasoner": ("ClosureGraph", "Derivation", "RuleSet", "close", "expand_shortcut"),
     "shapes": ("Severity", "Shape", "ValidationEntry", "ValidationReport",

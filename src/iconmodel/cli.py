@@ -33,7 +33,7 @@ class _Refused(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     def _print_message(self, message, file=None):  # argparse drops a failed write
-        if message and (file := file or sys.stderr) is not None:
+        if message and file is not None:  # argparse passes None for a closed stream
             file.write(message)
 
 

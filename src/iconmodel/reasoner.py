@@ -53,14 +53,16 @@ class Derivation(NamedTuple):
 
 class ClosureGraph:
     """The caller's base graph, the frozen store the engine derived base
-    and inferred triples into, and a derivation per inferred triple."""
-    __slots__ = ("base", "_store", "provenance")
+    and inferred triples into, a derivation per inferred triple, and the
+    registry close() closed under (casebook.level_of reads its levels)."""
+    __slots__ = ("base", "_store", "provenance", "registry")
 
     def __init__(self, base: Graph, _store: Graph,
-                 provenance: dict[Triple, Derivation]):
+                 provenance: dict[Triple, Derivation], registry: TermRegistry):
         self.base = base
         self._store = _store
         self.provenance = provenance
+        self.registry = registry
 
     @property
     def inferred(self) -> KeysView[Triple]:
@@ -236,7 +238,7 @@ def close(g: Graph, reg: TermRegistry, rules: Optional[RuleSet] = None) -> Closu
     if not g.frozen:
         raise ReasonerError("close() requires a frozen graph")
     store, provenance = _Engine(g, reg, rules).run()
-    return ClosureGraph(g, store, provenance)
+    return ClosureGraph(g, store, provenance, reg)
 
 
 def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,

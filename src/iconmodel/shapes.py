@@ -78,8 +78,6 @@ def default_shapes(reg: TermRegistry) -> ShapeSet:
     i = reg.iri
     recognition = i("icon:IconologicalRecognition")
     refers, motifs = i("icon:symbolicallyRefersTo"), i("icon:showsMotifsOf")
-    lev2 = (i("vir:IC9_Representation"), i("vir:IC10_Attribute"),
-            i("vir:IC11_Personification"), i("vir:IC16_Character"))
     return (
         Shape("S1", Severity.VIOLATION,
               "an iconological recognition must assign a claim to an entity "
@@ -108,7 +106,7 @@ def default_shapes(reg: TermRegistry) -> ShapeSet:
         Shape("S7", Severity.VIOLATION,
               "icon:symbolizes subject must be a representation, attribute, "
               "personification, or character",
-              subjects_of=(i("icon:symbolizes"),), classes=lev2),
+              subjects_of=(i("icon:symbolizes"),), classes=reg.levels.subjects),
         Shape("S8", Severity.WARNING,
               "visual recognition should cite a source via vir:K10_on_the_base_of",
               instances_of=(i("vir:IC12_Visual_Recognition"),),

@@ -78,6 +78,22 @@ class PathSpec(NamedTuple):
     object_class: Optional[Iri] = None
 
 
+class Levels(NamedTuple):
+    """The classes of each stratum of reading a visual work, from which
+    casebook.level_of derives a node's level over a closure (no level is
+    asserted). Lev1: a node of an `atoms` class; Lev2: of a `subjects`
+    class (as S7 requires of an icon:symbolizes subject) or a `recognitions`
+    class; Lev3: of a `concepts` class, reached by a shortcut path's last
+    step; Lev4: of a `phenomena` class. A node of a path's through class
+    takes the highest Lev3/Lev4 level of the meanings that step reaches.
+    The highest level matching wins: the upper strata shade into each other."""
+    atoms: tuple[Iri, ...] = ()
+    subjects: tuple[Iri, ...] = ()
+    recognitions: tuple[Iri, ...] = ()
+    concepts: tuple[Iri, ...] = ()
+    phenomena: tuple[Iri, ...] = ()
+
+
 class Axiom(NamedTuple):
     kind: AxiomKind
     subject: Iri
@@ -170,13 +186,17 @@ _TERMS = [
 
 
 class TermRegistry:
-    def __init__(self, terms: list[VocabTerm], axioms: list[Axiom]):
+    def __init__(self, terms: list[VocabTerm], axioms: list[Axiom], levels: Levels):
         self.terms = tuple(terms)
         self.axioms = tuple(axioms)
+        self.levels = levels
         self._iris = frozenset(t.iri for t in terms)
         self._check()
         self._sup_c = self._supersets(AxiomKind.SUB_CLASS_OF)
         self._sup_p = self._supersets(AxiomKind.SUB_PROPERTY_OF)
+        # (through class, predicate, direction) of each path's last step, to a meaning
+        self.meaning_steps = frozenset((spec.through_class,) + spec.steps[-1]
+                                       for _, spec in self.shortcuts())
 
     # -- lookups ----------------------------------------------------------
 
@@ -237,6 +257,8 @@ class TermRegistry:
                     raise VocabError(f"axiom subject is not a property: {a}")
                 if a.kind is AxiomKind.SUB_PROPERTY_OF and a.object not in props:
                     raise VocabError(f"SubPropertyOf object is not a property: {a}")
+        if bad := [c for level in self.levels for c in level if c not in classes]:
+            raise VocabError(f"level class is not a registered class: {bad[0]!r}")
         # the K14 domain restriction forbids a hierarchical alignment of
         # icon:symbolizes; asserting one is an invariant violation
         k14 = curie_to_iri("vir:K14_symbolize")
@@ -293,7 +315,12 @@ def build_registry() -> TermRegistry:
               PathSpec(assignment_path.steps, assignment_path.through_class,
                        object_class=i("icon:CulturalPhenomenon"))),
     ]
-    return TermRegistry(terms, axioms)
+    return TermRegistry(terms, axioms, Levels(
+        atoms=(i("vir:IC1_Iconographical_Atom"),),
+        subjects=(i("vir:IC9_Representation"), i("vir:IC10_Attribute"),
+                  i("vir:IC11_Personification"), i("vir:IC16_Character")),
+        recognitions=(i("vir:IC12_Visual_Recognition"),),
+        concepts=(i("crm:E28_Conceptual_Object"),), phenomena=(i("icon:CulturalPhenomenon"),)))
 
 
 def axioms_graph(reg: TermRegistry) -> Graph:

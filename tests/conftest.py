@@ -6,7 +6,8 @@ import pytest
 from iconmodel import build_registry, close, list_cases, load_case
 from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple
 from iconmodel.turtle_io import RDF_TYPE
-from iconmodel.vocab import TermKind
+from iconmodel.vocab import (Axiom, AxiomKind, PathSpec, TermKind, TermRegistry,
+                             VocabTerm, curie_to_iri)
 
 TESTS_DIR = Path(__file__).resolve().parent
 MUTATIONS_DIR = TESTS_DIR / "fixtures"
@@ -62,6 +63,19 @@ def registry_random_graph(rng: random.Random, reg, max_triples: int = 60) -> Gra
             g.insert(Triple(rng.choice(nodes), RDF_TYPE,
                             reg.iri("icon:CulturalPhenomenon")))
     return g.freeze()
+
+
+def extended_registry(reg, local, steps, through, object_class):
+    """reg, its levels kept, plus one shortcut property icon:<local> whose
+    path takes steps (CURIE, Direction) through the class `through`; and
+    that property."""
+    prop = curie_to_iri(f"icon:{local}")
+    term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, local)
+    spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps), reg.iri(through),
+                    object_class=object_class and reg.iri(object_class))
+    return TermRegistry(list(reg.terms) + [term],
+                        list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)],
+                        reg.levels), prop
 
 
 def plain_random_graph(rng: random.Random, n_triples: int,

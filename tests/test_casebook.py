@@ -5,14 +5,15 @@ import pytest
 from iconmodel.casebook import (InterpretationLevel, NodeAbsentError,
                                 UnknownCaseError, case_document, case_meta,
                                 level_of, list_cases, load_case)
-from iconmodel.graph import BlankNode, Iri
+from iconmodel.graph import BlankNode, Graph, Iri, Triple
 from iconmodel.query import cq_catalog, run_cq
 from iconmodel.reasoner import RuleSet, close
 from iconmodel.shapes import default_shapes, validate
 from iconmodel.turtle_io import RDF_TYPE
-from iconmodel.vocab import DATA_NAMESPACE
+from iconmodel.vocab import (DATA_NAMESPACE, Direction, TermKind, TermRegistry,
+                             VocabTerm, curie_to_iri)
 
-from conftest import CASE_IDS, registry_random_graph
+from conftest import CASE_IDS, extended_registry, registry_random_graph
 from oracles import oracle_level_of
 
 
@@ -181,3 +182,46 @@ class TestLevels:
         closure = close(g, reg)
         assert level_of(closure, n) is InterpretationLevel.LEV4
         assert level_of(closure, r) is InterpretationLevel.LEV4
+
+    def test_closure_classifies_by_the_registry_it_was_closed_under(self, reg):
+        # a shortcut whose last step (crm:P165_incorporates) the shipped
+        # registry does not declare, so only its closure sees the meaning
+        ext, evokes = extended_registry(
+            reg, "evokes", (("icon:assignsTo", Direction.INVERSE),
+                            ("crm:P165_incorporates", Direction.FORWARD)),
+            "icon:IconologicalRecognition", None)
+        x, r, m = (Iri(DATA_NAMESPACE + f"test/{n}") for n in ("x", "r", "m"))
+        g = Graph([Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")),
+                   Triple(r, reg.iri("icon:assignsTo"), x),
+                   Triple(r, reg.iri("crm:P165_incorporates"), m),
+                   Triple(m, RDF_TYPE, reg.iri("crm:E28_Conceptual_Object"))]).freeze()
+        closure = close(g, ext)
+        assert Triple(x, evokes, m) in closure
+        assert level_of(closure, r) is InterpretationLevel.LEV3
+        assert level_of(closure, m) is InterpretationLevel.LEV3
+        assert level_of(close(g, reg), r) is InterpretationLevel.UNCLASSIFIED
+        assert level_of(close(g, reg), m) is InterpretationLevel.UNCLASSIFIED
+
+
+class TestDeclaredLevelClass:
+    """A Lev2 class added to the registry's level declaration works with
+    no library change."""
+
+    def test_level_of_and_s7_read_the_declaration(self, reg):
+        emblem = curie_to_iri("icon:Emblem")
+        extended = TermRegistry(
+            list(reg.terms) + [VocabTerm(emblem, "icon:Emblem", TermKind.CLASS, "Emblem")],
+            list(reg.axioms),
+            reg.levels._replace(subjects=reg.levels.subjects + (emblem,)))
+        n, m = Iri(DATA_NAMESPACE + "test/emblem"), Iri(DATA_NAMESPACE + "test/m")
+        g = Graph([Triple(n, RDF_TYPE, emblem),
+                   Triple(n, reg.iri("icon:symbolizes"), m)]).freeze()
+
+        def classify(registry):
+            closure = close(g, registry)
+            report = validate(closure.graph(), default_shapes(registry), registry)
+            return level_of(closure, n), [e.focus for e in report.entries
+                                          if e.shape_id == "S7"]
+
+        assert classify(extended) == (InterpretationLevel.LEV2, [])
+        assert classify(reg) == (InterpretationLevel.UNCLASSIFIED, [n])

@@ -460,7 +460,7 @@ class TestBrokenStreams:
 
     @pytest.mark.parametrize("argv", [["cq", "list"], ["cq", "run", "CQ3"],
                                       ["infer", FIXTURE], ["validate", FIXTURE],
-                                      ["cases", "export", "laocoon"]])
+                                      ["cases", "export", "laocoon"], ["--help"]])
     def test_closed_stdout_is_not_an_error(self, argv):
         proc = run_process(argv, closed_fd=1, stdout=None)
         assert (proc.returncode, proc.stderr) == (0, b"")

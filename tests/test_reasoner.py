@@ -16,7 +16,7 @@ from iconmodel.turtle_io import RDF_TYPE
 from iconmodel.vocab import (Axiom, AxiomKind, Direction, PathSpec, TermKind,
                              TermRegistry, VocabTerm, curie_to_iri)
 
-from conftest import registry_random_graph
+from conftest import extended_registry, registry_random_graph
 from oracles import check_derivations, naive_close
 
 D = "https://w3id.org/icon/data/test/"
@@ -336,16 +336,6 @@ UNUSUAL_SHORTCUTS = {
 }
 
 
-def extended_registry(reg, local, steps, through, object_class):
-    """reg plus one shortcut property icon:<local>, and that property."""
-    prop = curie_to_iri(f"icon:{local}")
-    term = VocabTerm(prop, f"icon:{local}", TermKind.PROPERTY, local)
-    spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps), reg.iri(through),
-                    object_class=object_class and reg.iri(object_class))
-    return TermRegistry(list(reg.terms) + [term],
-                        list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)]), prop
-
-
 def with_shortcut_paths(rng, reg, prop, g):
     """g plus up to 8 paths of prop's declaration over five of
     registry_random_graph's nodes, so that paths share nodes, plus nodes
@@ -532,7 +522,8 @@ class TestDeclaredShortcut:
         spec = PathSpec(tuple((reg.iri(p), dr) for p, dr in steps),
                         reg.iri("icon:IconologicalRecognition"), object_class=e28)
         extended = TermRegistry(list(reg.terms) + [term],
-                                list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)])
+                                list(reg.axioms) + [Axiom(AxiomKind.SHORTCUT_OF, prop, spec)],
+                                reg.levels)
         t = Triple(d(subject), prop, d(obj))
         plain = recognition_graph(reg)
         assert t not in close(plain, extended)  # the object class is required

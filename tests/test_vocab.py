@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from iconmodel.graph import Iri
 from iconmodel.turtle_io import RDF_TYPE
 from iconmodel.vocab import (Axiom, AxiomKind, BadCurieError, Direction,
-                             NAMESPACES, PathSpec, TermKind, TermRegistry,
+                             Levels, NAMESPACES, PathSpec, TermKind, TermRegistry,
                              UnknownTermError, VocabError, VocabTerm,
                              axioms_graph, curie_to_iri, expand_curie)
 
@@ -108,13 +108,13 @@ class TestAlignmentAxioms:
 
 
 class TestRegistryInvariants:
-    def mk(self, axioms):
+    def mk(self, axioms, levels=Levels()):
         terms = [VocabTerm(i(c), c, k, c)
                  for c, k in [("icon:CulturalPhenomenon", TermKind.CLASS),
                               ("crm:E4_Period", TermKind.CLASS),
                               ("icon:symbolizes", TermKind.PROPERTY),
                               ("vir:K14_symbolize", TermKind.PROPERTY)]]
-        return TermRegistry(terms, axioms)
+        return TermRegistry(terms, axioms, levels)
 
     def test_symbolizes_under_k14_rejected(self):
         bad = Axiom(AxiomKind.SUB_PROPERTY_OF, i("icon:symbolizes"),
@@ -140,7 +140,7 @@ class TestRegistryInvariants:
 
     def test_long_chain_is_walked_without_recursion(self):
         terms, axioms = self.chain(2000, closed=False)
-        reg = TermRegistry(terms, axioms)
+        reg = TermRegistry(terms, axioms, Levels())
         assert len(reg.superclasses(i("icon:C0"))) == 1999
         assert reg.superclasses(i("icon:C1998")) == {i("icon:C1999")}
         assert reg.superclasses(i("icon:C1999")) == frozenset()
@@ -148,14 +148,14 @@ class TestRegistryInvariants:
     def test_second_path_to_an_ancestor_is_not_a_cycle(self):
         terms, axioms = self.chain(4, closed=False)
         axioms.append(Axiom(AxiomKind.SUB_CLASS_OF, i("icon:C0"), i("icon:C2")))
-        reg = TermRegistry(terms, axioms)
+        reg = TermRegistry(terms, axioms, Levels())
         assert reg.superclasses(i("icon:C0")) == {i("icon:C1"), i("icon:C2"),
                                                  i("icon:C3")}
 
     def test_long_cycle_rejected(self):
         terms, axioms = self.chain(2000, closed=True)
         with pytest.raises(VocabError, match="cycle in SubClassOf axioms"):
-            TermRegistry(terms, axioms)
+            TermRegistry(terms, axioms, Levels())
 
     def test_unregistered_axiom_operand_rejected(self):
         bad = Axiom(AxiomKind.SUB_CLASS_OF, i("icon:CulturalPhenomenon"),
@@ -172,7 +172,7 @@ class TestRegistryInvariants:
     def test_term_outside_its_namespace_rejected(self, reg, curie, iri):
         term = VocabTerm(Iri(iri), curie, TermKind.CLASS, "x")
         with pytest.raises(VocabError, match=curie):
-            TermRegistry(list(reg.terms) + [term], list(reg.axioms))
+            TermRegistry(list(reg.terms) + [term], list(reg.axioms), reg.levels)
 
     @pytest.mark.parametrize("kind, subject, obj, message", [
         (AxiomKind.SUB_CLASS_OF, "icon:symbolizes", "crm:E4_Period",
@@ -185,6 +185,13 @@ class TestRegistryInvariants:
     def test_class_property_kind_mismatch_rejected(self, kind, subject, obj, message):
         with pytest.raises(VocabError, match=message):
             self.mk([Axiom(kind, i(subject), i(obj))])
+
+    @pytest.mark.parametrize("curie", ["crm:E5_Event", "icon:symbolizes"],
+                             ids=["unregistered", "a-property"])
+    def test_level_class_that_is_no_registered_class_rejected(self, curie):
+        self.mk([], Levels(phenomena=(i("icon:CulturalPhenomenon"),)))
+        with pytest.raises(VocabError, match="level class is not a registered class"):
+            self.mk([], Levels(subjects=(i(curie),)))
 
     def test_one_step_shortcut_rejected(self):
         path = PathSpec(((i("vir:K14_symbolize"), Direction.FORWARD),),
@@ -202,7 +209,7 @@ class TestHierarchy:
     def registry(pairs):
         terms = [VocabTerm(i(c), c, TermKind.CLASS, c) for c in CLASSES]
         return TermRegistry(terms, [Axiom(AxiomKind.SUB_CLASS_OF, i(CLASSES[a]),
-                                          i(CLASSES[b])) for a, b in pairs])
+                                          i(CLASSES[b])) for a, b in pairs], Levels())
 
     @pytest.mark.parametrize("pairs, named", [
         ([(0, 1), (1, 0)], 0),  # a 2-cycle
