@@ -34,8 +34,12 @@ FRAGMENTS = [
     " ", "\t", "\n", "\r", "#c", "# ", "\f", "%", "{", "|", "`", "~", "0", "9",
     # comments holding tokens, which a lexer that backtracks into a
     # comment would read
-    "#e:s a ", "# <http://e/a> ", '#"x" ', "#_:b "]
+    "#e:s a ", "# <http://e/a> ", '#"x" ', "#_:b ",
+    # the lexer's guarded repeats: a local name's dotted tail, comment runs
+    # and a prefix label with "-"
+    "ex:a.-", "ex:-.a", "ex:a.b.", "# #", "#\n#", "e-x:", "e-x:a"]
 PROLOGUES = ["@prefix e: <http://e/> .\n", "@prefix ex: <http://ex/> .\n",
+             "@prefix e-x: <http://e-x/> .\n",
              "@base <http://b/> .\n", ""]
 STATEMENTS = ["e:s e:p e:o .", 'e:s e:p "x"@en .', "_:b e:p [ e:q e:o ] .",
               "e:s a e:C ; e:p <o>, ex:a.b .", 'e:s e:p "v"^^e:d .', "<s> <p> <o> ."]

@@ -265,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help='input file, or "-" for stdin')
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("validate", help="validate against the built-in shapes")
+    p = sub.add_parser(
+        "validate", help="validate the hierarchy closure against the built-in shapes",
+        description="Validate the hierarchy closure against the built-in shapes. "
+        "Shortcuts are not contracted: S7 would flag the artworks that contraction "
+        "makes icon:symbolizes subjects without a subject class.")
     p.add_argument("path")
     p.add_argument("--no-axioms", action="store_true",
                    help="validate the raw graph without hierarchy closure")

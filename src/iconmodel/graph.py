@@ -22,8 +22,8 @@ reasoner's engine derives into the store it returns, joining against
 that graph's indexes as it inserts, and a closure hands out that same
 frozen graph on every call. Triple(...) checks each term's kind;
 _triple() does not, and is only for library code whose terms are of
-the right kinds by construction (the parser, the reasoner's rule
-bodies, the validator's class probes).
+the right kinds by construction (the parser, which inlines it, and the
+reasoner's rule bodies and type probes).
 
 A frozen graph can be shared freely between threads. Nothing mutates
 its triple set, and its indexes are built into locals and published by

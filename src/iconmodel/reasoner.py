@@ -199,13 +199,13 @@ class _Engine:
         conclusion of each spec whose object class, if any, types the far
         end. A path through t's other end that lacks t was walked already."""
         (p1, d1), (p2, d2) = steps
-        neighbours = self.store.neighbours
+        store, neighbours = self.store, self.store.neighbours
         ends = (neighbours(t.subject, p2, d2 is Direction.INVERSE) if far_end
                 else (t.subject, t.object))
         for r in ends:
-            if through not in neighbours(r, RDF_TYPE):
+            # type triples are probed in the store, not collected
+            if (through_t := _triple(r, RDF_TYPE, through)) not in store:
                 continue
-            through_t = _triple(r, RDF_TYPE, through)
             for x in neighbours(r, p1, d1 is Direction.INVERSE):
                 if isinstance(x, Literal):
                     continue
@@ -214,9 +214,8 @@ class _Engine:
                     for rule, prop, cls in specs:
                         if cls is None:
                             self._emit(_triple(x, prop, m), rule, premises)
-                        elif cls in neighbours(m, RDF_TYPE):
-                            self._emit(_triple(x, prop, m), rule,
-                                       premises + (_triple(m, RDF_TYPE, cls),))
+                        elif (typed := _triple(m, RDF_TYPE, cls)) in store:
+                            self._emit(_triple(x, prop, m), rule, premises + (typed,))
 
 
 def _step(a: Term, p: Iri, d: Direction, b: Term) -> Triple:

@@ -15,7 +15,7 @@ import enum
 import json
 from typing import NamedTuple
 
-from .graph import RDF_TYPE, Graph, Iri, Literal, Term, _triple, term_key, term_str
+from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_str
 from .vocab import DATA_NAMESPACE, TermRegistry
 
 
@@ -116,25 +116,28 @@ def default_shapes(reg: TermRegistry) -> ShapeSet:
 
 
 def _focus_nodes(g: Graph, shape: Shape) -> set[Term]:
-    out = {t.subject for cls in shape.instances_of for t in g.match(p=RDF_TYPE, o=cls)}
+    out = {x for cls in shape.instances_of for x in g.neighbours(cls, RDF_TYPE, False)}
     out |= {t.subject for p in shape.subjects_of for t in g.match(p=p)}
     out |= {t.object for p in shape.objects_of for t in g.match(p=p)}
     return out
 
 
-def _conforms(g: Graph, focus: Term, shape: Shape) -> bool:
+def _conforms(focus: Term, triples: set[Triple], shape: Shape) -> bool:
+    """Does focus conform, given the triples it is the subject of?"""
     if isinstance(focus, Literal):
         return False
-    if not all(g.match(s=focus, p=p) for p in shape.required):
+    if shape.required and not {t.predicate for t in triples}.issuperset(shape.required):
         return False
-    return not shape.classes or any(_triple(focus, RDF_TYPE, cls) in g
-                                    for cls in shape.classes)
+    return not shape.classes or not {
+        t.object for t in triples if t.predicate == RDF_TYPE}.isdisjoint(shape.classes)
 
 
-def _hygiene_entries(g: Graph, shape: Shape, reg: TermRegistry) -> list[ValidationEntry]:
-    """One entry per distinct predicate or rdf:type class that is flagged."""
-    iris = {p for _, p, _ in g}
-    iris.update(o for _, _, o in g.match(p=RDF_TYPE) if isinstance(o, Iri))
+def _hygiene_entries(by_p: dict[Iri, set[Triple]], shape: Shape,
+                     reg: TermRegistry) -> list[ValidationEntry]:
+    """One entry per distinct predicate or rdf:type class that is flagged,
+    read from a graph's predicate index."""
+    iris = set(by_p)
+    iris.update(o for o in {t.object for t in by_p.get(RDF_TYPE, ())} if isinstance(o, Iri))
     return [ValidationEntry(iri, shape.id, shape.severity, shape.message)
             for iri in iris
             if not reg.is_registered(iri) and not iri.startswith(DATA_NAMESPACE)]
@@ -143,12 +146,13 @@ def _hygiene_entries(g: Graph, shape: Shape, reg: TermRegistry) -> list[Validati
 def validate(g: Graph, shapes: ShapeSet, reg: TermRegistry) -> ValidationReport:
     """Validate a frozen, hierarchy-closed graph against the shape set."""
     entries: list[ValidationEntry] = []
+    by_s, by_p, _ = g._indexes()
     for shape in shapes:
         if not (shape.instances_of or shape.subjects_of or shape.objects_of):
-            entries.extend(_hygiene_entries(g, shape, reg))
+            entries.extend(_hygiene_entries(by_p, shape, reg))
             continue
         for focus in _focus_nodes(g, shape):
-            if not _conforms(g, focus, shape):
+            if not _conforms(focus, by_s.get(focus, ()), shape):
                 entries.append(ValidationEntry(focus, shape.id, shape.severity,
                                                shape.message))
     entries.sort(key=lambda e: (term_key(e.focus), e.shape_id))

@@ -37,7 +37,7 @@ from itertools import chain, groupby, islice
 from typing import Iterable, NamedTuple, Optional
 
 from .graph import (RDF_TYPE, XSD_STRING, BlankNode, Graph, GraphError, Iri, Literal,
-                    PrefixMap, Triple, _triple, term_key)
+                    PrefixMap, Triple, term_key)
 
 _MAX_NESTING = 100  # keeps the recursive descent inside the recursion limit
 
@@ -71,12 +71,16 @@ class ParseResult(NamedTuple):
 _NAME_CHAR = r"[\w-]"  # continues a blank-node label, language tag or prefix
 _IRI_BODY = r'[^ \t\r\n<>"{}|^`]*'
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*'
-_LOCAL = r"[A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*"  # a "." must lead to more name
+# a "." must lead to more name
+_LOCAL = r"[A-Za-z0-9_-]*(?:(?=\.[A-Za-z0-9_-])(?:\.[A-Za-z0-9_-]+)+|)"
 
 # The token grammar. At each position the patterns are tried in this order
 # and the first that matches is the token. Every repetition nested in
 # another starts with a character the inner one cannot match, so matching
-# takes time linear in the input.
+# takes time linear in the input. The engine pays for entering a repeat or
+# optional group even where it matches nothing, so each one is written as
+# an alternation whose first branch a lookahead enters only when the
+# group's first character is there, and whose second branch is empty.
 _TABLE = [
     ("IRIREF", rf"<{_IRI_BODY}>"),
     ("STRING", rf'"(?!""){_STRING_BODY}"'),
@@ -85,14 +89,14 @@ _TABLE = [
     ("KEYWORD", rf"@(?:prefix|base)(?!{_NAME_CHAR})|a(?!{_NAME_CHAR}|:)"),
     ("LANG", rf"@{_NAME_CHAR}+"),
     ("DTSEP", r"\^\^"),
-    ("PNAME", rf"(?:(?!_:)[^\W\d]{_NAME_CHAR}*)?:{_LOCAL}"),
+    ("PNAME", rf"(?:(?!_:)[^\W\d]{_NAME_CHAR}*|):{_LOCAL}"),
     ("EOF", r"\Z"),
 ]
 # A skip over whitespace and comments, then the token as the one group.
 # Where no _TABLE pattern matches, the last branch takes the rest of the
 # text, so a match never backtracks into the skip, and findall never
 # searches on past a lex error.
-_LEX = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
+_LEX = re.compile(r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*[ \t\r\n]*)+|)("
                   + "|".join(pattern for _, pattern in _TABLE) + r"|[\s\S]+)")
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _WORD = re.compile(_NAME_CHAR + "*")
@@ -198,14 +202,14 @@ def _tokens(text: str) -> list[str]:
 
 class _Parser:
     """Recursive descent over the token texts. A token is passed around by
-    its index into self.tokens, and its kind is told from its text.
-    self.i indexes the next token; taking the EOF token "" always ends in a
-    ParseError, so self.i never runs past it."""
+    its index into self.tokens, and its kind is told from its text. A
+    method that reads tokens takes the index of its first and returns the
+    index after its last; reading the EOF token "" always ends in a
+    ParseError, so no index runs past it."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokens(text)
-        self.i = 0
         self.triples: list[Triple] = []
         self.prefixes: PrefixMap = {}
         self.base: Optional[Iri] = None
@@ -222,60 +226,54 @@ class _Parser:
         raise _located(self.text, self.tokens, i, message, kind)
 
     def parse(self) -> ParseResult:
-        tokens = self.tokens
-        while token := tokens[self.i]:
+        tokens, i = self.tokens, 0
+        while token := tokens[i]:
             if token == "@prefix" or token == "@base":
-                self._directive()
+                i = self._directive(i)
                 continue
             if token == "[":
-                subject = self._anon_node()
+                subject, i = self._anon_node(i)
             else:
-                subject = self._terms.get(token) or self._node(self.i, "subject expected")
-                self.i += 1
-            self._predicate_object_list(subject)
-            dot = self._take()
-            if tokens[dot] != ".":
-                self._err(dot, "'.' expected at end of statement",
+                subject = self._terms.get(token) or self._node(i, "subject expected")
+                i += 1
+            i = self._predicate_object_list(subject, i)
+            if tokens[i] != ".":
+                self._err(i, "'.' expected at end of statement",
                           ErrorKind.UNTERMINATED_STATEMENT)
+            i += 1
         del self.tokens  # spent: free them before the graph
         return ParseResult(Graph(self.triples).freeze(), dict(self.prefixes), self.base)
 
-    def _take(self) -> int:
-        self.i += 1
-        return self.i - 1
-
-    def _directive(self):
+    def _directive(self, i: int) -> int:
         tokens = self.tokens
-        if tokens[self._take()] == "@prefix":
-            name = self._take()
-            label = tokens[name]
+        if tokens[i] == "@prefix":
+            label = tokens[i + 1]
             if not (_kind(label) == "PNAME" and label.endswith(":")):
-                self._err(name, "prefix label expected after @prefix",
+                self._err(i + 1, "prefix label expected after @prefix",
                           ErrorKind.UNEXPECTED_TOKEN)
-            iriref = self._take()
-            if _kind(tokens[iriref]) != "IRIREF":
-                self._err(iriref, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            prefix, ns = label[:-1], tokens[iriref][1:-1]
+            if _kind(tokens[i + 2]) != "IRIREF":
+                self._err(i + 2, "namespace IRI expected", ErrorKind.UNEXPECTED_TOKEN)
+            prefix, ns = label[:-1], tokens[i + 2][1:-1]
             # a new namespace: forget the CURIEs resolved under the old one
             scope = prefix if self.prefixes.get(prefix) != ns else None
             self.prefixes[prefix] = ns
+            i += 3
         else:
-            iriref = self._take()
-            if _kind(tokens[iriref]) != "IRIREF":
-                self._err(iriref, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
-            self.base = self._node(iriref, "base IRI expected", blank=False)
+            i += 1
+            if _kind(tokens[i]) != "IRIREF":
+                self._err(i, "base IRI expected", ErrorKind.UNEXPECTED_TOKEN)
+            self.base = self._node(i, "base IRI expected", blank=False)
             scope = "<"  # forget the relative IRIs resolved against the old base
+            i += 1
         for token in self._resolved_by.pop(scope, ()):
             self._terms.pop(token, None)  # a base token can be listed twice
-        dot = self._take()
-        if tokens[dot] != ".":
-            self._err(dot, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
+        if tokens[i] != ".":
+            self._err(i, "'.' expected after directive", ErrorKind.UNTERMINATED_STATEMENT)
+        return i + 1
 
-    def _predicate_object_list(self, subject):
-        """Every triple of subject's predicate-object list, read with a local
-        index i, which self.i holds around calls that take tokens themselves."""
-        tokens, terms, append = self.tokens, self._terms, self.triples.append
-        i = self.i
+    def _predicate_object_list(self, subject, i: int) -> int:
+        """Every triple of subject's predicate-object list from token i."""
+        tokens, terms, append, new = self.tokens, self._terms, self.triples.append, tuple.__new__
         while True:
             token = tokens[i]
             pred = terms.get(token) or (RDF_TYPE if token == "a" else
@@ -284,17 +282,13 @@ class _Parser:
             while True:
                 token = tokens[i]
                 if token == "[":
-                    self.i = i
-                    obj = self._anon_node()
-                    i = self.i
+                    obj, i = self._anon_node(i)
                 elif token[:1] == '"':
-                    self.i = i + 1
-                    obj = self._literal(token[1:-1])
-                    i = self.i
+                    obj, i = self._literal(token[1:-1], i + 1)
                 else:
                     obj = terms.get(token) or self._node(i, "object expected")
                     i += 1
-                append(_triple(subject, pred, obj))
+                append(new(Triple, (subject, pred, obj)))  # unchecked, like _triple()
                 token = tokens[i]
                 if token != ",":
                     break
@@ -304,62 +298,66 @@ class _Parser:
                 # tolerate trailing ';' before '.' or ']'
                 if tokens[i] not in (".", "]"):
                     continue
-            self.i = i
-            return
+            return i
 
     def _node(self, i: int, expected: str, blank=True, error=ErrorKind.UNEXPECTED_TOKEN):
         """The IRI, or if blank is true the blank node, that token i names.
         An IRI is cached in self._terms by its token text. A token that
-        names none raises the error, saying what was expected."""
+        names none raises the error, saying what was expected. A CURIE whose
+        prefix names an absolute namespace takes the first branch: its
+        value holds the namespace's ":", so it is an IRI."""
         token = self.tokens[i]
-        kind = _kind(token)
-        scope = None  # the prefix, or "<" for the base, that the IRI depends on
-        if kind == "PNAME":
-            scope, _, local = token.partition(":")
-            ns = self.prefixes.get(scope)
-            if ns is None:
-                self._err(i, f"undeclared prefix {scope!r}", ErrorKind.UNDECLARED_PREFIX)
-            value = ns + local  # a relative namespace gives no IRI
-        elif kind == "IRIREF":
-            value = token[1:-1]
-            if ":" not in value:
-                if self.base is None:
-                    self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
-                scope, value = "<", self.base + value
-        elif kind == "BLANK" and blank:
-            return BlankNode(token[2:])
+        # scope: the prefix, or "<" for the base, that the IRI depends on
+        scope, colon, local = token.partition(":")
+        ns = colon and self.prefixes.get(scope)
+        if ns and ":" in ns:
+            self._terms[token] = iri = str.__new__(Iri, ns + local)
         else:
-            self._err(i, expected, error)
-        try:
-            self._terms[token] = iri = Iri(value)
-        except ValueError:
-            self._err(i, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
+            kind = _kind(token)
+            if kind == "PNAME":
+                if ns is None:
+                    self._err(i, f"undeclared prefix {scope!r}", ErrorKind.UNDECLARED_PREFIX)
+                value = ns + local  # a relative namespace gives no IRI
+            elif kind == "IRIREF":
+                scope, value = None, token[1:-1]
+                if ":" not in value:
+                    if self.base is None:
+                        self._err(i, f"relative IRI {value!r} with no base", ErrorKind.BAD_IRI)
+                    scope, value = "<", self.base + value
+            elif kind == "BLANK" and blank:
+                return BlankNode(token[2:])
+            else:
+                self._err(i, expected, error)
+            try:
+                self._terms[token] = iri = Iri(value)
+            except ValueError:
+                self._err(i, f"bad IRI {value!r}", ErrorKind.BAD_IRI)
         if scope is not None:
             self._resolved_by.setdefault(scope, []).append(token)
         return iri
 
-    def _literal(self, lexical: str) -> Literal:
+    def _literal(self, lexical: str, i: int) -> tuple[Literal, int]:
+        """The literal of a string token's lexical form, and the index after
+        it, whose tag or datatype, if any, starts at token i."""
         if "\\" in lexical:
             lexical = _ESCAPE.sub(lambda e: _UNESCAPE[e[1]], lexical)
-        i = self.i
-        kind = _kind(self.tokens[i])
+        token = self.tokens[i]
+        kind = _kind(token)
         if kind == "LANG":
-            self.i += 1
-            tag = self.tokens[i][1:]
+            tag = token[1:]
             # Literal lower-cases the tag, and the serializer writes that form
             if not _lexes_as("LANG", "@" + tag.lower()):
                 self._err(i, f"language tag {tag!r} is not a tag once lower-cased",
                           ErrorKind.BAD_LITERAL)
-            return Literal(lexical, lang=tag)
+            return Literal(lexical, lang=tag), i + 1
         if kind == "DTSEP":
-            self.i += 1
-            dt = self._take()
-            return Literal(lexical, datatype=self._terms.get(self.tokens[dt]) or self._node(
-                dt, "datatype IRI expected", blank=False, error=ErrorKind.BAD_LITERAL))
-        return Literal(lexical)
+            dt = self.tokens[i + 1]
+            return Literal(lexical, datatype=self._terms.get(dt) or self._node(
+                i + 1, "datatype IRI expected", blank=False, error=ErrorKind.BAD_LITERAL)), i + 2
+        return Literal(lexical), i
 
-    def _anon_node(self) -> BlankNode:
-        opener = self._take()  # '['
+    def _anon_node(self, opener: int) -> tuple[BlankNode, int]:
+        """The blank node of the "[" at token opener, and the index after its "]"."""
         if self._depth == _MAX_NESTING:
             self._err(opener, f"'[' nested deeper than {_MAX_NESTING}",
                       ErrorKind.UNEXPECTED_TOKEN)
@@ -369,14 +367,14 @@ class _Parser:
         while f"b{self._anon}" in self._explicit:
             self._anon += 1
         node = BlankNode(f"b{self._anon}")
-        if self.tokens[self.i] != "]":
+        i = opener + 1
+        if self.tokens[i] != "]":
             self._depth += 1
-            self._predicate_object_list(node)
+            i = self._predicate_object_list(node, i)
             self._depth -= 1
-        closer = self._take()
-        if self.tokens[closer] != "]":
-            self._err(closer, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
-        return node
+        if self.tokens[i] != "]":
+            self._err(i, "']' expected", ErrorKind.UNTERMINATED_STATEMENT)
+        return node, i + 1
 
 
 def parse_turtle(text: str) -> ParseResult:
@@ -433,7 +431,10 @@ def serialize_turtle(graph: Iterable[Triple], prefixes: PrefixMap) -> str:
     namespaces = tuple(prefixes.values())  # only an IRI they start has a CURIE
     if iter(graph) is graph:  # a one-shot iterator: graph is read twice
         graph = list(graph)
-    terms = sorted(set(chain.from_iterable(graph)), key=term_key)
+    # term_key order: the IRIs by their own str order, then the rest
+    distinct = set(chain.from_iterable(graph))
+    terms = sorted([t for t in distinct if isinstance(t, Iri)])
+    terms += sorted([t for t in distinct if not isinstance(t, Iri)], key=term_key)
     # each distinct term's text, or the GraphError naming it, by rank; raw
     # holds the ranks of the <IRI> and _:label texts, lex-checked below
     texts, raw = [], []

@@ -17,7 +17,7 @@ from iconmodel.graph import (XSD_STRING, BlankNode, Graph, GraphError, Iri, Lite
 from iconmodel.query import Alt, Inv, Pattern, Plus, Seq, Var
 from iconmodel.reasoner import RuleSet
 from iconmodel.shapes import Severity
-from iconmodel.turtle_io import RDF_TYPE, _TABLE, _lex_error, _lexes_as
+from iconmodel.turtle_io import RDF_TYPE, _lex_error, _lexes_as
 from iconmodel.vocab import (DATA_NAMESPACE, AxiomKind, Direction, TermRegistry,
                              curie_to_iri)
 
@@ -416,14 +416,32 @@ def count_fixture_statements(text: str) -> int:
     return len(seen)
 
 
+# The token grammar of the Turtle subset, each pattern written the plain
+# way and kept apart from turtle_io's _TABLE, whose patterns are shaped
+# for the regex engine's speed: the lexer must read the same language.
+ORACLE_TOKEN_PATTERNS = [
+    ("IRIREF", r'<[^ \t\r\n<>"{}|^`]*>'),
+    ("STRING", r'"(?!"")[^"\\\n]*(?:\\["\\nrt][^"\\\n]*)*"'),
+    ("BLANK", r"_:[\w-]+"),
+    ("PUNCT", r"[.;,\[\]]"),
+    ("KEYWORD", r"@(?:prefix|base)(?![\w-])|a(?![\w-]|:)"),
+    ("LANG", r"@[\w-]+"),
+    ("DTSEP", r"\^\^"),
+    # an optional prefix, ":", and a local name in which a "." must lead
+    # to more name
+    ("PNAME", r"(?:(?!_:)[^\W\d][\w-]*)?:[A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*"),
+    ("EOF", r"\Z"),
+]
+
+
 def oracle_tokens(text: str) -> list[str]:
     """The token texts of text, read one at a time and ending with the EOF
     token "": skip whitespace and comments character by character, then
-    try each _TABLE pattern on its own at that position and take the first
-    that matches. A position where none matches, or a PNAME that starts
-    with neither a letter, "_" nor ":" (such as "²x:o"), raises the
-    ParseError that _lex_error gives for it."""
-    patterns = [(kind, re.compile(pattern)) for kind, pattern in _TABLE]
+    try each ORACLE_TOKEN_PATTERNS pattern on its own at that position and
+    take the first that matches. A position where none matches, or a
+    PNAME that starts with neither a letter, "_" nor ":" (such as "²x:o"),
+    raises the ParseError that _lex_error gives for it."""
+    patterns = [(kind, re.compile(pattern)) for kind, pattern in ORACLE_TOKEN_PATTERNS]
     tokens, pos = [], 0
     while True:
         while pos < len(text) and text[pos] in " \t\r\n#":

@@ -1,8 +1,10 @@
 import json
 import random
+from importlib import resources
 
 import pytest
 
+from iconmodel.cli import main
 from iconmodel.graph import Graph, Iri, Triple
 from iconmodel.reasoner import RuleSet, close
 from iconmodel.shapes import Severity, default_shapes, validate
@@ -137,12 +139,42 @@ class TestReport:
         assert focuses == sorted(focuses, key=lambda x: x.value)
 
 
+class TestFullClosure:
+    """`icon validate` validates the hierarchy closure only. Shortcut
+    contraction makes every artwork with a recognition path an
+    icon:symbolizes subject, and S7 flags each one that carries no
+    subject class, although its fixture conforms."""
+
+    S7_FLAGGED = {
+        "hercules-salvation": ["salvation-relief"],
+        "laocoon": ["vatican-manuscript-illumination"],
+        "neptune": [],
+        "vermeer-balance": ["allegory-of-faith-painting", "woman-holding-balance-painting"],
+    }
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_contracted_closure_flags_untyped_symbolizers(self, case_id, reg, shapes,
+                                                          case_closures):
+        report = validate(case_closures[case_id].graph(), shapes, reg)
+        flagged = self.S7_FLAGGED[case_id]
+        assert [(e.focus, e.shape_id) for e in violations(report)] == [
+            (Iri(f"https://w3id.org/icon/data/{case_id}/{name}"), "S7") for name in flagged]
+        assert report.conforms is not bool(flagged)
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_icon_validate_conforms(self, case_id, capsys):
+        with resources.as_file(resources.files("iconmodel") / "fixtures"
+                               / f"{case_id}.ttl") as path:
+            assert main(["validate", "--json", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["conforms"] is True
+
+
 class TestAgainstOracle:
     """Every report entry, and no other, is a failure the oracle finds."""
 
     @staticmethod
     def assert_agrees(g, reg, shapes):
-        for graph in (g, hierarchy_closure(g, reg)):
+        for graph in (g, hierarchy_closure(g, reg), close(g, reg).graph()):
             entries = [(e.focus, e.shape_id, e.severity)
                        for e in validate(graph, shapes, reg).entries]
             assert len(entries) == len(set(entries))

@@ -327,7 +327,7 @@ class TestParseErrors:
 # characters but are not (numerals, a capital that lower-cases to two).
 TURTLE_ALPHABET = list("<>\"'\\_:@^.;,[]()#a-+²½İé0 \t\r\n") + [
     '"""', "<<", "\\q", "\\n", "ex:", "_:b", "@prefix", "@base", "true", "<http://e/>",
-    "<>", "<s>", "ex:a.b"]
+    "<>", "<s>", "ex:a.b", "ex:a..b", "ex:a.-", "ex:-.a", "# #", "#\n#"]
 
 
 @settings(max_examples=300)
@@ -380,6 +380,28 @@ def test_lex_error_after_long_document_is_found_quickly():
         parse_turtle(STATEMENTS + "ex:s ex:p\t%")
     assert (e.value.line, e.value.column) == (20_002, 11)
     assert e.value.message == "unexpected character '%'"
+
+
+@pytest.mark.parametrize("doc, triples", [
+    (STATEMENTS + "# " * 100_000, 1),
+    (STATEMENTS + "# a # b ## c #\n" * 20_000, 1),
+    (EX + "ex:s ex:p ex:" + "a-." * 33_334, 1),
+    (EX + "@prefix " + "p" * 100_000 + ": <http://example.org/> .\n"
+     + "p" * 100_000 + ":s ex:p ex:o .", 1),
+    (EX + "ex:s ex:p " + "p" * 100_000 + " .", None),
+], ids=["comment-line-of-hash-pairs", "comment-lines-of-several-hashes",
+        "dotted-local-name-ending-in-dot", "long-prefix-label", "long-word"])
+def test_long_guarded_repeats_lex_quickly(doc, triples):
+    """Each repeat that the lexer guards by its first character, run
+    100,000 characters long: a comment skip, a local name's dotted tail
+    and a prefix label, which must read the whole document or refuse it
+    in time."""
+    with deadline(0.5):
+        try:
+            r = parse_turtle(doc)
+        except ParseError:
+            r = None
+    assert (None if r is None else len(r.graph)) == triples
 
 
 @pytest.mark.parametrize("doc", [
