@@ -79,7 +79,7 @@ def case_document(case_id: str) -> str:
 
 
 def load_case(case_id: str) -> tuple[Graph, CaseStudy]:
-    """Parse one case fixture into a frozen graph, with its metadata."""
+    """Parse one case fixture into a graph, with its metadata."""
     from .turtle_io import parse_turtle  # listing or exporting cases parses nothing
     meta = case_meta(case_id)
     result = parse_turtle(case_document(case_id))

@@ -12,24 +12,24 @@ node, so no term equals one of another kind. A parse builds one Iri
 per distinct token text under the current prefixes and base, so one
 IRI written two ways gives two equal Iri objects.
 
-Graphs are append-only while being built and are frozen before they
-are handed out. A graph builds its subject, predicate and object
-indexes on the first read that needs one, or on its first insert, so a
-graph that is only iterated and probed for membership (a parsed graph
-handed to the reasoner) never builds them. A union shares its larger
-frozen input's untouched index buckets and never mutates them. The
-reasoner's engine derives into the store it returns, joining against
-that graph's indexes as it inserts, and a closure hands out that same
-frozen graph on every call. Triple(...) checks each term's kind;
-_triple() does not, and is only for library code whose terms are of
-the right kinds by construction (the parser, which inlines it, and the
-reasoner's rule bodies and type probes).
+A graph is built once, from an iterable of triples, and never changes
+after it is handed out. It builds its subject, predicate and object
+indexes on the first read that needs one, so a graph that is only
+iterated and probed for membership (a parsed graph handed to the
+reasoner) never builds them. A union shares its larger input's
+untouched index buckets and never mutates them. The reasoner's engine
+is the one writer of a graph's contents: it derives into the store it
+returns, joining against that graph's indexes as it writes, and a
+closure hands out that same graph on every call. Triple(...) checks
+each term's kind; _triple() does not, and is only for library code
+whose terms are of the right kinds by construction (the parser, which
+inlines it, and the reasoner's rule bodies and type probes).
 
-A frozen graph can be shared freely between threads. Nothing mutates
-its triple set, and its indexes are built into locals and published by
-one attribute assignment: two threads making their first read each
-build equal indexes from the same triples, and neither sees a partial
-one.
+A graph can be shared freely between threads. Nothing mutates its
+triple set once it is handed out, and its indexes are built into locals
+and published by one attribute assignment: two threads making their
+first read each build equal indexes from the same triples, and neither
+sees a partial one.
 """
 
 from __future__ import annotations
@@ -47,16 +47,12 @@ class GraphError(Exception):
     pass
 
 
-class FrozenGraphError(GraphError):
-    """Raised on any attempt to mutate a frozen graph."""
-
-
 class Iri(str):
     """An absolute IRI: the str of its own text, which must hold a ':'."""
     __slots__ = ()
 
     def __new__(cls, value: str) -> "Iri":
-        if not value or ":" not in value:
+        if not isinstance(value, str) or ":" not in value:
             raise ValueError(f"not an absolute IRI: {value!r}")
         return str.__new__(cls, value)
 
@@ -91,8 +87,8 @@ class BlankNode(_ExactTuple, namedtuple("_BlankNode", "label")):
     __slots__ = ()
 
     def __new__(cls, label: str) -> "BlankNode":
-        if not label:
-            raise ValueError("blank node label must be non-empty")
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"blank node label must be a non-empty str: {label!r}")
         return _new_tuple(cls, (label,))
 
     def __hash__(self):
@@ -103,20 +99,25 @@ class BlankNode(_ExactTuple, namedtuple("_BlankNode", "label")):
 
 
 class Literal(namedtuple("_Literal", "lexical datatype lang")):
-    """A literal: a language tag (lower-cased) or a datatype, which is
-    xsd:string when neither is given."""
+    """A literal: a str lexical form and a language tag (lower-cased) or a
+    datatype, which is xsd:string when neither is given. A str datatype
+    becomes an Iri; any field of another type raises ValueError."""
     __slots__ = ()
 
     def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
                 lang: Optional[str] = None) -> "Literal":
+        if not isinstance(lexical, str):
+            raise ValueError(f"literal lexical form must be a str: {lexical!r}")
         if lang is not None:
             if datatype is not None:
                 raise ValueError("literal cannot carry both a language tag and a datatype")
-            if lang == "":
-                raise ValueError("language tag must be non-empty")
+            if not isinstance(lang, str) or not lang:
+                raise ValueError(f"language tag must be a non-empty str: {lang!r}")
             lang = lang.lower()
         elif datatype is None:
             datatype = XSD_STRING
+        elif type(datatype) is not Iri:
+            datatype = Iri(datatype)
         return _new_tuple(cls, (lexical, datatype, lang))
 
     def __repr__(self):
@@ -181,14 +182,12 @@ _Indexes = tuple[dict[Term, set[Triple]], dict[Iri, set[Triple]], dict[Term, set
 class Graph:
     """Triple set with subject/predicate/object indexes, built on first read.
 
-    Build with insert(), then freeze(). Lookups see every triple
-    inserted so far, so code filling a graph can join against it.
+    Graph(triples) is the one way to build a graph; duplicates count once.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set(triples)
         self._index: Optional[_Indexes] = None  # until the first read
-        self._frozen = False
 
     def _indexes(self) -> _Indexes:
         """The three indexes, built in one pass over the triples the first
@@ -201,6 +200,7 @@ class Graph:
             by_p: dict[Iri, set[Triple]] = {}
             by_o: dict[Term, set[Triple]] = {}
             for t in self._triples:
+                # buckets are never empty, so only a new key builds a set
                 (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
                 (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
                 (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
@@ -208,31 +208,15 @@ class Graph:
         return index
 
     def _writable(self) -> tuple:
-        """The triple set and the three indexes, for insert() and for the
-        reasoner's engine, the one writer of the store it derives into."""
-        if self._frozen:
-            raise FrozenGraphError("cannot insert into a frozen graph")
+        """The triple set and the three indexes, for the reasoner's engine,
+        the one writer of the store it derives into."""
         return (self._triples, *(self._index or self._indexes()))
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def freeze(self) -> "Graph":
-        self._frozen = True
+        """The graph itself: every graph is immutable once built. Kept
+        because perfbench/ and the scripts that load an older tree beside
+        this one write Graph(...).freeze()."""
         return self
-
-    def insert(self, t: Triple) -> bool:
-        """Add a triple; returns True iff it was not already present."""
-        triples, by_s, by_p, by_o = self._writable()
-        if t in triples:
-            return False
-        triples.add(t)
-        # buckets are never empty, so only a new key builds a set
-        (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
-        (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
-        (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
-        return True
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -290,10 +274,9 @@ class Graph:
 
 
 def union(a: Graph, b: Graph) -> Graph:
-    """Set union of two frozen graphs, returned frozen.
+    """Set union of two graphs.
 
-    Both inputs must be frozen; GraphError names an argument that is
-    not. The result's triple set is a C-level copy of the larger input's
+    The result's triple set is a C-level copy of the larger input's
     plus the smaller input's new triples. If the larger input has built
     its indexes, the result starts from C-level copies of its index
     dicts, so it shares that input's index buckets: each index key that
@@ -305,10 +288,6 @@ def union(a: Graph, b: Graph) -> Graph:
     Blank node labels are merged as-is: callers must keep labels
     disjoint unless identification across the inputs is intended.
     """
-    for name, x in (("first", a), ("second", b)):
-        if not x.frozen:
-            raise GraphError(f"union() requires frozen graphs; the {name} "
-                             "argument is not frozen")
     if len(a) < len(b):
         a, b = b, a
     new = b._triples - a._triples
@@ -324,7 +303,7 @@ def union(a: Graph, b: Graph) -> Graph:
                     fresh[key] = set(index.get(key, ()))
                 fresh[key].add(t)
             index.update(fresh)
-    return g.freeze()
+    return g
 
 
 def _blank_triples(g: Graph) -> set[Triple]:

@@ -101,7 +101,7 @@ def _check_path(path, depth: int = 0) -> None:
 
 
 def path_pairs(g: Graph, path: PathExpr) -> Pairs:
-    """All (start, end) pairs related by the path over the frozen graph."""
+    """All (start, end) pairs related by the path over the graph."""
     _check_path(path)
     return _path_pairs(g, path)
 

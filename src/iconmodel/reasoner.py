@@ -52,8 +52,8 @@ class Derivation(NamedTuple):
 
 
 class ClosureGraph:
-    """The caller's base graph, the frozen store the engine derived base
-    and inferred triples into, a derivation per inferred triple, and the
+    """The caller's base graph, the store the engine derived base and
+    inferred triples into, a derivation per inferred triple, and the
     registry close() closed under (casebook.level_of reads its levels)."""
     __slots__ = ("base", "_store", "provenance", "registry")
 
@@ -74,7 +74,7 @@ class ClosureGraph:
 
     def graph(self) -> Graph:
         """The store the engine derived into: every call returns the same
-        frozen graph, without copying."""
+        graph, without copying."""
         return self._store
 
 
@@ -98,7 +98,7 @@ class _Engine:
 
     def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
         queue, plan, edges = self.queue, cache(self._plan), self.edges
-        # _emit enqueues only new triples, written here without insert()'s probe
+        # _emit enqueues only new triples, so each is written without a probe
         triples, by_s, by_p, by_o = self.store._writable()
         while queue:
             t = queue.popleft()
@@ -113,7 +113,7 @@ class _Engine:
             (by_o.get(o) or by_o.setdefault(o, set())).add(t)
             for fire in plan(p, o if p == RDF_TYPE and isinstance(o, Iri) else None):
                 fire(t)
-        return self.store.freeze(), self.provenance
+        return self.store, self.provenance
 
     def _plan(self, p: Iri, cls: Optional[Iri]) -> tuple[Callable[[Triple], None], ...]:
         """The rule bodies that a triple with predicate p can fire, in rule
@@ -231,11 +231,9 @@ def _rule_id(prop: Iri) -> str:
 
 
 def close(g: Graph, reg: TermRegistry, rules: Optional[RuleSet] = None) -> ClosureGraph:
-    """Materialize the closure of a frozen graph to fixpoint."""
+    """Materialize the closure of a graph to fixpoint."""
     if rules is None:
         rules = RuleSet()
-    if not g.frozen:
-        raise ReasonerError("close() requires a frozen graph")
     store, provenance = _Engine(g, reg, rules).run()
     return ClosureGraph(g, store, provenance, reg)
 
@@ -263,12 +261,10 @@ def expand_shortcut(g: Graph, t: Triple, reg: TermRegistry,
     while g.has_term(BlankNode(f"r{n}")):
         n += 1
     r = BlankNode(f"r{n}")
-    delta = Graph()
-    delta.insert(Triple(r, RDF_TYPE, spec.through_class))
-    delta.insert(_step(t.subject, p1, d1, r))
-    delta.insert(_step(r, p2, d2, t.object))
+    delta = [Triple(r, RDF_TYPE, spec.through_class),
+             _step(t.subject, p1, d1, r), _step(r, p2, d2, t.object)]
     if spec.object_class is not None:
-        delta.insert(Triple(t.object, RDF_TYPE, spec.object_class))
+        delta.append(Triple(t.object, RDF_TYPE, spec.object_class))
     if actor is not None:
-        delta.insert(Triple(r, reg.iri("crm:P14_carried_out_by"), actor))
-    return delta.freeze()
+        delta.append(Triple(r, reg.iri("crm:P14_carried_out_by"), actor))
+    return Graph(delta)

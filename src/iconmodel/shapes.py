@@ -144,7 +144,7 @@ def _hygiene_entries(by_p: dict[Iri, set[Triple]], shape: Shape,
 
 
 def validate(g: Graph, shapes: ShapeSet, reg: TermRegistry) -> ValidationReport:
-    """Validate a frozen, hierarchy-closed graph against the shape set."""
+    """Validate a hierarchy-closed graph against the shape set."""
     entries: list[ValidationEntry] = []
     by_s, by_p, _ = g._indexes()
     for shape in shapes:

@@ -242,7 +242,7 @@ class _Parser:
                           ErrorKind.UNTERMINATED_STATEMENT)
             i += 1
         del self.tokens  # spent: free them before the graph
-        return ParseResult(Graph(self.triples).freeze(), dict(self.prefixes), self.base)
+        return ParseResult(Graph(self.triples), dict(self.prefixes), self.base)
 
     def _directive(self, i: int) -> int:
         tokens = self.tokens

@@ -334,12 +334,12 @@ def axioms_graph(reg: TermRegistry) -> Graph:
         AxiomKind.DOMAIN: reg.iri("rdfs:domain"),
         AxiomKind.RANGE: reg.iri("rdfs:range"),
     }
-    g = Graph()
+    triples = []
     for t in reg.terms:
         marker = rdfs_class if t.kind is TermKind.CLASS else rdf_property
-        g.insert(Triple(t.iri, RDF_TYPE, marker))
+        triples.append(Triple(t.iri, RDF_TYPE, marker))
     for a in reg.axioms:
         if a.kind is AxiomKind.SHORTCUT_OF:
             continue
-        g.insert(Triple(a.subject, pred[a.kind], a.object))
-    return g.freeze()
+        triples.append(Triple(a.subject, pred[a.kind], a.object))
+    return Graph(triples)

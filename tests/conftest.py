@@ -39,30 +39,30 @@ def registry_random_graph(rng: random.Random, reg, max_triples: int = 60) -> Gra
     nodes += [BlankNode(f"x{i}") for i in range(3)]
     sub_class_of = reg.iri("rdfs:subClassOf")
     sub_property_of = reg.iri("rdfs:subPropertyOf")
-    g = Graph()
+    triples = []
     for _ in range(rng.randrange(max_triples + 1)):
         roll = rng.random()
         if roll < 0.35:
-            g.insert(Triple(rng.choice(nodes), RDF_TYPE, rng.choice(classes)))
+            triples.append(Triple(rng.choice(nodes), RDF_TYPE, rng.choice(classes)))
         elif roll < 0.45:
-            g.insert(Triple(rng.choice(classes), sub_class_of, rng.choice(classes)))
+            triples.append(Triple(rng.choice(classes), sub_class_of, rng.choice(classes)))
         elif roll < 0.55:
-            g.insert(Triple(rng.choice(props), sub_property_of, rng.choice(props)))
+            triples.append(Triple(rng.choice(props), sub_property_of, rng.choice(props)))
         elif roll < 0.65:
-            g.insert(Triple(rng.choice(nodes), rng.choice(props),
-                            Literal(f"v{rng.randrange(5)}")))
+            triples.append(Triple(rng.choice(nodes), rng.choice(props),
+                                  Literal(f"v{rng.randrange(5)}")))
         else:
-            g.insert(Triple(rng.choice(nodes), rng.choice(props), rng.choice(nodes)))
+            triples.append(Triple(rng.choice(nodes), rng.choice(props), rng.choice(nodes)))
     # a few recognition paths, which the draws above almost never complete
     for i in range(rng.randrange(4)):
         r = Iri(f"https://w3id.org/icon/data/random/recognition{i}")
-        g.insert(Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")))
-        g.insert(Triple(r, reg.iri("icon:assignsTo"), rng.choice(nodes)))
-        g.insert(Triple(r, reg.iri("icon:assigned"), rng.choice(nodes)))
+        triples.append(Triple(r, RDF_TYPE, reg.iri("icon:IconologicalRecognition")))
+        triples.append(Triple(r, reg.iri("icon:assignsTo"), rng.choice(nodes)))
+        triples.append(Triple(r, reg.iri("icon:assigned"), rng.choice(nodes)))
         if rng.random() < 0.5:
-            g.insert(Triple(rng.choice(nodes), RDF_TYPE,
-                            reg.iri("icon:CulturalPhenomenon")))
-    return g.freeze()
+            triples.append(Triple(rng.choice(nodes), RDF_TYPE,
+                                  reg.iri("icon:CulturalPhenomenon")))
+    return Graph(triples)
 
 
 def extended_registry(reg, local, steps, through, object_class):
@@ -85,12 +85,12 @@ def plain_random_graph(rng: random.Random, n_triples: int,
     nodes += [BlankNode(f"b{i}") for i in range(2)]
     preds = [Iri(f"http://example.org/p{i}") for i in range(n_preds)]
     lits = [Literal("red"), Literal("blue", lang="en")]
-    g = Graph()
+    triples = []
     for _ in range(n_triples):
         s = rng.choice(nodes)
         o = rng.choice(nodes + lits) if rng.random() < 0.9 else rng.choice(lits)
-        g.insert(Triple(s, rng.choice(preds), o))
-    return g.freeze()
+        triples.append(Triple(s, rng.choice(preds), o))
+    return Graph(triples)
 
 
 def turtle_random_graph(rng: random.Random, max_triples: int = 30) -> Graph:
@@ -103,9 +103,9 @@ def turtle_random_graph(rng: random.Random, max_triples: int = 30) -> Graph:
     lits = [Literal("plain"), Literal("tabs\tand\nnewlines"),
             Literal('quote " backslash \\'), Literal("ciao", lang="it"),
             Literal("42", datatype=Iri("http://www.w3.org/2001/XMLSchema#integer"))]
-    g = Graph()
+    triples = []
     for _ in range(rng.randrange(max_triples + 1)):
         s = rng.choice(iris + bnodes)
         o = rng.choice(iris + bnodes + lits)
-        g.insert(Triple(s, rng.choice(preds), o))
-    return g.freeze()
+        triples.append(Triple(s, rng.choice(preds), o))
+    return Graph(triples)

@@ -109,12 +109,10 @@ def test_criterion_4_shortcut_round_trip(reg, case_closures):
         x = Iri(f"{DATA_NAMESPACE}random/x{n}")
         m = Iri(f"{DATA_NAMESPACE}random/m{n}")
         pred = sym if rng.random() < 0.5 else doc
-        g = Graph([Triple(x, pred, m)])
+        triples = [Triple(x, pred, m)]
         if pred == doc:
-            g.insert(Triple(m, RDF_TYPE, reg.iri("icon:CulturalPhenomenon")))
-        for t in registry_random_graph(rng, reg, max_triples=10):
-            g.insert(t)
-        g.freeze()
+            triples.append(Triple(m, RDF_TYPE, reg.iri("icon:CulturalPhenomenon")))
+        g = Graph(triples + list(registry_random_graph(rng, reg, max_triples=10)))
         target = Triple(x, pred, m)
         delta = expand_shortcut(g, target, reg)
         assert target in close(union(g, delta), reg), target

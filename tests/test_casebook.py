@@ -45,9 +45,9 @@ class TestCatalog:
 
 
 class TestLoadCase:
-    def test_graphs_parse_frozen_and_nonempty(self, case_graphs):
+    def test_graphs_parse_nonempty(self, case_graphs):
         for case_id, g in case_graphs.items():
-            assert g.frozen and len(g) > 0
+            assert len(g) > 0
 
     def test_hercules_iconclass_identifier(self, case_graphs):
         g = case_graphs["hercules-salvation"]

@@ -12,15 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import iconmodel
 from iconmodel.casebook import case_document
-from iconmodel.graph import (RDF_TYPE, BlankNode, FrozenGraphError, Graph, GraphError,
-                             Iri, Literal, Triple, XSD_STRING, _blank_triples, isomorphic,
-                             term_key, triple_key, union)
-from iconmodel.reasoner import close
+from iconmodel.graph import (RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, XSD_STRING,
+                             _blank_triples, isomorphic, term_key, triple_key, union)
+from iconmodel.reasoner import RuleSet, close
 from iconmodel.shapes import default_shapes, validate
 from iconmodel.turtle_io import parse_turtle, serialize_turtle
 from iconmodel.vocab import NAMESPACES
 
-from conftest import CASE_IDS, plain_random_graph, turtle_random_graph
+from conftest import CASE_IDS, plain_random_graph, registry_random_graph, turtle_random_graph
 from oracles import oracle_isomorphic
 
 EX = "http://example.org/"
@@ -69,6 +68,23 @@ class TestTerms:
 
     def test_language_tag_is_case_normalized(self):
         assert Literal("x", lang="EN") == Literal("x", lang="en")
+
+    @pytest.mark.parametrize("build", [
+        lambda: Iri(5), lambda: BlankNode(5), lambda: Literal(5),
+        lambda: Literal("a", lang=5), lambda: Literal("a", datatype=5),
+        lambda: Literal("a", datatype="rel")],
+        ids=["iri", "blank", "lexical", "lang", "datatype", "relative-datatype"])
+    def test_field_that_is_no_text_or_no_iri_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_str_datatype_becomes_an_iri_and_reads_back(self):
+        lit = Literal("a", datatype=EX + "d")
+        assert type(lit.datatype) is Iri
+        assert lit == Literal("a", datatype=iri("d"))
+        assert hash(lit) == hash(Literal("a", datatype=iri("d")))
+        g = Graph([t(BlankNode("6"), iri("p"), lit)])
+        assert set(parse_turtle(serialize_turtle(g, {})).graph) == set(g)
 
     def test_term_order_is_iri_blank_literal(self):
         ordered = sorted([Literal("a"), BlankNode("a"), iri("a")], key=term_key)
@@ -187,17 +203,6 @@ class TestTriple:
 
 
 class TestGraph:
-    def test_insert_reports_novelty(self):
-        g = Graph()
-        assert g.insert(t(iri("s"), iri("p"), iri("o"))) is True
-        assert g.insert(t(iri("s"), iri("p"), iri("o"))) is False
-        assert len(g) == 1
-
-    def test_frozen_graph_rejects_insert(self):
-        g = Graph().freeze()
-        with pytest.raises(FrozenGraphError):
-            g.insert(t(iri("s"), iri("p"), iri("o")))
-
     def test_match_by_each_position(self):
         g = Graph([t(iri("s1"), iri("p1"), iri("o1")),
                    t(iri("s1"), iri("p2"), iri("o2")),
@@ -209,20 +214,12 @@ class TestGraph:
         assert g.match(s=iri("nope")) == set()
         assert len(g.match()) == 3
 
-    def test_union_is_set_union_and_frozen(self):
+    def test_union_is_set_union(self):
         a = Graph([t(iri("s"), iri("p"), iri("o"))]).freeze()
         b = Graph([t(iri("s"), iri("p"), iri("o")),
                    t(iri("s"), iri("p"), iri("o2"))]).freeze()
         u = union(a, b)
         assert len(u) == 2
-        assert u.frozen
-
-    def test_union_requires_frozen_inputs(self):
-        frozen = Graph([t(iri("s"), iri("p"), iri("o"))]).freeze()
-        with pytest.raises(GraphError, match="first argument is not frozen"):
-            union(Graph(), frozen)
-        with pytest.raises(GraphError, match="second argument is not frozen"):
-            union(frozen, Graph([t(iri("s"), iri("p"), iri("o2"))]))
 
 
 class TestIsomorphism:
@@ -439,35 +436,37 @@ FIRST_READS = {
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_bulk_built_graph_answers_as_an_insert_built_one(seed):
+def test_bulk_built_graph_answers_alike_after_any_first_read(seed):
     rng = random.Random(seed)
     ts = list(turtle_random_graph(rng))
     ts += rng.choices(ts, k=len(ts) // 2)  # duplicates
     rng.shuffle(ts)
-    inserted = Graph()
-    for u in ts:
-        inserted.insert(u)
-    expected = read_answers(inserted, inserted)
+    reference = Graph(set(ts))
+    expected = read_answers(reference, reference)
     for name, first_read in FIRST_READS.items():
         for bulk in (Graph(ts), Graph(u for u in ts)):
             first_read(bulk)
-            assert len(bulk) == len(inserted)
-            assert set(bulk) == set(inserted)
-            assert read_answers(bulk, inserted) == expected, name
-    # the first insert into a never-read graph builds its indexes
-    more = list(turtle_random_graph(rng)) + ts[:3]
-    grown = Graph(ts)
-    for u in more:
-        assert grown.insert(u) == inserted.insert(u)
-    assert set(grown) == set(inserted)
-    assert read_answers(grown, inserted) == read_answers(inserted, inserted)
+            assert len(bulk) == len(reference)
+            assert set(bulk) == set(reference)
+            assert read_answers(bulk, reference) == expected, name
+
+
+@pytest.mark.parametrize("rules", [RuleSet(), RuleSet(domain_range_typing=True),
+                                   RuleSet(shortcut_contraction=False)],
+                         ids=["default", "R5", "hierarchy-only"])
+def test_engine_store_answers_as_a_bulk_built_graph(reg, rules):
+    # the engine writes its store's indexes triple by triple as it derives
+    rng = random.Random(2029)
+    for _ in range(15):
+        store = close(registry_random_graph(rng, reg), reg, rules).graph()
+        assert read_answers(store, store) == read_answers(Graph(set(store)), store)
 
 
 @given(st.lists(triples, max_size=20), st.lists(triples, max_size=20))
 def test_union_of_never_read_graphs_answers_as_the_set_union(ts1, ts2):
     g = union(Graph(ts1).freeze(), Graph(ts2).freeze())
     fresh = Graph(set(ts1) | set(ts2)).freeze()
-    assert g.frozen and set(g) == set(fresh)
+    assert set(g) == set(fresh)
     assert read_answers(g, fresh) == read_answers(fresh, fresh)
 
 
@@ -481,7 +480,7 @@ def test_ingest_builds_no_index_on_the_parsed_graph(reg):
     assert base._index is None
 
 
-def test_threads_making_first_reads_of_a_frozen_graph_agree():
+def test_threads_making_first_reads_of_a_graph_agree():
     probe = plain_random_graph(random.Random(7), 2000)
     g = Graph(probe).freeze()
     start = threading.Barrier(8)
@@ -505,12 +504,10 @@ def test_threads_making_first_reads_of_a_frozen_graph_agree():
     assert all(a == read_answers(probe, probe) for a in answers)
 
 
-def test_bulk_built_graph_is_unfrozen_and_grows():
+def test_bulk_built_graph_counts_duplicates_once():
     assert len(Graph([])) == 0 and Graph([]).match() == set()
     a, b = t(iri("s"), iri("p"), iri("o")), t(iri("s"), iri("p"), iri("o2"))
-    g = Graph([a, a])
-    assert not g.frozen
-    assert g.insert(b) is True and g.insert(a) is False
+    g = Graph([a, b, a])
     assert g.match(s=iri("s")) == g.match(p=iri("p")) == {a, b}
     assert g.match(o=iri("o2")) == {b}
     assert g.neighbours(iri("s"), iri("p")) == {iri("o"), iri("o2")}

@@ -1,11 +1,13 @@
-"""The A/B scripts under scripts/ run against this tree's own src/.
+"""The A/B scripts under scripts/ and the benchmark under perfbench/ run
+against this tree's own src/.
 
-Each later change is checked against its parent with these scripts, and
-the stage script reads private names (turtle_io._tokens,
-graph.triple_key), so a rename that breaks them fails here rather than
-at that check.
+Each later change is checked against its parent with these scripts and
+the benchmark, and the stage script reads private names
+(turtle_io._tokens, graph.triple_key), so a rename that breaks them
+fails here rather than at that check.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -23,3 +25,17 @@ def test_ab_scripts_run_against_this_tree():
                               cwd=ROOT, env=env, stdin=subprocess.DEVNULL,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_runs_against_this_tree():
+    # guards what perfbench calls: Graph(...).freeze(), union, close,
+    # blank_labels and `t in closure`; the cli workload is left out, as
+    # it leaves perfbench/.work-* directories behind
+    for workload in ("ingest", "query", "author"):
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
+                               "--workload", workload, "--seed", "1", "--seconds", "0.3"],
+                              cwd=ROOT, stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, result

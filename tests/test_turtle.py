@@ -162,9 +162,6 @@ class TestParseBasics:
         [t] = list(r.graph)
         assert t.predicate == Iri("http://w3id.org/vir#K4.1_prototypical_mode")
 
-    def test_result_graph_is_frozen(self):
-        assert parse_turtle(EX + "ex:s ex:p ex:o .").graph.frozen
-
     def test_empty_document(self):
         assert len(parse_turtle("").graph) == 0
 
