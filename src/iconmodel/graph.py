@@ -16,14 +16,18 @@ A graph is built once, from an iterable of triples, and never changes
 after it is handed out. It builds its subject, predicate and object
 indexes on the first read that needs one, so a graph that is only
 iterated and probed for membership (a parsed graph handed to the
-reasoner) never builds them. A union shares its larger input's
-untouched index buckets and never mutates them. The reasoner's engine
-is the one writer of a graph's contents: it derives into the store it
-returns, joining against that graph's indexes as it writes, and a
-closure hands out that same graph on every call. Triple(...) checks
-each term's kind; _triple() does not, and is only for library code
-whose terms are of the right kinds by construction (the parser, which
-inlines it, and the reasoner's rule bodies and type probes).
+reasoner) never builds them. An index bucket is a list that holds each
+of its key's triples once, as every writer adds only triples new to the
+graph: _indexes() reads the triple set, a union adds only what its
+larger input lacks, and the engine enqueues each triple once. So no
+bucket write hashes a triple. A union shares its larger input's
+untouched buckets and never mutates them. The reasoner's engine is the
+one writer of a graph's contents: it derives into the store it returns,
+joining against that graph's indexes as it writes, and a closure hands
+out that same graph on every call. Triple(...) checks each term's kind;
+_triple() does not, and is only for library code whose terms are of
+the right kinds by construction (the parser, which inlines it, and the
+reasoner's rule bodies and type probes).
 
 A graph can be shared freely between threads. Nothing mutates its
 triple set once it is handed out, and its indexes are built into locals
@@ -175,12 +179,12 @@ def triple_key(t: Triple) -> tuple:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
-# a graph's triples by subject, by predicate and by object
-_Indexes = tuple[dict[Term, set[Triple]], dict[Iri, set[Triple]], dict[Term, set[Triple]]]
+# a graph's triples by subject, by predicate and by object, each once per bucket
+_Indexes = tuple[dict[Term, list[Triple]], dict[Iri, list[Triple]], dict[Term, list[Triple]]]
 
 
 class Graph:
-    """Triple set with subject/predicate/object indexes, built on first read.
+    """Triple set with subject/predicate/object list indexes, built on first read.
 
     Graph(triples) is the one way to build a graph; duplicates count once.
     """
@@ -196,14 +200,14 @@ class Graph:
         skips the call once the indexes exist."""
         index = self._index
         if index is None:
-            by_s: dict[Term, set[Triple]] = {}
-            by_p: dict[Iri, set[Triple]] = {}
-            by_o: dict[Term, set[Triple]] = {}
+            by_s: dict[Term, list[Triple]] = {}
+            by_p: dict[Iri, list[Triple]] = {}
+            by_o: dict[Term, list[Triple]] = {}
             for t in self._triples:
-                # buckets are never empty, so only a new key builds a set
-                (by_s.get(t.subject) or by_s.setdefault(t.subject, set())).add(t)
-                (by_p.get(t.predicate) or by_p.setdefault(t.predicate, set())).add(t)
-                (by_o.get(t.object) or by_o.setdefault(t.object, set())).add(t)
+                # buckets are never empty, so only a new key builds a list
+                (by_s.get(t.subject) or by_s.setdefault(t.subject, [])).append(t)
+                (by_p.get(t.predicate) or by_p.setdefault(t.predicate, [])).append(t)
+                (by_o.get(t.object) or by_o.setdefault(t.object, [])).append(t)
             index = self._index = (by_s, by_p, by_o)
         return index
 
@@ -228,21 +232,27 @@ class Graph:
         return t in self._triples
 
     def match(self, s: Optional[Term] = None, p: Optional[Iri] = None,
-              o: Optional[Term] = None) -> set[Triple]:
-        """All triples agreeing with every bound position."""
+              o: Optional[Term] = None) -> list[Triple]:
+        """All triples agreeing with every bound position, each once, in a
+        new list: the smallest bound bucket, filtered on the others."""
         if s is None and p is None and o is None:
-            return set(self._triples)
+            return list(self._triples)
         by_s, by_p, by_o = self._index or self._indexes()
-        candidates = None
+        bucket = None
         if s is not None:
-            candidates = by_s.get(s, set())
+            bucket = by_s.get(s, ())
         if p is not None:
-            bucket = by_p.get(p, set())
-            candidates = bucket if candidates is None else candidates & bucket
+            other = by_p.get(p, ())
+            if bucket is None or len(other) < len(bucket):
+                bucket = other
         if o is not None:
-            bucket = by_o.get(o, set())
-            candidates = bucket if candidates is None else candidates & bucket
-        return set(candidates)
+            other = by_o.get(o, ())
+            if bucket is None or len(other) < len(bucket):
+                bucket = other
+        if [s, p, o].count(None) == 2:
+            return list(bucket)
+        return [t for t in bucket if (s is None or t[0] == s)
+                and (p is None or t[1] == p) and (o is None or t[2] == o)]
 
     def neighbours(self, node: Term, p: Iri, forward: bool = True) -> set[Term]:
         """{o | (node p o)} when forward, else {s | (s p node)}, from node's bucket."""
@@ -280,10 +290,11 @@ def union(a: Graph, b: Graph) -> Graph:
     plus the smaller input's new triples. If the larger input has built
     its indexes, the result starts from C-level copies of its index
     dicts, so it shares that input's index buckets: each index key that
-    gains a triple from the smaller input gets a new bucket, and no
-    bucket is ever mutated. Python code then runs only for the smaller
-    input's triples. Otherwise there is nothing to share, and the result
-    builds its own indexes on its first read, like any other graph.
+    gains a triple from the smaller input gets a new bucket, a copy of
+    the old one extended by the new triples, and no bucket is ever
+    mutated. Python code then runs only for the smaller input's triples.
+    Otherwise there is nothing to share, and the result builds its own
+    indexes on its first read, like any other graph.
 
     Blank node labels are merged as-is: callers must keep labels
     disjoint unless identification across the inputs is intended.
@@ -296,12 +307,12 @@ def union(a: Graph, b: Graph) -> Graph:
     if a._index is not None:
         g._index = tuple(map(dict, a._index))
         for index, position in zip(g._index, ("subject", "predicate", "object")):
-            fresh: dict[Term, set[Triple]] = {}
+            fresh: dict[Term, list[Triple]] = {}
             for t in new:
                 key = getattr(t, position)
                 if key not in fresh:
-                    fresh[key] = set(index.get(key, ()))
-                fresh[key].add(t)
+                    fresh[key] = list(index.get(key, ()))
+                fresh[key].append(t)
             index.update(fresh)
     return g
 

@@ -194,8 +194,7 @@ def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
         if isinstance(value, dict):
             if "lit" in value:
                 lit, lang, dt = value["lit"], value.get("lang"), value.get("datatype")
-                if not (isinstance(lit, str) and isinstance(lang, (str, type(None)))
-                        and isinstance(dt, (str, type(None)))):
+                if not isinstance(dt, (str, type(None))):  # Literal checks lit and lang
                     raise QueryError(f"bad literal {value!r}")
                 return Literal(lit, lang=lang,
                                datatype=_resolve(dt, prefixes) if dt else None)
@@ -207,7 +206,7 @@ def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
         if value.startswith("_:"):
             return BlankNode(value[2:])
         return _resolve(value, prefixes)
-    except ValueError as exc:  # "_:" with no label, or a bad language tag
+    except ValueError as exc:  # "_:" with no label, or a bad literal field
         raise QueryError(f"bad term {value!r}: {exc}")
 
 

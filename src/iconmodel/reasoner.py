@@ -98,19 +98,19 @@ class _Engine:
 
     def run(self) -> tuple[Graph, dict[Triple, Derivation]]:
         queue, plan, edges = self.queue, cache(self._plan), self.edges
-        # _emit enqueues only new triples, so each is written without a probe
+        # _emit enqueues each new triple once, so each is written without a probe
         triples, by_s, by_p, by_o = self.store._writable()
         while queue:
             t = queue.popleft()
             s, p, o = t
             triples.add(t)
-            (by_s.get(s) or by_s.setdefault(s, set())).add(t)
+            (by_s.get(s) or by_s.setdefault(s, [])).append(t)
             if (bucket := by_p.get(p)) is None:
-                bucket = by_p[p] = set()
+                bucket = by_p[p] = []
                 if p in edges:  # the first edge of its kind: plan its join anew
                     plan.cache_clear()
-            bucket.add(t)
-            (by_o.get(o) or by_o.setdefault(o, set())).add(t)
+            bucket.append(t)
+            (by_o.get(o) or by_o.setdefault(o, [])).append(t)
             for fire in plan(p, o if p == RDF_TYPE and isinstance(o, Iri) else None):
                 fire(t)
         return self.store, self.provenance

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import json
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_str
 from .vocab import DATA_NAMESPACE, TermRegistry
@@ -122,7 +122,7 @@ def _focus_nodes(g: Graph, shape: Shape) -> set[Term]:
     return out
 
 
-def _conforms(focus: Term, triples: set[Triple], shape: Shape) -> bool:
+def _conforms(focus: Term, triples: Iterable[Triple], shape: Shape) -> bool:
     """Does focus conform, given the triples it is the subject of?"""
     if isinstance(focus, Literal):
         return False
@@ -132,7 +132,7 @@ def _conforms(focus: Term, triples: set[Triple], shape: Shape) -> bool:
         t.object for t in triples if t.predicate == RDF_TYPE}.isdisjoint(shape.classes)
 
 
-def _hygiene_entries(by_p: dict[Iri, set[Triple]], shape: Shape,
+def _hygiene_entries(by_p: dict[Iri, list[Triple]], shape: Shape,
                      reg: TermRegistry) -> list[ValidationEntry]:
     """One entry per distinct predicate or rdf:type class that is flagged,
     read from a graph's predicate index."""

@@ -381,6 +381,17 @@ class TestJsonFormats:
         with pytest.raises(QueryError):
             solutions_from_json(rows)
 
+    @pytest.mark.parametrize("term,reason", [
+        ({"lit": 5}, "literal lexical form must be a str: 5"),
+        ({"lit": "a", "lang": 5}, "language tag must be a non-empty str: 5"),
+    ])
+    def test_literal_field_that_is_no_text_is_refused_by_literal(self, term, reason):
+        # Literal's own ValueError, caught as a QueryError naming the term
+        with pytest.raises(QueryError, match=f"^bad term .*: {reason}$"):
+            pattern_from_json({"select": ["?s"], "where": [["?s", "?p", term]]})
+        with pytest.raises(QueryError, match=f"^bad term .*: {reason}$"):
+            solutions_from_json([{"?x": term}])
+
     @settings(max_examples=300, deadline=None)
     @given(doc=st.one_of(JSON_VALUES, PATTERN_DOCS),
            prefixes=st.none() | st.dictionaries(PREFIXES, NAMESPACE_TEXTS, max_size=3))

@@ -406,6 +406,23 @@ def test_closure_is_the_same_under_every_hash_seed():
     assert closed and all(counts for _, counts in closed.values())
 
 
+@pytest.mark.parametrize("rules", [RuleSet(), RuleSet(domain_range_typing=True),
+                                   RuleSet(shortcut_contraction=False)],
+                         ids=["default", "R5", "hierarchy-only"])
+def test_closure_depends_only_on_the_triple_set(reg, rules):
+    # a graph built from any order of its triples closes to the same
+    # derivations, recorded in the same order, and the same store order
+    for seed in range(200):
+        rng = random.Random(seed)
+        triples = list(registry_random_graph(rng, reg))
+        closures = []
+        for _ in range(4):
+            rng.shuffle(triples)
+            closure = close(Graph(triples), reg, rules)
+            closures.append((list(closure.provenance.items()), list(closure.graph())))
+        assert all(c == closures[0] for c in closures[1:]), seed
+
+
 class TestExpandShortcut:
     def test_round_trip_symbolizes(self, reg):
         base = close(recognition_graph(reg), reg).graph()
