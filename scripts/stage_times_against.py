@@ -17,18 +17,22 @@ back and times isomorphic against that closure (True) plus against a
 copy whose first icon:assignsTo edge is moved (False). It checks that
 both trees serialize the closure to the same text, give the same
 validation report (to_json) and the same level for every node, record
-the same derivation (rule and premises, compared through triple_key)
-for every inferred triple, iterate the closure store in the same order (which
-holds only if every term and triple hashes the same in both) and give
-the same two blank-iso answers, and exits 1 if they do not; "ingest" is
-the sum of parse, close, validate and serialize. The casebook asserts no
-rdfs:subClassOf or rdfs:subPropertyOf edge, so before timing, both trees
-also close 200 seeded random graphs that assert such edges and derive
-more, under the default, R5 and hierarchy-only rule sets, and the script
-exits 1 unless every closure, derivation and store order is identical.
-Before it exits, it prints how many closures differ in their triple
-sets and in their store order, and how many inferred triples in their
-derivations.
+the same derivation (rule and premises, each triple compared by the
+term_key of its terms) for every inferred triple, derive the inferred
+triples in the same order (the closure's provenance order), iterate the
+closure store in the same order (which holds only if every term and
+triple hashes the same in both) and give the same two blank-iso
+answers, and exits 1 if they do not; "ingest" is the sum of parse,
+close, validate and serialize. The store order follows the triples'
+hashes, so it barely shows a change in the order the engine derives in;
+the provenance order shows it. The casebook asserts no rdfs:subClassOf
+or rdfs:subPropertyOf edge, so before timing, both trees also close 200
+seeded random graphs that assert such edges and derive more, under the
+default, R5 and hierarchy-only rule sets, and the script exits 1 unless
+every closure, derivation, derivation order and store order is
+identical. Before it exits, it prints how many closures differ in their
+triple sets, in their store order and in their derivation order, and
+how many inferred triples in their derivations.
 Interleaving in one process keeps drift in machine speed from landing on
 one tree only. Prints the median milliseconds of each stage per tree, and
 the median milliseconds of cyclic garbage collection inside each stage
@@ -128,11 +132,18 @@ def hierarchy_graph(tree, reg, rng: random.Random):
     return g.Graph(triples).freeze()
 
 
+def triple_key(tree):
+    """A triple's key under tree: the term_key of each of its terms."""
+    term_key = tree["graph"].term_key
+    return lambda t: tuple(map(term_key, t))
+
+
 def hierarchy_closures(tree, graphs: int = 200) -> tuple[list, int]:
     """For each seeded hierarchy_graph and rule set, the closure store's
-    triple_keys in iteration order and its derivations keyed by
-    triple_key; and the number of hierarchy edges the stores hold."""
-    reg, key = tree["vocab"].build_registry(), tree["graph"].triple_key
+    triple keys in iteration order, its derivations by triple key and its
+    inferred triples' keys in derivation order; and the number of
+    hierarchy edges the stores hold."""
+    reg, key = tree["vocab"].build_registry(), triple_key(tree)
     edges = {reg.iri("rdfs:subClassOf"), reg.iri("rdfs:subPropertyOf")}
     out, held = [], 0
     for seed in range(graphs):
@@ -141,7 +152,8 @@ def hierarchy_closures(tree, graphs: int = 200) -> tuple[list, int]:
             closure = tree["reasoner"].close(g, reg, tree["reasoner"].RuleSet(**rules))
             out.append(([key(t) for t in closure.graph()],
                         {key(t): (d.rule, tuple(map(key, d.premises)))
-                         for t, d in closure.provenance.items()}))
+                         for t, d in closure.provenance.items()},
+                        [key(t) for t in closure.provenance]))
             held += sum(t.predicate in edges for t in closure.graph())
     return out, held
 
@@ -170,13 +182,13 @@ def authored(tree, text: str, expansions: int = 20) -> tuple:
 
 
 def run_once(tree, text: str, session: tuple,
-             clock: GcClock) -> tuple[dict, dict, tuple, dict, list, tuple]:
+             clock: GcClock) -> tuple[dict, dict, tuple, tuple, list, tuple]:
     """Milliseconds per stage, milliseconds of garbage collection per stage,
     the outputs (the serialized closure, its validation report as JSON and
     the level's value per node, by term_key), the closure's provenance
-    keyed by triple_key, the triple_key of each closure triple in the
-    store's iteration order, and the two blank-iso answers. session is
-    authored(tree, text)."""
+    keyed by triple key with the inferred triples' keys in derivation
+    order, the key of each closure triple in the store's iteration order,
+    and the two blank-iso answers. session is authored(tree, text)."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
     ms, gc_ms = {}, {}
@@ -210,9 +222,10 @@ def run_once(tree, text: str, session: tuple,
     changed = tree["graph"].Graph([t for t in session_full if t != edge] + [moved]).freeze()
     answers = timed("blank-iso", lambda: (tree["graph"].isomorphic(back, session_full),
                                           tree["graph"].isomorphic(back, changed)))
-    key = tree["graph"].triple_key
-    derivations = {key(t): (d.rule, tuple(map(key, d.premises)))
-                   for t, d in closure.provenance.items()}
+    key = triple_key(tree)
+    derivations = ({key(t): (d.rule, tuple(map(key, d.premises)))
+                    for t, d in closure.provenance.items()},
+                   [key(t) for t in closure.provenance])
     return ms, gc_ms, outputs, derivations, [key(t) for t in full], answers
 
 
@@ -264,12 +277,14 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
         derivations = sum(a[1].get(t) != b[1].get(t)
                           for a, b in pairs for t in a[1].keys() | b[1].keys())
         orders = sum(a[0] != b[0] for a, b in pairs)
+        derived = sum(a[2] != b[2] for a, b in pairs)
         print(f"the trees close {differ} of {len(old)} random hierarchy graphs differently: "
-              f"{sets} closures differ in their triple sets and {orders} in their store "
-              f"order, and {derivations} inferred triples in their derivations")
+              f"{sets} closures differ in their triple sets, {orders} in their store "
+              f"order and {derived} in their derivation order, and {derivations} "
+              "inferred triples in their derivations")
         return 1
     print(f"{len(old)} closures of random hierarchy graphs ({held} hierarchy edges in "
-          "their stores): stores, store order and derivations identical")
+          "their stores): stores, store order, derivations and derivation order identical")
     text = scaled_document(scale)
     sessions = {name: authored(tree, text) for name, tree in trees.items()}
     times = {name: {stage: [] for stage in STAGES} for name in trees}
@@ -293,10 +308,13 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
                 if old != new:
                     print(f"the trees {what} differently")
                     return 1
-            old, new = derivations["old"], derivations["new"]
+            (old, old_order), (new, new_order) = derivations["old"], derivations["new"]
             if old != new:
                 differ = sum(old.get(t) != new.get(t) for t in old.keys() | new.keys())
                 print(f"the trees record different derivations for {differ} inferred triples")
+                return 1
+            if old_order != new_order:
+                print("the trees derive the inferred triples in different orders")
                 return 1
             if orders["old"] != orders["new"]:
                 print("the trees iterate the closure store in different orders")
@@ -308,8 +326,9 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     finally:
         gc.callbacks.remove(clock)
     print(f"x{scale}, {runs} runs each; closures, validation reports, levels of "
-          f"{len(outputs['new'][2])} nodes, derivations, iteration order and blank-iso "
-          f"answers {answers['new']} identical; median ms (old -> new), of which in cyclic GC")
+          f"{len(outputs['new'][2])} nodes, derivations, derivation order, iteration order "
+          f"and blank-iso answers {answers['new']} identical; median ms (old -> new), of "
+          "which in cyclic GC")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))

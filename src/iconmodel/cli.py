@@ -102,13 +102,19 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.conforms else EXIT_FAIL
 
 
+def _term_text(value) -> str:
+    """A term's JSON form (graph.term_to_json) as text: an IRI or blank
+    node as it stands, a literal's object written out as JSON."""
+    return json.dumps(value) if isinstance(value, dict) else value
+
+
 def _print_report(report):
-    from .graph import term_str
+    from .graph import term_to_json
     for e in report.entries:
         tag = e.severity.value.upper()
         if e.severity.value == "violation":
             tag = _red(tag)
-        print(f"{tag} [{e.shape_id}] {term_str(e.focus)}: {e.message}")
+        print(f"{tag} [{e.shape_id}] {_term_text(term_to_json(e.focus))}: {e.message}")
     verdict = _green("conforms") if report.conforms else _red("does not conform")
     print(verdict)
 
@@ -190,8 +196,7 @@ def _run_cqs(questions) -> bool:
         result = check_cq(closures[cq.case_id], cq, goldens[cq.case_id])
         print(f"{cq.id} ({cq.case_id}): {cq.prose}")
         for row in solutions_to_json(result.solutions):
-            parts = [f"{k} = {json.dumps(v) if isinstance(v, dict) else v}"
-                     for k, v in sorted(row.items())]
+            parts = [f"{k} = {_term_text(v)}" for k, v in sorted(row.items())]
             print("  " + "  ".join(parts))
         if not result.solutions:
             print("  (no solutions)")

@@ -145,13 +145,26 @@ def term_key(t: Term) -> tuple:
     return (2, t.lexical, t.lang or "", t.datatype or "")
 
 
-def term_str(t: Term) -> str:
-    """A term as plain text: IRI, _:label, or literal lexical form."""
-    if isinstance(t, Iri):
-        return t
+def term_to_json(t: Term):
+    """A term as the JSON value that query.solutions_from_json reads back
+    as it, and no other term: an IRI as its text or <text>, a blank node
+    as _:label, a literal as {"lit": lexical} plus its "lang" or a
+    "datatype" other than xsd:string. An IRI goes bare exactly when that
+    text reads back as it: it holds "://" and reads as no variable, blank
+    node or <IRI>."""
     if isinstance(t, BlankNode):
         return f"_:{t.label}"
-    return t.lexical
+    if isinstance(t, Literal):
+        out = {"lit": t.lexical}
+        if t.lang:
+            out["lang"] = t.lang
+        elif t.datatype != XSD_STRING:
+            out["datatype"] = term_to_json(t.datatype)
+        return out
+    if "://" in t and not t.startswith(("?", "_:")) and not (
+            t.startswith("<") and t.endswith(">")):
+        return t
+    return f"<{t}>"
 
 
 class Triple(namedtuple("_Triple", "subject predicate object")):
@@ -173,10 +186,6 @@ class Triple(namedtuple("_Triple", "subject predicate object")):
 
 def _triple(subject: Union[Iri, BlankNode], predicate: Iri, object: Term) -> Triple:
     return _new_tuple(Triple, (subject, predicate, object))  # unchecked: see above
-
-
-def triple_key(t: Triple) -> tuple:
-    return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
 # a graph's triples by subject, by predicate and by object, each once per bucket

@@ -14,8 +14,8 @@ from collections import namedtuple
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
-from .graph import (XSD_STRING, BlankNode, Graph, Iri, Literal, PrefixMap, Term,
-                    _ExactTuple, term_key, term_str)
+from .graph import (BlankNode, Graph, Iri, Literal, PrefixMap, Term, _ExactTuple,
+                    term_key, term_to_json)
 from .vocab import NAMESPACES, VocabError, curie_to_iri, data_iri, expand_curie
 
 if TYPE_CHECKING:  # annotations only: a query over an asserted graph runs no reasoner
@@ -197,7 +197,7 @@ def _term_from_json(value, prefixes: PrefixMap) -> PatternTerm:
                 if not isinstance(dt, (str, type(None))):  # Literal checks lit and lang
                     raise QueryError(f"bad literal {value!r}")
                 return Literal(lit, lang=lang,
-                               datatype=_resolve(dt, prefixes) if dt else None)
+                               datatype=None if dt is None else _resolve(dt, prefixes))
             raise QueryError(f"bad term object {value!r}")
         if not isinstance(value, str):
             raise QueryError(f"bad term {value!r}")
@@ -290,30 +290,6 @@ def pattern_from_json(doc: dict, prefixes: Optional[PrefixMap] = None
                         _path_from_json(row[1], merged),
                         _term_from_json(row[2], merged)))
     return Pattern(tuple(triples)), projection
-
-
-def _iri_to_json(iri: Iri) -> str:
-    """The IRI bare where _term_from_json reads that text back as it,
-    else as <IRI>, which _resolve always reads back."""
-    try:
-        bare = _term_from_json(iri, {}) == iri
-    except QueryError:  # "_:" with no label, or an undeclared prefix
-        bare = False
-    return iri if bare else f"<{iri}>"
-
-
-def term_to_json(t: Term):
-    """A term as solutions_from_json reads it back."""
-    if isinstance(t, Iri):
-        return _iri_to_json(t)
-    if not isinstance(t, Literal):
-        return term_str(t)
-    out = {"lit": t.lexical}
-    if t.lang:
-        out["lang"] = t.lang
-    elif t.datatype and t.datatype != XSD_STRING:
-        out["datatype"] = _iri_to_json(t.datatype)
-    return out
 
 
 def solutions_to_json(solutions: set[Solution]) -> list[dict]:

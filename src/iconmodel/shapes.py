@@ -15,7 +15,7 @@ import enum
 import json
 from typing import Iterable, NamedTuple
 
-from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_str
+from .graph import RDF_TYPE, Graph, Iri, Literal, Term, Triple, term_key, term_to_json
 from .vocab import DATA_NAMESPACE, TermRegistry
 
 
@@ -63,10 +63,13 @@ class ValidationReport:
         self.entries = entries
 
     def to_json(self) -> str:
+        """The report as a JSON object: "conforms", and one entry per
+        focus and shape, whose "focus" is graph.term_to_json's form of the
+        focus node, as query results write a term."""
         payload = {
             "conforms": self.conforms,
             "entries": [
-                {"focus": term_str(e.focus), "shape": e.shape_id,
+                {"focus": term_to_json(e.focus), "shape": e.shape_id,
                  "severity": e.severity.value, "message": e.message}
                 for e in self.entries
             ],

@@ -12,7 +12,7 @@ import pytest
 import iconmodel
 from iconmodel.cli import main
 from iconmodel.graph import Iri, Literal
-from iconmodel.query import solutions_from_json
+from iconmodel.query import Solution, solutions_from_json
 
 from conftest import MUTATIONS_DIR
 
@@ -125,12 +125,37 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(bad))
         assert code == 2
 
-    @pytest.mark.parametrize("flag, focus", [("--json", '"focus": "x"'), (None, "] x:")])
-    def test_literal_focus_prints_its_lexical_form(self, capsys, tmp_path, flag, focus):
+    @pytest.mark.parametrize("flag", ["--json", None])
+    def test_literal_focus_prints_as_a_literal(self, capsys, tmp_path, flag):
         doc = tmp_path / "lit.ttl"
         doc.write_text('<http://e/a> <https://w3id.org/icon/ontology/isDocumentOf> "x" .\n')
         code, out, err = run(capsys, "validate", str(doc), *([flag] if flag else []))
-        assert code == 1 and focus in out and "S5" in out
+        assert code == 1 and "S5" in out
+        if flag:
+            assert [e["focus"] for e in json.loads(out)["entries"]] == [{"lit": "x"}]
+        else:
+            assert '[S5] {"lit": "x"}: ' in out
+
+    def test_a_literal_and_an_iri_of_one_text_are_distinct_focuses(self, capsys, tmp_path):
+        # S3 targets both ends of icon:symbolicallyRefersTo: four focuses,
+        # two of which share the text http://e/b
+        doc = tmp_path / "twins.ttl"
+        doc.write_text("@prefix icon: <https://w3id.org/icon/ontology/> .\n"
+                       '<http://e/a> icon:symbolicallyRefersTo "http://e/b" .\n'
+                       "<http://e/a> icon:symbolicallyRefersTo <http://e/b> .\n"
+                       "<urn:x> icon:symbolicallyRefersTo <http://e/a> .\n")
+        code, out, err = run(capsys, "validate", "--json", str(doc))
+        entries = json.loads(out)["entries"]
+        want = [Iri("http://e/a"), Iri("http://e/b"), Iri("urn:x"), Literal("http://e/b")]
+        assert code == 1 and [e["shape"] for e in entries] == ["S3"] * 4
+        assert [solutions_from_json([{"?f": e["focus"]}]) for e in entries] \
+            == [{Solution.of({"f": term})} for term in want]
+        code, out, err = run(capsys, "validate", str(doc))
+        message = entries[0]["message"]
+        assert code == 1 and out.splitlines() == [
+            f"VIOLATION [S3] {focus}: {message}" for focus in
+            ("http://e/a", "http://e/b", "<urn:x>", '{"lit": "http://e/b"}')] + [
+            "does not conform"]
 
 
 class TestInfer:

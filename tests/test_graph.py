@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import iconmodel
 from iconmodel.casebook import case_document
 from iconmodel.graph import (RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, XSD_STRING,
-                             _blank_triples, isomorphic, term_key, triple_key, union)
+                             _blank_triples, isomorphic, term_key, union)
 from iconmodel.reasoner import RuleSet, close
 from iconmodel.shapes import default_shapes, validate
 from iconmodel.turtle_io import parse_turtle, serialize_turtle
@@ -153,6 +153,10 @@ def check_equality_hash_and_key_agree(xs, key):
                 assert hash(a) == hash(b), (a, b)
     # distinct nodes are never merged
     assert len(set(xs)) == len({key(x) for x in xs})
+
+
+def triple_key(x: Triple) -> tuple:
+    return tuple(map(term_key, x))
 
 
 def term_or_triple_key(x) -> tuple:

@@ -1,16 +1,17 @@
 import functools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple
+from iconmodel.graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Triple
 from iconmodel.query import (Alt, Inv, Pattern, Plus, QueryError, Seq,
                              Solution, UnboundProjectionError,
-                             UnknownQuestionError, Var, cq_catalog, evaluate,
-                             find_cq, load_golden, path_pairs,
+                             UnknownQuestionError, Var, _term_from_json, cq_catalog,
+                             evaluate, find_cq, load_golden, path_pairs,
                              pattern_from_json, run_cq, solutions_from_json,
-                             solutions_to_json)
+                             solutions_to_json, term_to_json)
 from iconmodel.reasoner import Derivation
 
 from conftest import plain_random_graph
@@ -268,6 +269,21 @@ PREFIXES = st.sampled_from(["", "r", "x", "icon", "a"])
 # absolute and relative namespaces
 NAMESPACE_TEXTS = st.one_of(st.sampled_from(["rel", "", "foo/", "http://e/", "urn:"]),
                             st.text(max_size=5))
+# Drawn terms for the writer: IRIs from any text that holds a colon, and
+# texts shared between kinds, so that an IRI, a blank node and a literal
+# often carry the same text.
+SHARED_TEXTS = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["http://e/b", "<http://e/b>", "_:b", "_://b", "?a:b", "?://b", "urn:x", "<urn:x>"]))
+IRIS = st.one_of(st.builds(Iri, SHARED_TEXTS.filter(lambda x: ":" in x)),
+                 st.builds(lambda a, b: Iri(f"{a}:{b}"), st.text(max_size=4),
+                           st.text(max_size=4)))
+TERMS = st.one_of(
+    IRIS,
+    st.builds(BlankNode, SHARED_TEXTS.filter(bool)),
+    st.builds(Literal, SHARED_TEXTS),
+    st.builds(lambda x, tag: Literal(x, lang=tag), SHARED_TEXTS,
+              st.text(min_size=1, max_size=4)),
+    st.builds(lambda x, d: Literal(x, datatype=d), SHARED_TEXTS, IRIS | st.just(XSD_STRING)))
 
 
 class TestJsonFormats:
@@ -314,6 +330,8 @@ class TestJsonFormats:
         {"select": ["?s"], "where": [["?", "?p", "?o"]]},
         {"select": ["?s"], "where": [["?s", "?", "?o"]]},
         {"select": ["?s"], "where": [["?s", "?p", "?"]]},
+        # an empty datatype names no IRI
+        {"select": ["?s"], "where": [["?s", "?p", {"lit": "x", "datatype": ""}]]},
     ])
     def test_malformed_parts_are_query_errors(self, doc):
         with pytest.raises(QueryError):
@@ -376,6 +394,7 @@ class TestJsonFormats:
         [{"?x": {"lit": "x", "lang": ""}}],
         [{"?x": {"lit": "x", "lang": "en", "datatype": "icon:a"}}],
         [{"?x": {"lit": "x", "lang": "en", "datatype": E + "d"}}],
+        [{"?x": {"lit": "x", "datatype": ""}}],
     ])
     def test_malformed_solution_rows_are_query_errors(self, rows):
         with pytest.raises(QueryError):
@@ -437,6 +456,14 @@ class TestJsonFormats:
             "<?a:b>", "<_:b>", E + "a", "<urn:isbn:1>", "_:b",
             {"lit": "1", "datatype": "<urn:int>"}]
         assert solutions_from_json(rows) == solutions
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TERMS, max_size=8))
+    def test_term_writer_is_read_back_and_names_each_term_apart(self, terms):
+        for t in terms:
+            assert _term_from_json(term_to_json(t), {}) == t
+        written = {json.dumps(term_to_json(t), sort_keys=True) for t in terms}
+        assert len(written) == len(set(terms))
 
     def test_solutions_to_json_sorted(self):
         solutions = {Solution.of({"x": e("b")}), Solution.of({"x": e("a")})}

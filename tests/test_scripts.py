@@ -2,9 +2,9 @@
 against this tree's own src/.
 
 Each later change is checked against its parent with these scripts and
-the benchmark, and the stage script reads private names
-(turtle_io._tokens, graph.triple_key), so a rename that breaks them
-fails here rather than at that check.
+the benchmark, and the stage script reads a private name
+(turtle_io._tokens), so a rename that breaks it fails here rather than
+at that check.
 """
 
 import json
