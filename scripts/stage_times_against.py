@@ -47,6 +47,15 @@ operation), and each ingest stage's traced peak above the operation's
 start while the previous result is still held. The largest of these is
 the operation's peak, so it shows which stage sets it.
 
+Each run also evaluates, over the tree's own x SCALE closure, each of
+that tree's cq_catalog() questions (whose data constants name copy 0)
+and each of perfbench's scaled.path_patterns(). Those patterns are built
+with this checkout's classes, so each is rebuilt for each tree from the
+tree's Var, Inv, Seq, Alt, Plus, Pattern and Iri classes, node by class
+name. The script compares every question's and pattern's solution set,
+each binding's term by the tree's term_key, exits 1 on any difference,
+and prints the median milliseconds of each question and pattern per tree.
+
     python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
 
 SCALE defaults to 50 and RUNS to 12.
@@ -65,7 +74,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from scaled import scaled_document  # noqa: E402
+from scaled import path_patterns, scaled_document  # noqa: E402
 
 # the default, R5 and hierarchy-only rule sets, as RuleSet keyword arguments
 RULE_SETS = ({}, {"domain_range_typing": True}, {"shortcut_contraction": False})
@@ -97,7 +106,29 @@ def load_as(name: str, src: Path):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return {m: importlib.import_module(f"{name}.{m}")
-            for m in ("casebook", "graph", "reasoner", "shapes", "turtle_io", "vocab")}
+            for m in ("casebook", "graph", "query", "reasoner", "shapes", "turtle_io",
+                      "vocab")}
+
+
+def rebuilt(tree, node):
+    """A pattern, projection or path built with this checkout's classes,
+    rebuilt with tree's classes of the same names."""
+    name = type(node).__name__
+    if name == "Iri":
+        return tree["graph"].Iri(str(node))
+    if name in ("Var", "Inv", "Seq", "Alt", "Plus", "Pattern"):
+        return getattr(tree["query"], name)(*(rebuilt(tree, x) for x in node))
+    if isinstance(node, tuple):
+        return tuple(rebuilt(tree, x) for x in node)
+    return node  # a variable's name
+
+
+def queries(tree) -> dict:
+    """Each of tree's catalog questions by id, then each perfbench path
+    pattern by name, as (pattern, projection) under tree's classes."""
+    out = {cq.id: (cq.pattern, cq.projection) for cq in tree["query"].cq_catalog()}
+    out.update((name, rebuilt(tree, question)) for name, question in path_patterns().items())
+    return out
 
 
 def hierarchy_graph(tree, reg, rng: random.Random):
@@ -181,14 +212,16 @@ def authored(tree, text: str, expansions: int = 20) -> tuple:
     return full, tree["turtle_io"].serialize_turtle(full, tree["vocab"].NAMESPACES), edge, moved
 
 
-def run_once(tree, text: str, session: tuple,
-             clock: GcClock) -> tuple[dict, dict, tuple, tuple, list, tuple]:
+def run_once(tree, text: str, session: tuple, asked: dict,
+             clock: GcClock) -> tuple[dict, dict, tuple, tuple, list, tuple, dict]:
     """Milliseconds per stage, milliseconds of garbage collection per stage,
     the outputs (the serialized closure, its validation report as JSON and
     the level's value per node, by term_key), the closure's provenance
     keyed by triple key with the inferred triples' keys in derivation
     order, the key of each closure triple in the store's iteration order,
-    and the two blank-iso answers. session is authored(tree, text)."""
+    the two blank-iso answers, and the sorted solutions (each binding's
+    term by term_key) of each query in asked, which also times each under
+    its label. session is authored(tree, text), and asked is queries(tree)."""
     reg = tree["vocab"].build_registry()
     shapes = tree["shapes"].default_shapes(reg)
     ms, gc_ms = {}, {}
@@ -222,11 +255,16 @@ def run_once(tree, text: str, session: tuple,
     changed = tree["graph"].Graph([t for t in session_full if t != edge] + [moved]).freeze()
     answers = timed("blank-iso", lambda: (tree["graph"].isomorphic(back, session_full),
                                           tree["graph"].isomorphic(back, changed)))
+    solutions = {}
+    for label, (pattern, projection) in asked.items():
+        answer = timed(label, tree["query"].evaluate, full, pattern, projection)
+        solutions[label] = sorted(tuple((name, key(term)) for name, term in s.bindings)
+                                  for s in answer)
     key = triple_key(tree)
     derivations = ({key(t): (d.rule, tuple(map(key, d.premises)))
                     for t, d in closure.provenance.items()},
                    [key(t) for t in closure.provenance])
-    return ms, gc_ms, outputs, derivations, [key(t) for t in full], answers
+    return ms, gc_ms, outputs, derivations, [key(t) for t in full], answers, solutions
 
 
 def ingest_memory(tree, text: str) -> tuple[int, dict[str, int]]:
@@ -287,19 +325,25 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
           "their stores): stores, store order, derivations and derivation order identical")
     text = scaled_document(scale)
     sessions = {name: authored(tree, text) for name, tree in trees.items()}
-    times = {name: {stage: [] for stage in STAGES} for name in trees}
-    gc_times = {name: {stage: [] for stage in STAGES} for name in trees}
+    asked = {name: queries(tree) for name, tree in trees.items()}
+    labels = list(asked["new"])
+    if list(asked["old"]) != labels:
+        print(f"the trees ask different questions: old {list(asked['old'])}, new {labels}")
+        return 1
+    times = {name: {stage: [] for stage in (*STAGES, *labels)} for name in trees}
+    gc_times = {name: {stage: [] for stage in (*STAGES, *labels)} for name in trees}
     clock = GcClock()
     gc.callbacks.append(clock)
     try:
         for i in range(runs):
             order = ["old", "new"] if i % 2 == 0 else ["new", "old"]
-            outputs, derivations, orders, answers = {}, {}, {}, {}
+            outputs, derivations, orders, answers, solutions = {}, {}, {}, {}, {}
             for name in order:
                 gc.collect()
-                (ms, gc_ms, outputs[name], derivations[name], orders[name],
-                 answers[name]) = run_once(trees[name], text, sessions[name], clock)
-                for stage in STAGES:
+                (ms, gc_ms, outputs[name], derivations[name], orders[name], answers[name],
+                 solutions[name]) = run_once(trees[name], text, sessions[name], asked[name],
+                                             clock)
+                for stage in (*STAGES, *labels):
                     times[name][stage].append(ms[stage])
                     gc_times[name][stage].append(gc_ms[stage])
             for what, old, new in zip(("serialize the closure", "validate the closure",
@@ -323,17 +367,27 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
                 print(f"the trees answer blank-iso differently: old {answers['old']}, "
                       f"new {answers['new']}")
                 return 1
+            differ = [label for label in labels
+                      if solutions["old"][label] != solutions["new"][label]]
+            if differ:
+                print(f"the trees answer {', '.join(differ)} differently")
+                return 1
     finally:
         gc.callbacks.remove(clock)
     print(f"x{scale}, {runs} runs each; closures, validation reports, levels of "
-          f"{len(outputs['new'][2])} nodes, derivations, derivation order, iteration order "
-          f"and blank-iso answers {answers['new']} identical; median ms (old -> new), of "
-          "which in cyclic GC")
+          f"{len(outputs['new'][2])} nodes, derivations, derivation order, iteration order, "
+          f"blank-iso answers {answers['new']} and the solutions of {len(labels)} queries "
+          "identical; median ms (old -> new), of which in cyclic GC")
     for stage in STAGES:
         old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))
         print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+4.0%})"
               f"   gc {gc_old:6.1f} -> {gc_new:6.1f}")
+    print("  median ms per catalog question and path pattern (solutions):")
+    for label in labels:
+        old, new = (statistics.median(times[name][label]) for name in ("old", "new"))
+        print(f"  {label:<20} {old:9.3f} -> {new:9.3f}  ({new / old - 1:+4.0%})"
+              f"   ({len(solutions['new'][label])})")
     (old_held, old_peaks), (new_held, new_peaks) = (ingest_memory(trees[name], text)
                                                     for name in ("old", "new"))
     print(f"  one ingest result holds {old_held / 1e6:.1f} -> {new_held / 1e6:.1f} MB"

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .graph import (BlankNode, Graph, Iri, Literal, PrefixMap, Term, _ExactTuple,
-                    term_key, term_to_json)
+                    _new_tuple, term_key, term_to_json)
 from .vocab import NAMESPACES, VocabError, curie_to_iri, data_iri, expand_curie
 
 if TYPE_CHECKING:  # annotations only: a query over an asserted graph runs no reasoner
@@ -36,6 +36,11 @@ class UnknownQuestionError(QueryError):
 
 class Var(_ExactTuple, namedtuple("Var", "name")):
     __slots__ = ()
+
+    def __new__(cls, name: str) -> "Var":
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"variable name must be a non-empty str: {name!r}")
+        return _new_tuple(cls, (name,))
 
 
 class Inv(_ExactTuple, namedtuple("Inv", "path")):
@@ -125,23 +130,22 @@ def _path_pairs(g: Graph, path: PathExpr) -> Pairs:
     return out
 
 
-def _bind(value: PatternTerm, binding: dict[str, Term]) -> PatternTerm:
-    if isinstance(value, Var):
-        return binding.get(value.name, value)
-    return value
-
-
 def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solution]:
     """Exactly the binding sets under which every pattern triple holds;
-    QueryError for a triple it cannot run or a projection entry not a Var."""
-    projection = list(projection)
-    for triple in pattern.triples:  # checked once here, not per binding
+    QueryError for a pattern, triple or projection it cannot run. Each matched
+    triple is planned once and binds only its free variables, the projected
+    names are sorted once, and a path triple recomputes its pairs per binding."""
+    try:
+        triples, projection = tuple(pattern.triples), list(projection)
+    except (AttributeError, TypeError):
+        raise QueryError(f"cannot read pattern {pattern!r} or projection {projection!r}")
+    for triple in triples:  # checked once here, not per binding
         s, p, o = triple if isinstance(triple, tuple) and len(triple) == 3 else (None,) * 3
         if not all(isinstance(x, (Iri, BlankNode, Literal, Var)) for x in (s, o)):
             raise QueryError(f"bad pattern triple {triple!r}")
         if not isinstance(p, Var):
             _check_path(p)
-    pattern_vars = {x.name for t in pattern.triples for x in t if isinstance(x, Var)}
+    pattern_vars = {x.name for t in triples for x in t if isinstance(x, Var)}
     for v in projection:
         if not isinstance(v, Var):
             raise QueryError(f"projection entry {v!r} is not a variable")
@@ -162,27 +166,38 @@ def evaluate(g: Graph, pattern: Pattern, projection: Iterable[Var]) -> set[Solut
         return nb
 
     bindings: list[dict[str, Term]] = [{}]
-    for s, p, o in pattern.triples:
+    for s, p, o in triples:
         next_bindings: list[dict[str, Term]] = []
-        for binding in bindings:
-            bs, bo = _bind(s, binding), _bind(o, binding)
-            if isinstance(p, (Inv, Seq, Alt, Plus)):
+        if isinstance(p, (Inv, Seq, Alt, Plus)):
+            for binding in bindings:
+                bs, bo = (binding.get(x.name, x) if isinstance(x, Var) else x for x in (s, o))
                 for a, b in _path_pairs(g, p):
                     nb = extend(binding, ((bs, a), (bo, b)))
                     if nb is not None:
                         next_bindings.append(nb)
-            else:
-                bp = _bind(p, binding)
-                ms = None if isinstance(bs, Var) else bs
-                mp = None if isinstance(bp, Var) else bp
-                mo = None if isinstance(bo, Var) else bo
-                for t in g.match(s=ms, p=mp, o=mo):
-                    nb = extend(binding, ((bs, t.subject), (bp, t.predicate),
-                                          (bo, t.object)))
-                    if nb is not None:
+        else:  # planned once: every binding here binds what the first binds
+            bound, known, free, same = (bindings or [{}])[0], [], [], []
+            key = [None if isinstance(x, Var) else x for x in (s, p, o)]
+            for i, x in enumerate((s, p, o)):
+                if isinstance(x, Var):
+                    if x.name in bound:
+                        known.append((i, x.name))
+                    elif x in (s, p, o)[:i]:  # a repeat must match its first position
+                        same.append(((s, p, o).index(x), i))
+                    else:
+                        free.append((x.name, i))
+            for binding in bindings:
+                for i, name in known:
+                    key[i] = binding[name]
+                for t in g.match(*key):
+                    if not same or all(t[i] == t[j] for i, j in same):
+                        nb = binding.copy()
+                        for name, i in free:
+                            nb[name] = t[i]
                         next_bindings.append(nb)
         bindings = next_bindings
-    return {Solution.of({v.name: b[v.name] for v in projection}) for b in bindings}
+    names = sorted({v.name for v in projection})
+    return {_new_tuple(Solution, (tuple([(n, b[n]) for n in names]),)) for b in bindings}
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ def brute_evaluate(g: Graph, pattern: Pattern, projection: list[Var]
                    ) -> set[tuple]:
     """Enumerate every assignment of pattern variables over the graph's
     term universe and keep those satisfying all triples. Returns projected
-    binding tuples keyed by sorted variable name."""
+    binding tuples keyed by the sorted distinct projected names."""
     triples = set(g)
     universe = sorted(g.terms(), key=repr)
     var_names: list[str] = []
@@ -387,13 +387,13 @@ def brute_evaluate(g: Graph, pattern: Pattern, projection: list[Var]
                     return False
         return True
 
+    names = sorted({v.name for v in projection})
     results: set[tuple] = set()
 
     def assign(i: int, binding: dict):
         if i == len(var_names):
             if satisfied(binding):
-                results.add(tuple((v.name, binding[v.name])
-                                  for v in sorted(projection, key=lambda v: v.name)))
+                results.add(tuple((name, binding[name]) for name in names))
             return
         for term in universe:
             binding[var_names[i]] = term

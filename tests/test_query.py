@@ -101,6 +101,13 @@ class TestRecords:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
 
+    @pytest.mark.parametrize("name", [5, ["l"], "", None])
+    def test_variable_name_must_be_a_non_empty_str(self, name):
+        # as BlankNode's label: an int name once broke the sort of the
+        # projected names, and "" wrote a "?" key no reader accepts
+        with pytest.raises(ValueError, match="variable name must be a non-empty str"):
+            Var(name)
+
     def test_solution_and_derivation_hash_as_their_field_tuple(self):
         solution = Solution.of({"x": e("a")})
         assert hash(solution) == hash(((("x", e("a")),),))
@@ -153,12 +160,19 @@ class TestEvaluate:
         (5, []),
         ([Var("s"), Var("p"), Var("o")], []),
         ((Var("s"), Var("p"), Var("o")), [5]),
-        ((Var("s"), Var("p"), Var("o")), ["s"])])
+        ((Var("s"), Var("p"), Var("o")), ["s"]),
+        ((Var("s"), Var("p"), Var("o")), None),
+        ((Var("s"), Var("p"), Var("o")), 5),
+        # a whole pattern with no iterable triples
+        (Pattern(5), []),
+        (None, [])])
     def test_pattern_it_cannot_run_is_query_error(self, chain, triple, projection):
+        whole = triple is None or isinstance(triple, Pattern)
+        pattern = triple if whole else Pattern((triple,))
         with pytest.raises(QueryError):
-            evaluate(chain, Pattern((triple,)), projection)
+            evaluate(chain, pattern, projection)
         with pytest.raises(QueryError):  # the same on an empty graph
-            evaluate(Graph().freeze(), Pattern((triple,)), projection)
+            evaluate(Graph().freeze(), pattern, projection)
         if isinstance(triple, tuple) and len(triple) == 3 and not isinstance(triple[1], Var):
             with pytest.raises(QueryError):
                 path_pairs(chain, triple[1])
@@ -185,12 +199,23 @@ class TestEvaluate:
         got = evaluate(chain, Pattern(((Var("x"), e("p"), Var("y")),)), [Var("x")])
         assert got == {Solution.of({"x": e("a")}), Solution.of({"x": e("b")})}
 
+    def test_repeated_projection_binds_each_name_once(self, chain):
+        got = evaluate(chain, Pattern(((Var("x"), e("p"), Var("y")),)),
+                       [Var("y"), Var("x"), Var("y")])
+        assert got == {Solution.of({"x": e("a"), "y": e("b")}),
+                       Solution.of({"x": e("b"), "y": e("c")})}
+        assert all(s.bindings == tuple(sorted(s.bindings)) for s in got)
+
 
 def random_pattern(rng, g):
     """Pattern over the graph's own vocabulary: up to 3 triples, up to 3
-    variables, mixed constants, predicate vars, and property paths."""
+    variables, mixed constants, predicate vars, and property paths. Most
+    triples start from one of the graph's own, so that many patterns have
+    solutions. The projection is every variable used, a proper subset of
+    them (whose solutions set semantics merges) or a list that repeats one."""
     terms = sorted(g.terms(), key=repr) or [e("x")]
     preds = sorted({t.predicate for t in g}, key=repr) or [e("p")]
+    facts = sorted(g, key=repr)
     var_pool = [Var("a"), Var("b"), Var("c")][:rng.randint(1, 3)]
 
     def endpoint():
@@ -207,10 +232,24 @@ def random_pattern(rng, g):
         return rng.choice([Inv(base), Plus(base), Seq(base, other),
                            Alt(base, other)])
 
-    triples = tuple((endpoint(), predicate(), endpoint())
-                    for _ in range(rng.randint(1, 3)))
-    used = {x.name for s, p, o in triples for x in (s, p, o) if isinstance(x, Var)}
-    projection = [v for v in var_pool if v.name in used]
+    def triple():
+        if facts and rng.random() < 0.75:  # a fact, some positions made variables
+            s, p, o = (rng.choice(var_pool) if rng.random() < 0.5 else x
+                       for x in rng.choice(facts))
+            if not isinstance(p, Var) and rng.random() < 0.4:  # a path the fact satisfies
+                p = rng.choice([Plus(p), Alt(p, rng.choice(preds)), Alt(rng.choice(preds), p)])
+            return s, p, o
+        return endpoint(), predicate(), endpoint()
+
+    triples = tuple(triple() for _ in range(rng.randint(1, 3)))
+    used = [v for v in var_pool if any(v in t for t in triples)]
+    roll = rng.random()
+    if roll < 0.4 or not used:
+        projection = used
+    elif roll < 0.7:
+        projection = rng.sample(used, rng.randrange(len(used)))
+    else:  # one more entry than there are variables
+        projection = rng.choices(used, k=len(used) + 1)
     return Pattern(triples), projection
 
 
