@@ -45,6 +45,7 @@ from typing import Iterable, Iterator, Optional, Union
 PrefixMap = dict[str, str]
 
 _new_tuple = tuple.__new__
+_checked_make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's skips __new__
 
 
 class GraphError(Exception):
@@ -74,6 +75,7 @@ class _ExactTuple(tuple):
     value equals only a value of its own class with equal fields, so
     BlankNode("x") != Var("x") and none equals a plain tuple."""
     __slots__ = ()
+    _make = _checked_make
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and tuple.__eq__(self, other)
@@ -107,6 +109,7 @@ class Literal(namedtuple("_Literal", "lexical datatype lang")):
     datatype, which is xsd:string when neither is given. A str datatype
     becomes an Iri; any field of another type raises ValueError."""
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, lexical: str, datatype: Optional[Iri] = None,
                 lang: Optional[str] = None) -> "Literal":
@@ -169,6 +172,7 @@ def term_to_json(t: Term):
 
 class Triple(namedtuple("_Triple", "subject predicate object")):
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, subject: Union[Iri, BlankNode], predicate: Iri,
                 object: Term) -> "Triple":

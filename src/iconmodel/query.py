@@ -2,9 +2,11 @@
 of competency questions bound to the shipped case studies.
 
 Patterns are built through the API or a small JSON format; there is no
-query-language parser. Competency questions always run over the closure
-of their case fixture: several answers exist only by shortcut
-contraction.
+query-language parser. The catalog is data in that format:
+fixtures/catalog.json holds one object per question, with "id", "case",
+"prose", and the "select" and "where" that pattern_from_json reads.
+Competency questions always run over the closure of their case fixture:
+several answers exist only by shortcut contraction.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
 
 from .graph import (BlankNode, Graph, Iri, Literal, PrefixMap, Term, _ExactTuple,
                     _new_tuple, term_key, term_to_json)
-from .vocab import NAMESPACES, VocabError, curie_to_iri, data_iri, expand_curie
+from .vocab import NAMESPACES, VocabError, expand_curie
 
 if TYPE_CHECKING:  # annotations only: a query over an asserted graph runs no reasoner
     from .reasoner import ClosureGraph
@@ -339,73 +341,12 @@ class CompetencyQuestion(NamedTuple):
 
 
 def cq_catalog() -> list[CompetencyQuestion]:
-    i = curie_to_iri
-    vb = "vermeer-balance"
-    lc = "laocoon"
-    np = "neptune"
-    hs = "hercules-salvation"
-    return [
-        CompetencyQuestion(
-            "CQ1a", vb,
-            "What is the relation between the act of weighting an empty balance "
-            "and the weighing of Souls in the Last Judgement?",
-            Pattern(((data_iri(vb, "weighing-balance-event"), Var("rel"),
-                      data_iri(vb, "weighing-souls-event")),)),
-            (Var("rel"),)),
-        CompetencyQuestion(
-            "CQ1b", vb,
-            "What is the relation between the artwork and the phenomenon of "
-            "Catholicism prohibition?",
-            Pattern(((Var("artwork"), i("icon:isDocumentOf"), Var("phenomenon")),)),
-            (Var("artwork"), Var("phenomenon"))),
-        CompetencyQuestion(
-            "CQ1c", vb,
-            "What is the evidence of the relation between the artwork and the "
-            "cultural phenomenon?",
-            Pattern(((Var("recognition"), i("icon:assignsTo"),
-                      data_iri(vb, "woman-holding-balance-painting")),
-                     (Var("recognition"),
-                      Alt(i("cito:citesAsEvidence"), i("cito:obtainsBackgroundFrom")),
-                      Var("evidence")))),
-            (Var("evidence"),)),
-        CompetencyQuestion(
-            "CQ2a", lc,
-            "What are the different attributes of the subject in the two "
-            "representations?",
-            Pattern(((Var("character"), i("vir:K17_has_attribute"), Var("attribute")),)),
-            (Var("character"), Var("attribute"))),
-        CompetencyQuestion(
-            "CQ2b", lc,
-            "What is the cultural phenomenon characterising the artists' approach?",
-            Pattern(((Var("artwork"), i("icon:isDocumentOf"), Var("phenomenon")),)),
-            (Var("phenomenon"),)),
-        CompetencyQuestion(
-            "CQ3", np,
-            "What is the symbolic meaning in common between the Neptune's statue, "
-            "the iconographic source Quos Ego, and the text source of Virgil's work?",
-            Pattern(((data_iri(np, "giambologna-quos-ego-representation"),
-                      i("icon:symbolizes"), Var("meaning")),
-                     (data_iri(np, "raimondi-quos-ego-representation"),
-                      i("icon:symbolizes"), Var("meaning")),
-                     (data_iri(np, "aeneid-text"), i("crm:P165_incorporates"),
-                      Var("meaning")))),
-            (Var("meaning"),)),
-        CompetencyQuestion(
-            "CQ4a", hs,
-            "What are the attributes that allow us to recognize an iconographical "
-            "subject and what are the attributes that are relevant to an "
-            "iconological recognition?",
-            Pattern(((Var("subject"),
-                      Alt(i("icon:hasIdentifyingAttribute"), i("cito:citesAsEvidence")),
-                      Var("attribute")),)),
-            (Var("subject"), Var("attribute"))),
-        CompetencyQuestion(
-            "CQ4b", hs,
-            "What is the relation between characters and attributes in the two "
-            "scenes?",
-            Pattern(((Var("later"), i("icon:showsMotifsOf"), Var("earlier")),)),
-            (Var("later"), Var("earlier"))),
-    ]
+    """The questions of fixtures/catalog.json, in file order: each entry's
+    "select" and "where" are a pattern_from_json document."""
+    doc = json.loads((resources.files("iconmodel") / "fixtures" / "catalog.json"
+                      ).read_text("utf-8"))
+    return [CompetencyQuestion(e["id"], e["case"], e["prose"], pattern, tuple(projection))
+            for e, (pattern, projection) in zip(doc, map(pattern_from_json, doc))]
 
 
 def find_cq(cq_id: str) -> CompetencyQuestion:
@@ -416,10 +357,12 @@ def find_cq(cq_id: str) -> CompetencyQuestion:
 
 
 def load_golden(case_id: str) -> dict[str, set[Solution]]:
-    text = (resources.files("iconmodel") / "fixtures" / f"{case_id}.golden.json"
-            ).read_text("utf-8")
-    doc = json.loads(text)
-    return {cq_id: solutions_from_json(rows) for cq_id, rows in doc.items()}
+    """The golden solutions shipped with a case, by question id;
+    casebook.UnknownCaseError unless case_id names a shipped case."""
+    from .casebook import case_meta  # case ids have one home; `cq list` loads no casebook
+    text = (resources.files("iconmodel") / "fixtures"
+            / f"{case_meta(case_id).id}.golden.json").read_text("utf-8")
+    return {cq_id: solutions_from_json(rows) for cq_id, rows in json.loads(text).items()}
 
 
 class CqResult(NamedTuple):

@@ -15,6 +15,7 @@ import iconmodel
 from iconmodel.casebook import case_document
 from iconmodel.graph import (RDF_TYPE, BlankNode, Graph, Iri, Literal, Triple, XSD_STRING,
                              _blank_triples, isomorphic, term_key, union)
+from iconmodel.query import Var
 from iconmodel.reasoner import RuleSet, close
 from iconmodel.shapes import default_shapes, validate
 from iconmodel.turtle_io import parse_turtle, serialize_turtle
@@ -78,6 +79,23 @@ class TestTerms:
     def test_field_that_is_no_text_or_no_iri_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: Var._make([5]), ValueError),
+        (lambda: Var("x")._replace(name=""), ValueError),
+        (lambda: BlankNode._make([""]), ValueError),
+        (lambda: Literal._make(["a", 5, None]), ValueError),
+        (lambda: Triple._make([1, 2, 3]), ValueError),
+        (lambda: Literal("a")._replace(lexical="b"), Literal("b"))],
+        ids=["var-make", "var-replace", "blank-make", "literal-make", "triple-make",
+             "literal-replace"])
+    def test_make_and_replace_check_fields_as_the_constructor(self, build, expected):
+        # namedtuple's own _make builds with tuple.__new__, past __new__'s checks
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                build()
+        else:
+            assert build() == expected
 
     def test_str_datatype_becomes_an_iri_and_reads_back(self):
         lit = Literal("a", datatype=EX + "d")

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from iconmodel.casebook import UnknownCaseError, list_cases
 from iconmodel.graph import XSD_STRING, BlankNode, Graph, Iri, Literal, Triple
 from iconmodel.query import (Alt, Inv, Pattern, Plus, QueryError, Seq,
                              Solution, UnboundProjectionError,
@@ -546,9 +547,21 @@ class TestCompetencyCatalog:
             find_cq("CQ99")
 
     def test_goldens_cover_catalog(self):
-        for cq in cq_catalog():
+        catalog = cq_catalog()
+        ids = [cq.id for cq in catalog]
+        assert len(set(ids)) == len(ids)
+        assert {cq.case_id for cq in catalog} <= {case.id for case in list_cases()}
+        for cq in catalog:
             golden = load_golden(cq.case_id)
             assert cq.id in golden and golden[cq.id]
+        for case in list_cases():  # no golden entry lacks a question
+            assert set(load_golden(case.id)) == {cq.id for cq in catalog
+                                                 if cq.case_id == case.id}, case.id
+
+    @pytest.mark.parametrize("case_id", ["x", 5, None, "../fixtures/laocoon"])
+    def test_load_golden_refuses_an_unknown_case(self, case_id):
+        with pytest.raises(UnknownCaseError):
+            load_golden(case_id)
 
     def test_run_cq_matches_golden(self, case_closures):
         for cq in cq_catalog():

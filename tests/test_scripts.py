@@ -29,9 +29,10 @@ def test_ab_scripts_run_against_this_tree():
 
 def test_benchmark_runs_against_this_tree():
     # guards what perfbench calls: Graph(...).freeze(), union, close,
-    # blank_labels and `t in closure`; the cli workload is left out, as
-    # it leaves perfbench/.work-* directories behind
-    for workload in ("ingest", "query", "author"):
+    # blank_labels and `t in closure`, and the cli workload's check of
+    # `icon cq run-all` against the goldens
+    work_dirs = set((ROOT / "perfbench").glob(".work-*"))
+    for workload in ("ingest", "query", "author", "cli"):
         proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"),
                                "--workload", workload, "--seed", "1", "--seconds", "0.3"],
                               cwd=ROOT, stdin=subprocess.DEVNULL,
@@ -39,3 +40,4 @@ def test_benchmark_runs_against_this_tree():
         assert proc.returncode == 0, proc.stdout + proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["correct"] is True and result["failed"] == 0, result
+    assert set((ROOT / "perfbench").glob(".work-*")) == work_dirs
