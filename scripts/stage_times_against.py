@@ -34,8 +34,11 @@ identical. Before it exits, it prints how many closures differ in their
 triple sets, in their store order and in their derivation order, and
 how many inferred triples in their derivations.
 Interleaving in one process keeps drift in machine speed from landing on
-one tree only. Prints the median milliseconds of each stage per tree, and
-the median milliseconds of cyclic garbage collection inside each stage
+one tree only. Prints the median milliseconds of each stage per tree,
+with each tree's first and third quartiles beside it, and marks the stage
+"unresolved" when the two trees' interquartile ranges overlap: those runs
+cannot tell the trees apart. It prints the median milliseconds of cyclic
+garbage collection inside each stage
 (from gc.callbacks): a collection runs when allocations cross a threshold,
 so a stage can pay for garbage an earlier stage left. An untimed
 gc.collect() before each run starts every run, of either tree, from the
@@ -54,7 +57,8 @@ with this checkout's classes, so each is rebuilt for each tree from the
 tree's Var, Inv, Seq, Alt, Plus, Pattern and Iri classes, node by class
 name. The script compares every question's and pattern's solution set,
 each binding's term by the tree's term_key, exits 1 on any difference,
-and prints the median milliseconds of each question and pattern per tree.
+and prints the median milliseconds of each question and pattern per tree,
+with quartiles and the "unresolved" mark as for the stages.
 
     python3 scripts/stage_times_against.py OLD_SRC [SCALE] [RUNS]
 
@@ -97,6 +101,17 @@ class GcClock:
             self.ms += (time.perf_counter() - self._start) * 1000
 
 
+def compared(old: list[float], new: list[float], digits: int) -> str:
+    """Both trees' median milliseconds, the change, and each tree's first
+    and third quartiles, marked "unresolved" when those ranges overlap."""
+    (o1, o2, o3), (n1, n2, n3) = (statistics.quantiles(xs, n=4, method="inclusive")
+                                  if len(xs) > 1 else xs * 3 for xs in (old, new))
+    mark = "  unresolved" if o1 <= n3 and n1 <= o3 else ""
+    f = f".{digits}f"
+    return (f"{o2:9{f}} -> {n2:9{f}}  ({n2 / o2 - 1:+4.0%})"
+            f"  IQR [{o1:{f}}, {o3:{f}}] -> [{n1:{f}}, {n3:{f}}]{mark}")
+
+
 def load_as(name: str, src: Path):
     """The iconmodel package under src, imported as the package `name`."""
     spec = importlib.util.spec_from_file_location(
@@ -134,10 +149,12 @@ def queries(tree) -> dict:
 def hierarchy_graph(tree, reg, rng: random.Random):
     """A random graph over registry terms and data nodes that asserts
     rdfs:subClassOf and rdfs:subPropertyOf edges, and declares two data
-    properties sub-properties of those, so that more edges are derived."""
+    properties sub-properties of those, so that more edges are derived.
+    Terms are drawn from lists in IRI order, so both trees draw the same
+    graph whatever order their registries list the terms in."""
     g, kind = tree["graph"], tree["vocab"].TermKind
-    props = [t.iri for t in reg.terms if t.kind is kind.PROPERTY]
-    classes = [t.iri for t in reg.terms if t.kind is kind.CLASS]
+    props = sorted(t.iri for t in reg.terms if t.kind is kind.PROPERTY)
+    classes = sorted(t.iri for t in reg.terms if t.kind is kind.CLASS)
     nodes = [g.Iri(f"https://w3id.org/icon/data/random/n{i}") for i in range(8)]
     nodes += [g.BlankNode(f"x{i}") for i in range(3)]
     edges = [reg.iri("rdfs:subClassOf"), reg.iri("rdfs:subPropertyOf")]
@@ -377,16 +394,15 @@ def main(old_src: str, scale: int = 50, runs: int = 12) -> int:
     print(f"x{scale}, {runs} runs each; closures, validation reports, levels of "
           f"{len(outputs['new'][2])} nodes, derivations, derivation order, iteration order, "
           f"blank-iso answers {answers['new']} and the solutions of {len(labels)} queries "
-          "identical; median ms (old -> new), of which in cyclic GC")
+          "identical; median ms (old -> new), each tree's quartiles, "
+          "and median ms in cyclic GC")
     for stage in STAGES:
-        old, new = (statistics.median(times[name][stage]) for name in ("old", "new"))
         gc_old, gc_new = (statistics.median(gc_times[name][stage]) for name in ("old", "new"))
-        print(f"  {stage:<10} {old:9.1f} -> {new:9.1f}  ({new / old - 1:+4.0%})"
+        print(f"  {stage:<10} {compared(times['old'][stage], times['new'][stage], 1)}"
               f"   gc {gc_old:6.1f} -> {gc_new:6.1f}")
-    print("  median ms per catalog question and path pattern (solutions):")
+    print("  median ms per catalog question and path pattern, quartiles (solutions):")
     for label in labels:
-        old, new = (statistics.median(times[name][label]) for name in ("old", "new"))
-        print(f"  {label:<20} {old:9.3f} -> {new:9.3f}  ({new / old - 1:+4.0%})"
+        print(f"  {label:<20} {compared(times['old'][label], times['new'][label], 3)}"
               f"   ({len(solutions['new'][label])})")
     (old_held, old_peaks), (new_held, new_peaks) = (ingest_memory(trees[name], text)
                                                     for name in ("old", "new"))

@@ -21,7 +21,7 @@ _EXPORTS = {
               "Triple", "isomorphic", "union"),
     "turtle_io": ("ParseError", "ParseResult", "parse_turtle", "serialize_turtle"),
     "vocab": ("Axiom", "AxiomKind", "Levels", "NAMESPACES", "PathSpec", "TermRegistry",
-              "VocabTerm", "axioms_graph", "build_registry", "curie_to_iri"),
+              "VocabTerm", "build_registry", "curie_to_iri"),
     "reasoner": ("ClosureGraph", "Derivation", "RuleSet", "close", "expand_shortcut"),
     "shapes": ("Severity", "Shape", "ValidationEntry", "ValidationReport",
                "default_shapes", "validate"),

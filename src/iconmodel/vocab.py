@@ -1,5 +1,7 @@
-"""Vocabulary registry: icon terms, stubs of the reused external terms,
-and the alignment axioms, available both as a lookup API and as triples.
+"""Vocabulary registry: icon terms, stubs of the reused external terms and
+their RDFS axioms, parsed from fixtures/icon-axioms.ttl by build_registry
+(importing this module loads no Turtle module), plus the shortcut paths and
+level classes that RDFS cannot state, declared in build_registry.
 
 Naming note: the interpretation-act property pair is normalized to
 icon:assignsTo (recognition -> interpreted entity) and icon:assigned
@@ -10,9 +12,10 @@ from __future__ import annotations
 
 import enum
 from graphlib import CycleError, TopologicalSorter
+from importlib import resources
 from typing import NamedTuple, Optional, Union
 
-from .graph import RDF_TYPE, Graph, Iri, PrefixMap, Triple
+from .graph import RDF_TYPE, XSD_STRING, Iri, Literal, PrefixMap, term_key
 
 NAMESPACES: PrefixMap = {
     "icon": "https://w3id.org/icon/ontology/",
@@ -120,69 +123,53 @@ def curie_to_iri(curie: str) -> Iri:
     return expand_curie(curie, NAMESPACES)
 
 
-_C = TermKind.CLASS
-_P = TermKind.PROPERTY
+_LABEL = curie_to_iri("rdfs:label")
+_KINDS = {curie_to_iri("rdfs:Class"): TermKind.CLASS,
+          curie_to_iri("rdf:Property"): TermKind.PROPERTY}
+_AXIOM_KINDS = {curie_to_iri(f"rdfs:{local}"): kind for local, kind in (
+    ("subClassOf", AxiomKind.SUB_CLASS_OF), ("subPropertyOf", AxiomKind.SUB_PROPERTY_OF),
+    ("domain", AxiomKind.DOMAIN), ("range", AxiomKind.RANGE))}
 
-# (curie, kind, label)
-_TERMS = [
-    ("icon:IconologicalRecognition", _C, "Iconological recognition"),
-    ("icon:CulturalPhenomenon", _C, "Cultural phenomenon"),
-    ("icon:assignsTo", _P, "assigns to"),
-    ("icon:assigned", _P, "assigned"),
-    ("icon:symbolizes", _P, "symbolizes"),
-    ("icon:symbolicallyRefersTo", _P, "symbolically refers to"),
-    ("icon:hasIdentifyingAttribute", _P, "has identifying attribute"),
-    ("icon:showsMotifsOf", _P, "shows motifs of"),
-    ("icon:isDocumentOf", _P, "is document of"),
-    ("vir:IC1_Iconographical_Atom", _C, "Iconographical atom"),
-    ("vir:IC9_Representation", _C, "Representation"),
-    ("vir:IC10_Attribute", _C, "Attribute"),
-    ("vir:IC11_Personification", _C, "Personification"),
-    ("vir:IC12_Visual_Recognition", _C, "Visual recognition"),
-    ("vir:IC16_Character", _C, "Character"),
-    ("vir:K4_has_visual_prototype", _P, "has visual prototype"),
-    ("vir:K4_is_visual_prototype_of", _P, "is visual prototype of"),
-    ("vir:K4.1_prototypical_mode", _P, "prototypical mode"),
-    ("vir:K10_on_the_base_of", _P, "on the base of"),
-    ("vir:K14_symbolize", _P, "symbolize"),
-    ("vir:K17_has_attribute", _P, "has attribute"),
-    ("vir:K23", _P, "related representation"),
-    ("crm:E4_Period", _C, "Period"),
-    ("crm:E5_Event", _C, "Event"),
-    ("crm:E12_Production", _C, "Production"),
-    ("crm:E13_Attribute_Assignment", _C, "Attribute assignment"),
-    ("crm:E28_Conceptual_Object", _C, "Conceptual object"),
-    ("crm:E39_Actor", _C, "Actor"),
-    ("crm:E89_Propositional_Object", _C, "Propositional object"),
-    ("crm:E90_Symbolic_Object", _C, "Symbolic object"),
-    ("crm:P9_consists_of", _P, "consists of"),
-    ("crm:P14_carried_out_by", _P, "carried out by"),
-    ("crm:P15_was_influenced_by", _P, "was influenced by"),
-    ("crm:P53_has_current_location", _P, "has current location"),
-    ("crm:P62_depicts", _P, "depicts"),
-    ("crm:P130_shows_features_of", _P, "shows features of"),
-    ("crm:P165_incorporates", _P, "incorporates"),
-    ("hico:InterpretationAct", _C, "Interpretation act"),
-    ("cito:citesAsEvidence", _P, "cites as evidence"),
-    ("cito:citesForInformation", _P, "cites for information"),
-    ("cito:obtainsBackgroundFrom", _P, "obtains background from"),
-    ("cito:agreesWith", _P, "agrees with"),
-    ("cito:disagreesWith", _P, "disagrees with"),
-    ("pro:Role", _C, "Role"),
-    ("pro:RoleInTime", _C, "Role in time"),
-    ("rdf:type", _P, "type"),
-    ("rdf:Property", _C, "Property"),
-    ("rdf:Statement", _C, "Statement"),
-    ("rdf:subject", _P, "subject"),
-    ("rdf:predicate", _P, "predicate"),
-    ("rdf:object", _P, "object"),
-    ("rdfs:Class", _C, "Class"),
-    ("rdfs:subClassOf", _P, "subclass of"),
-    ("rdfs:subPropertyOf", _P, "subproperty of"),
-    ("rdfs:domain", _P, "domain"),
-    ("rdfs:range", _P, "range"),
-    ("rdfs:label", _P, "label"),
-]
+
+def _curie(term) -> Optional[str]:
+    """term as a CURIE under the NAMESPACES namespace it starts with, or None."""
+    return next((f"{prefix}:{term[len(ns):]}" for prefix, ns in NAMESPACES.items()
+                 if isinstance(term, Iri) and term.startswith(ns)), None)
+
+
+def _read_vocabulary(text: str) -> tuple[list[VocabTerm], list[Axiom]]:
+    """The terms (in IRI order) and RDFS axioms of a Turtle document whose
+    statements each give a term its one type (rdfs:Class or rdf:Property)
+    or its one plain-literal rdfs:label, or state an rdfs:subClassOf,
+    rdfs:subPropertyOf, rdfs:domain or rdfs:range axiom between terms.
+    Raises VocabError naming any other statement, or one with an IRI
+    outside NAMESPACES, and naming the line and column of a document
+    parse_turtle refuses. A term with no type or no label gets None there,
+    which TermRegistry refuses."""
+    from .turtle_io import ParseError, parse_turtle
+    try:
+        graph = parse_turtle(text).graph
+    except ParseError as exc:
+        raise VocabError(f"vocabulary document, {exc}") from None
+    kinds: dict[Iri, TermKind] = {}
+    labels: dict[Iri, str] = {}
+    axioms = []
+    for t in sorted(graph, key=lambda t: tuple(map(term_key, t))):
+        s, p, o = t
+        if _curie(s) is None or (p in _AXIOM_KINDS and _curie(o) is None):
+            raise VocabError(f"vocabulary statement names a term outside NAMESPACES: {t!r}")
+        if p == RDF_TYPE and o in _KINDS and s not in kinds:
+            kinds[s] = _KINDS[o]
+        elif (p == _LABEL and isinstance(o, Literal) and o.datatype == XSD_STRING
+              and s not in labels):
+            labels[s] = o.lexical
+        elif p in _AXIOM_KINDS:
+            axioms.append(Axiom(_AXIOM_KINDS[p], s, o))
+        else:
+            raise VocabError("vocabulary statement is no term's one type or plain label, "
+                             f"nor an RDFS axiom: {t!r}")
+    return [VocabTerm(iri, _curie(iri), kinds.get(iri), labels.get(iri))
+            for iri in sorted(kinds.keys() | labels.keys())], axioms
 
 
 class TermRegistry:
@@ -231,8 +218,11 @@ class TermRegistry:
     def _check(self):
         classes = {t.iri for t in self.terms if t.kind is TermKind.CLASS}
         props = {t.iri for t in self.terms if t.kind is TermKind.PROPERTY}
-        for t in self.terms:  # a CURIE outside NAMESPACES raises there
-            if curie_to_iri(t.curie) != t.iri:
+        for t in self.terms:
+            if not (isinstance(t.curie, str) and t.curie and isinstance(t.label, str)
+                    and t.label and isinstance(t.kind, TermKind)):
+                raise VocabError(f"term needs a str curie and label and a TermKind: {t}")
+            if curie_to_iri(t.curie) != t.iri:  # a CURIE outside NAMESPACES raises there
                 raise VocabError(f"curie/namespace mismatch for {t.curie}")
         for a in self.axioms:
             operands = [a.subject]
@@ -286,30 +276,19 @@ class TermRegistry:
 
 
 def build_registry() -> TermRegistry:
+    """The registry of fixtures/icon-axioms.ttl, plus the two shortcut
+    paths and the level classes."""
+    # __package__, not "iconmodel": a copy loaded under another name (as
+    # scripts/stage_times_against.py loads two trees) reads its own document
+    terms, axioms = _read_vocabulary((resources.files(__package__) / "fixtures"
+                                      / "icon-axioms.ttl").read_text("utf-8"))
     i = curie_to_iri
-    terms = [VocabTerm(i(c), c, k, lbl) for c, k, lbl in _TERMS]
     assignment_path = PathSpec(
         steps=((i("icon:assignsTo"), Direction.INVERSE),
                (i("icon:assigned"), Direction.FORWARD)),
         through_class=i("icon:IconologicalRecognition"),
     )
-    axioms = [
-        Axiom(AxiomKind.SUB_CLASS_OF, i("icon:IconologicalRecognition"),
-              i("crm:E13_Attribute_Assignment")),
-        Axiom(AxiomKind.SUB_CLASS_OF, i("icon:IconologicalRecognition"),
-              i("hico:InterpretationAct")),
-        Axiom(AxiomKind.SUB_CLASS_OF, i("icon:CulturalPhenomenon"), i("crm:E4_Period")),
-        Axiom(AxiomKind.SUB_PROPERTY_OF, i("icon:hasIdentifyingAttribute"),
-              i("vir:K17_has_attribute")),
-        Axiom(AxiomKind.SUB_PROPERTY_OF, i("icon:symbolicallyRefersTo"),
-              i("crm:P9_consists_of")),
-        Axiom(AxiomKind.DOMAIN, i("icon:symbolicallyRefersTo"), i("crm:E5_Event")),
-        Axiom(AxiomKind.RANGE, i("icon:symbolicallyRefersTo"), i("crm:E5_Event")),
-        Axiom(AxiomKind.SUB_PROPERTY_OF, i("icon:showsMotifsOf"),
-              i("crm:P130_shows_features_of")),
-        Axiom(AxiomKind.DOMAIN, i("icon:showsMotifsOf"), i("crm:E28_Conceptual_Object")),
-        Axiom(AxiomKind.RANGE, i("icon:showsMotifsOf"), i("crm:E28_Conceptual_Object")),
-        Axiom(AxiomKind.SUB_PROPERTY_OF, i("icon:isDocumentOf"), i("crm:P62_depicts")),
+    axioms += [
         Axiom(AxiomKind.SHORTCUT_OF, i("icon:symbolizes"), assignment_path),
         Axiom(AxiomKind.SHORTCUT_OF, i("icon:isDocumentOf"),
               PathSpec(assignment_path.steps, assignment_path.through_class,
@@ -321,25 +300,3 @@ def build_registry() -> TermRegistry:
                   i("vir:IC11_Personification"), i("vir:IC16_Character")),
         recognitions=(i("vir:IC12_Visual_Recognition"),),
         concepts=(i("crm:E28_Conceptual_Object"),), phenomena=(i("icon:CulturalPhenomenon"),)))
-
-
-def axioms_graph(reg: TermRegistry) -> Graph:
-    """Triple rendering of the registry: one rdf:type marker per term and
-    one triple per non-shortcut axiom. Shortcut definitions stay API-only."""
-    rdfs_class = reg.iri("rdfs:Class")
-    rdf_property = reg.iri("rdf:Property")
-    pred = {
-        AxiomKind.SUB_CLASS_OF: reg.iri("rdfs:subClassOf"),
-        AxiomKind.SUB_PROPERTY_OF: reg.iri("rdfs:subPropertyOf"),
-        AxiomKind.DOMAIN: reg.iri("rdfs:domain"),
-        AxiomKind.RANGE: reg.iri("rdfs:range"),
-    }
-    triples = []
-    for t in reg.terms:
-        marker = rdfs_class if t.kind is TermKind.CLASS else rdf_property
-        triples.append(Triple(t.iri, RDF_TYPE, marker))
-    for a in reg.axioms:
-        if a.kind is AxiomKind.SHORTCUT_OF:
-            continue
-        triples.append(Triple(a.subject, pred[a.kind], a.object))
-    return Graph(triples)

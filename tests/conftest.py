@@ -32,9 +32,11 @@ def case_closures(reg, case_graphs):
 
 def registry_random_graph(rng: random.Random, reg, max_triples: int = 60) -> Graph:
     """Random graph over registry terms plus a few data nodes; exercises
-    typing, hierarchy edges, and recognition paths (R6 inputs)."""
-    props = [t.iri for t in reg.terms if t.kind is TermKind.PROPERTY]
-    classes = [t.iri for t in reg.terms if t.kind is TermKind.CLASS]
+    typing, hierarchy edges, and recognition paths (R6 inputs). Terms are
+    drawn from lists in IRI order, so a seed's graph does not depend on
+    the order the registry lists its terms in."""
+    props = sorted(t.iri for t in reg.terms if t.kind is TermKind.PROPERTY)
+    classes = sorted(t.iri for t in reg.terms if t.kind is TermKind.CLASS)
     nodes = [Iri(f"https://w3id.org/icon/data/random/n{i}") for i in range(8)]
     nodes += [BlankNode(f"x{i}") for i in range(3)]
     sub_class_of = reg.iri("rdfs:subClassOf")

@@ -1,12 +1,16 @@
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iconmodel.graph import Iri
-from iconmodel.turtle_io import RDF_TYPE
+from iconmodel.graph import BlankNode, Graph, Iri, Literal, Triple
+from iconmodel.turtle_io import RDF_TYPE, parse_turtle, serialize_turtle
 from iconmodel.vocab import (Axiom, AxiomKind, BadCurieError, Direction,
                              Levels, NAMESPACES, PathSpec, TermKind, TermRegistry,
                              UnknownTermError, VocabError, VocabTerm,
-                             axioms_graph, curie_to_iri, expand_curie)
+                             _read_vocabulary, curie_to_iri, expand_curie)
+
+from test_turtle import TURTLE_ALPHABET
 
 
 def i(curie):
@@ -174,6 +178,16 @@ class TestRegistryInvariants:
         with pytest.raises(VocabError, match=curie):
             TermRegistry(list(reg.terms) + [term], list(reg.axioms), reg.levels)
 
+    @pytest.mark.parametrize("field, value", [
+        ("curie", 5), ("curie", ""), ("curie", None),
+        ("label", None), ("label", ""), ("label", b"x"),
+        ("kind", "Class"), ("kind", None),
+    ])
+    def test_malformed_term_field_rejected(self, reg, field, value):
+        term = VocabTerm(i("icon:x"), "icon:x", TermKind.CLASS, "x")._replace(**{field: value})
+        with pytest.raises(VocabError, match=r"term needs .*icon/ontology/x"):
+            TermRegistry(list(reg.terms) + [term], list(reg.axioms), reg.levels)
+
     @pytest.mark.parametrize("kind, subject, obj, message", [
         (AxiomKind.SUB_CLASS_OF, "icon:symbolizes", "crm:E4_Period",
          "SubClassOf operand is not a class"),
@@ -248,23 +262,136 @@ class TestHierarchy:
                 assert reg.superclasses(i(c)) == {i(CLASSES[m]) for m in reach(k)}
 
 
-class TestAxiomsGraph:
-    def test_one_marker_per_term(self, reg):
-        g = axioms_graph(reg)
-        markers = g.match(p=RDF_TYPE)
-        assert len(markers) == len(reg.terms)
+def shipped_document() -> str:
+    return (resources.files("iconmodel") / "fixtures" / "icon-axioms.ttl").read_text("utf-8")
 
-    def test_axiom_triples_present_but_not_shortcuts(self, reg):
-        g = axioms_graph(reg)
-        assert g.match(p=i("rdfs:subClassOf"))
-        sym = i("icon:symbolizes")
-        assert not g.match(s=sym, p=i("rdfs:subPropertyOf"))
-        non_shortcut = [a for a in reg.axioms if a.kind is not AxiomKind.SHORTCUT_OF]
-        assert len(g) == len(reg.terms) + len(non_shortcut)
 
-    def test_matches_shipped_fixture(self, reg):
-        from importlib import resources
-        from iconmodel.turtle_io import parse_turtle, serialize_turtle
-        shipped = (resources.files("iconmodel") / "fixtures"
-                   / "icon-axioms.ttl").read_text("utf-8")
-        assert serialize_turtle(axioms_graph(reg), NAMESPACES) == shipped
+class TestVocabularyDocument:
+    """fixtures/icon-axioms.ttl, the one declaration of the terms and their
+    RDFS axioms."""
+
+    def test_is_in_canonical_form(self):
+        text = shipped_document()
+        assert serialize_turtle(parse_turtle(text).graph, NAMESPACES) == text
+
+    def test_every_term_has_one_kind_and_one_label(self, reg):
+        g = parse_turtle(shipped_document()).graph
+        for t in reg.terms:
+            [kind] = g.match(s=t.iri, p=RDF_TYPE)
+            [label] = g.match(s=t.iri, p=i("rdfs:label"))
+            assert kind.object == i("rdfs:Class" if t.kind is TermKind.CLASS
+                                    else "rdf:Property")
+            assert label.object == Literal(t.label)
+        rdfs = [a for a in reg.axioms if a.kind is not AxiomKind.SHORTCUT_OF]
+        assert (len(reg.terms), len(rdfs), len(g)) == (57, 11, 2 * 57 + 11)
+
+    def test_registry_reads_terms_in_iri_order(self, reg):
+        assert [t.iri for t in reg.terms] == sorted(t.iri for t in reg.terms)
+        assert VocabTerm(i("vir:K4.1_prototypical_mode"), "vir:K4.1_prototypical_mode",
+                         TermKind.PROPERTY, "prototypical mode") in reg.terms
+
+    @pytest.mark.parametrize("curie, label, axioms", [
+        ("icon:symbolizes", "symbolizes", []),
+        ("icon:isDocumentOf", "is document of", [("rdfs:subPropertyOf", "crm:P62_depicts")]),
+    ])
+    def test_shortcuts_are_stated_by_no_triple(self, curie, label, axioms):
+        # a shortcut's path is declared in build_registry; the document holds
+        # only the property's kind, its label and its RDFS axioms
+        g = parse_turtle(shipped_document()).graph
+        assert set(g.match(s=i(curie))) == {
+            Triple(i(curie), RDF_TYPE, i("rdf:Property")),
+            Triple(i(curie), i("rdfs:label"), Literal(label)),
+            *(Triple(i(curie), i(p), i(o)) for p, o in axioms)}
+
+
+HEADER = "".join(f"@prefix {p}: <{ns}> .\n" for p, ns in NAMESPACES.items())
+
+
+class TestReader:
+    def test_reads_terms_and_axioms(self):
+        terms, axioms = _read_vocabulary(HEADER + """
+            icon:b a rdf:Property ; rdfs:label "b" ; rdfs:domain icon:a .
+            icon:a a rdfs:Class ; rdfs:label "a" ; rdfs:subClassOf crm:E5_Event .""")
+        assert terms == [VocabTerm(i("icon:a"), "icon:a", TermKind.CLASS, "a"),
+                         VocabTerm(i("icon:b"), "icon:b", TermKind.PROPERTY, "b")]
+        assert axioms == [Axiom(AxiomKind.SUB_CLASS_OF, i("icon:a"), i("crm:E5_Event")),
+                          Axiom(AxiomKind.DOMAIN, i("icon:b"), i("icon:a"))]
+
+    @pytest.mark.parametrize("body, statement", [
+        ('icon:a a rdfs:Class ; rdfs:comment "c" .',
+         Triple(i("icon:a"), i("rdfs:comment"), Literal("c"))),
+        ("icon:a a crm:E5_Event .", Triple(i("icon:a"), RDF_TYPE, i("crm:E5_Event"))),
+        ("icon:a a rdfs:Class, rdf:Property .",
+         Triple(i("icon:a"), RDF_TYPE, i("rdfs:Class"))),
+        ('icon:a rdfs:label "a", "b" .', Triple(i("icon:a"), i("rdfs:label"), Literal("b"))),
+        ('icon:a rdfs:label "a"@en .', Triple(i("icon:a"), i("rdfs:label"),
+                                               Literal("a", lang="en"))),
+        ("icon:a rdfs:label icon:b .", Triple(i("icon:a"), i("rdfs:label"), i("icon:b"))),
+        ("<http://ex.org/a> a rdfs:Class .", Triple(Iri("http://ex.org/a"), RDF_TYPE,
+                                                   i("rdfs:Class"))),
+        ("icon:a rdfs:range <http://ex.org/b> .", Triple(i("icon:a"), i("rdfs:range"),
+                                                         Iri("http://ex.org/b"))),
+        ("_:a a rdfs:Class .", Triple(BlankNode("a"), RDF_TYPE, i("rdfs:Class"))),
+    ], ids=["another-predicate", "another-type", "two-kinds", "two-labels",
+            "language-label", "iri-label", "foreign-subject", "foreign-object", "blank-node"])
+    def test_refusal_names_the_statement(self, body, statement):
+        with pytest.raises(VocabError) as info:
+            _read_vocabulary(HEADER + body)
+        assert repr(statement) in str(info.value)
+
+    def test_refused_document_names_line_and_column(self):
+        with pytest.raises(VocabError, match=r"line 9, col \d+: "):
+            _read_vocabulary(HEADER + "icon:a a .")
+
+    @pytest.mark.parametrize("body", ['icon:a rdfs:label "a" .', "icon:a a rdfs:Class ."],
+                             ids=["no-kind", "no-label"])
+    def test_registry_refuses_a_term_missing_a_field(self, body):
+        terms, axioms = _read_vocabulary(HEADER + body)
+        with pytest.raises(VocabError, match="icon/ontology/a"):
+            TermRegistry(terms, axioms, Levels())
+
+
+def edited(triples: list, data) -> Graph:
+    """The shipped document's triples after one drawn edit: a statement
+    dropped, a second label added, or an object swapped for another
+    registered term."""
+    k = data.draw(st.integers(0, len(triples) - 1))
+    s, p, o = triples[k]
+    edit = data.draw(st.sampled_from(["drop", "label", "swap"]))
+    if edit == "drop":
+        return Graph(triples[:k] + triples[k + 1:])
+    if edit == "label":
+        return Graph(triples + [Triple(s, i("rdfs:label"), Literal("second"))])
+    terms = sorted({t.subject for t in triples})
+    return Graph(triples[:k] + [Triple(s, p, data.draw(st.sampled_from(terms)))]
+                 + triples[k + 1:])
+
+
+class TestReaderErrorContract:
+    """Any text gives the reader's terms and axioms, which TermRegistry
+    accepts or refuses, or VocabError, and nothing else."""
+
+    @staticmethod
+    def read(text):
+        try:
+            terms, axioms = _read_vocabulary(text)
+            TermRegistry(terms, axioms, Levels())
+        except VocabError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(TURTLE_ALPHABET), max_size=40).map("".join))
+    def test_any_text(self, text):
+        for doc in (text, HEADER + text, HEADER + "icon:a " + text):
+            self.read(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_shipped_document_after_one_edit(self, data):
+        triples = sorted(parse_turtle(shipped_document()).graph,
+                         key=lambda t: (t.subject, t.predicate, repr(t.object)))
+        g = edited(triples, data)
+        self.read(serialize_turtle(g, NAMESPACES))
+        if len(g) > len(triples):  # a second label
+            with pytest.raises(VocabError, match="no term's one type or plain label"):
+                _read_vocabulary(serialize_turtle(g, NAMESPACES))
